@@ -207,6 +207,51 @@ impl Snapshot {
         buf
     }
 
+    /// `self.to_bytes().len()`, computed without serialising (or
+    /// checksumming) the delta pages.
+    pub fn encoded_len(&self) -> usize {
+        const U8: usize = 1;
+        const U32: usize = 4;
+        const U64: usize = 8;
+        // Length-prefixed byte strings and counted sequences carry a u64
+        // length ahead of their contents.
+        let bytes = |n: usize| U64 + n;
+        let header = SNAPSHOT_MAGIC.len() + U32;
+        let meta = 9 * U64;
+        let threads = U64
+            + self
+                .threads
+                .iter()
+                .map(|t| {
+                    2 * U32 // machine and original tid
+                        + (t.regs.gpr.len() + 4) * U64 // gprs, rip, rflags, fs, gs
+                        + bytes(t.regs.xsave.len())
+                        + (U8 + U64) // state tag and payload
+                        + 2 * U64 // icount, cycles
+                        + (U8 + U64) // exit target
+                        + U64 // exit count
+                        + U8 // exit fired
+                })
+                .sum::<usize>();
+        let consumed = U64 + self.consumed_syscalls.len() * (U32 + U64);
+        let kernel = 2 * U64 + bytes(self.kernel.cwd.len()) + bytes(self.kernel.stdout.len());
+        let caches = U64
+            + self
+                .caches
+                .iter()
+                .map(|c| bytes(c.tags.len() * U64) + 2 * U64)
+                .sum::<usize>();
+        let dropped = bytes(self.dropped.len() * U64);
+        let delta = U64
+            + self
+                .delta
+                .values()
+                .map(|rec| U64 + U8 + bytes(rec.data.len()))
+                .sum::<usize>();
+        let checksum = U64;
+        header + meta + threads + consumed + kernel + caches + dropped + delta + checksum
+    }
+
     /// Deserialises a [`Snapshot::to_bytes`] buffer.
     ///
     /// # Errors

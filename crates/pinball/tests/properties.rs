@@ -1,11 +1,13 @@
 //! Property-based tests for the pinball format: arbitrary pinballs must
 //! round-trip bit-exactly through both the bundle and the directory
-//! serialisations, and the consecutive-run grouping must partition the
-//! image without loss.
+//! serialisations, the consecutive-run grouping must partition the
+//! image without loss, and arbitrary interval snapshots must round-trip
+//! through their codec with `encoded_len` equal to the encoded size.
 
 use elfie_pinball::{
-    MemoryImage, PageRecord, Pinball, PinballError, PinballMeta, RaceLog, RegImage, RegionInfo,
-    RegionTrigger, SyncPoint, SyscallEffect, ThreadRecord,
+    CacheSnap, KernelSnap, MemoryImage, PageRecord, Pinball, PinballError, PinballMeta, RaceLog,
+    RegImage, RegionInfo, RegionTrigger, Snapshot, SnapshotMeta, SyncPoint, SyscallEffect,
+    ThreadRecord, ThreadSnap, ThreadStateSnap,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -132,6 +134,94 @@ fn arb_pinball() -> impl Strategy<Value = Pinball> {
         })
 }
 
+fn arb_thread_snap() -> impl Strategy<Value = ThreadSnap> {
+    (
+        (any::<u32>(), any::<u32>()),
+        arb_regimage(),
+        (0u8..3, any::<u64>()),
+        (any::<u64>(), any::<u64>()),
+        proptest::option::of(any::<u64>()),
+        (any::<u64>(), any::<bool>()),
+    )
+        .prop_map(
+            |(
+                (machine_tid, orig_tid),
+                regs,
+                (tag, payload),
+                (icount, cycles),
+                exit_target,
+                (exit_count, exit_fired),
+            )| {
+                ThreadSnap {
+                    machine_tid,
+                    orig_tid,
+                    regs,
+                    state: match tag {
+                        0 => ThreadStateSnap::Runnable,
+                        1 => ThreadStateSnap::FutexWait(payload),
+                        _ => ThreadStateSnap::Exited(payload as i32),
+                    },
+                    icount,
+                    cycles,
+                    exit_target,
+                    exit_count,
+                    exit_fired,
+                }
+            },
+        )
+}
+
+fn arb_snapshot() -> impl Strategy<Value = Snapshot> {
+    let cache = (
+        proptest::collection::vec(any::<u64>(), 0..16),
+        any::<u64>(),
+        any::<u64>(),
+    )
+        .prop_map(|(tags, hits, misses)| CacheSnap { tags, hits, misses });
+    let kernel = (
+        any::<u64>(),
+        any::<u64>(),
+        ".*",
+        proptest::collection::vec(any::<u8>(), 0..64),
+    )
+        .prop_map(|(brk_start, brk, cwd, stdout)| KernelSnap {
+            brk_start,
+            brk,
+            cwd,
+            stdout,
+        });
+    (
+        proptest::collection::vec(any::<u64>(), 9..10),
+        proptest::collection::vec(arb_thread_snap(), 0..4),
+        proptest::collection::btree_map(any::<u32>(), any::<u64>(), 0..4),
+        kernel,
+        proptest::collection::vec(cache, 0..3),
+        arb_image(),
+        proptest::collection::vec(any::<u64>(), 0..6),
+    )
+        .prop_map(
+            |(m, threads, consumed_syscalls, kernel, caches, image, dropped)| Snapshot {
+                meta: SnapshotMeta {
+                    slice_index: m[0],
+                    interval: m[1],
+                    global_icount: m[2],
+                    cycles: m[3],
+                    fuel_spent: m[4],
+                    race_ptr: m[5],
+                    spawns_adopted: m[6],
+                    injected_syscalls: m[7],
+                    lazy_pages_injected: m[8],
+                },
+                threads,
+                consumed_syscalls,
+                kernel,
+                caches,
+                delta: image.pages,
+                dropped,
+            },
+        )
+}
+
 fn assert_pinball_eq(a: &Pinball, b: &Pinball) {
     assert_eq!(a.meta.fat, b.meta.fat);
     assert_eq!(a.meta.brk, b.meta.brk);
@@ -152,6 +242,13 @@ proptest! {
         let bytes = pb.to_bytes();
         let back = Pinball::from_bytes(&bytes).expect("decodes");
         assert_pinball_eq(&pb, &back);
+    }
+
+    #[test]
+    fn snapshot_roundtrip_and_encoded_len(s in arb_snapshot()) {
+        let bytes = s.to_bytes();
+        prop_assert_eq!(s.encoded_len(), bytes.len());
+        prop_assert_eq!(Snapshot::from_bytes(&bytes).expect("decodes"), s);
     }
 
     #[test]

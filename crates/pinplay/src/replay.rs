@@ -639,20 +639,30 @@ impl<'a, O: Observer> ReplaySession<'a, O> {
                 // and charging it would shift this thread's slice boundary
                 // — perturbing the multi-threaded interleaving relative to
                 // an eager (fat) boot of the same checkpoint.
+                //
+                // The slice runs as block batches bounded by the slice,
+                // the fuel and the thread's target. While atomics are
+                // ordered, a batch may only *start* on an atomic (after
+                // the race log grants this thread its turn) and stops
+                // before the next one, so one peek per batch sees every
+                // atomic. Syscalls end a batch, so injection divergence
+                // is checked once per batch.
                 let mut retired_in_slice = 0;
                 while retired_in_slice < 64 {
                     if self.fuel == 0 {
                         self.divergence = Some(Divergence::OutOfFuel);
                         break 'outer;
                     }
-                    if self.m.threads[idx].icount >= target {
+                    let icount = self.m.threads[idx].icount;
+                    if icount >= target {
                         self.m.threads[idx].state = ThreadState::Exited(0);
                         break;
                     }
+                    let ordered = cfg.enforce_order && self.race_ptr < races.len();
                     let mut is_atomic = false;
-                    if cfg.enforce_order {
+                    if ordered {
                         if let Some((insn, _)) = self.m.peek_insn(idx) {
-                            if insn.is_atomic() && self.race_ptr < races.len() {
+                            if insn.is_atomic() {
                                 if races[self.race_ptr].tid != orig {
                                     break; // stalled: not this thread's turn
                                 }
@@ -660,17 +670,24 @@ impl<'a, O: Observer> ReplaySession<'a, O> {
                             }
                         }
                     }
-                    self.fuel -= 1;
-                    match self.m.step_thread(idx) {
+                    let max = (64 - retired_in_slice).min(self.fuel).min(target - icount);
+                    let (attempts, step) = self.m.step_thread(idx, max, ordered);
+                    // A not-runnable attempt retires nothing but still
+                    // costs one unit of fuel.
+                    self.fuel -= attempts.max(1);
+                    let retired = attempts - u64::from(matches!(step, ThreadStep::Fault(_)));
+                    if retired > 0 {
+                        progressed = true;
+                        retired_in_slice += retired;
+                        // Only a batch's first instruction can be atomic.
+                        if is_atomic {
+                            self.race_ptr += 1;
+                        }
+                    }
+                    match step {
                         ThreadStep::Retired
                         | ThreadStep::SyscallRetired
-                        | ThreadStep::Marker(..) => {
-                            progressed = true;
-                            retired_in_slice += 1;
-                            if is_atomic {
-                                self.race_ptr += 1;
-                            }
-                        }
+                        | ThreadStep::Marker(..) => {}
                         ThreadStep::NotRunnable => break,
                         ThreadStep::Fault(fault) => {
                             // Lazy page injection: regular pinballs insert

@@ -5,12 +5,14 @@
 //! two ways — re-capturing at the next boundary must reproduce the next
 //! snapshot *byte for byte*, and running the last slice to completion
 //! must reproduce the serial replay's summary and final machine state
-//! bit for bit.
+//! bit for bit. Each chain is also run with the VM block cache off, where
+//! replay steps one instruction per batch: batched replay must produce
+//! the same pinball, snapshots, summary and final machine.
 
 use elfie_isa::{assemble, Fnv64};
 use elfie_pinball::{RegImage, RegionTrigger, Snapshot};
-use elfie_pinplay::{Logger, LoggerConfig, ReplayConfig, Replayer, SessionStep};
-use elfie_vm::{Machine, Observer};
+use elfie_pinplay::{Logger, LoggerConfig, ReplayConfig, ReplaySummary, Replayer, SessionStep};
+use elfie_vm::{Machine, MachineConfig, Observer};
 
 fn counter_program(iters: u64) -> elfie_isa::Program {
     assemble(&format!(
@@ -119,12 +121,73 @@ fn machine_digest<O: Observer>(m: &Machine<O>) -> u64 {
     h.u64(m.global_icount()).u64(m.cycles()).finish()
 }
 
+/// Everything one capture-and-chain run produces.
+struct ChainRun {
+    pinball: Vec<u8>,
+    snaps: Vec<Snapshot>,
+    summary: ReplaySummary,
+    digest: u64,
+}
+
+/// Captures a pinball with `capture` and checks its snapshot chain at
+/// `interval` (see [`check_chain`]) twice: with the VM block cache on,
+/// where replay and capture run as block batches, and off, where every
+/// batch is one instruction and the run is the per-instruction reference.
+/// The pinball, every snapshot (fuel and race-log position included), the
+/// replay summary and the final machine must agree. Returns the chain
+/// length.
+fn check_chain_batched_vs_stepped(
+    capture: impl Fn(MachineConfig) -> elfie_pinball::Pinball,
+    interval: u64,
+) -> usize {
+    let [batched, stepped] = [true, false].map(|block_cache| {
+        let machine = MachineConfig {
+            block_cache,
+            ..MachineConfig::default()
+        };
+        let pb = capture(machine.clone());
+        let (snaps, summary, digest) = check_chain(&pb, interval, machine);
+        ChainRun {
+            pinball: pb.to_bytes(),
+            snaps,
+            summary,
+            digest,
+        }
+    });
+    assert!(
+        batched.pinball == stepped.pinball,
+        "captured pinball differs"
+    );
+    for (k, (a, b)) in batched.snaps.iter().zip(&stepped.snaps).enumerate() {
+        assert_eq!(
+            a, b,
+            "snapshot {k} differs between batched and stepped replay"
+        );
+    }
+    assert_eq!(
+        batched.snaps.len(),
+        stepped.snaps.len(),
+        "chain length differs"
+    );
+    assert_eq!(batched.summary, stepped.summary, "replay summary differs");
+    assert_eq!(batched.digest, stepped.digest, "final machine differs");
+    batched.snaps.len()
+}
+
 /// Replays `pb` serially while capturing a snapshot every `interval`
 /// instructions, then re-runs every slice from its snapshot and checks
 /// each slice reproduces the next snapshot byte-for-byte (or, for the
-/// last slice, the serial end state).
-fn check_chain(pb: &elfie_pinball::Pinball, interval: u64) -> usize {
-    let replayer = Replayer::new(ReplayConfig::default());
+/// last slice, the serial end state). Returns the chain, the serial
+/// summary and the serial final-machine digest.
+fn check_chain(
+    pb: &elfie_pinball::Pinball,
+    interval: u64,
+    machine: MachineConfig,
+) -> (Vec<Snapshot>, ReplaySummary, u64) {
+    let replayer = Replayer::new(ReplayConfig {
+        machine,
+        ..ReplayConfig::default()
+    });
 
     // Producer pass: serial run with interval captures.
     let mut session = replayer.session_with(pb, elfie_vm::NullObserver, None, |_| {});
@@ -178,52 +241,52 @@ fn check_chain(pb: &elfie_pinball::Pinball, interval: u64) -> usize {
             }
         }
     }
-    snaps.len()
+    (snaps, serial_summary, serial_digest)
+}
+
+/// Captures `length` instructions of the counter program from icount 50.
+fn counter_region(length: u64) -> impl Fn(MachineConfig) -> elfie_pinball::Pinball {
+    move |machine| {
+        Logger::new(LoggerConfig {
+            machine,
+            ..LoggerConfig::fat("ctr", RegionTrigger::GlobalIcount(50), length)
+        })
+        .capture(&counter_program(5_000), map_array)
+        .expect("captures")
+    }
 }
 
 #[test]
 fn single_thread_chain_is_bit_identical() {
-    let pb = Logger::new(LoggerConfig::fat(
-        "ctr",
-        RegionTrigger::GlobalIcount(50),
-        5_000,
-    ))
-    .capture(&counter_program(5_000), map_array)
-    .expect("captures");
-    let n = check_chain(&pb, 700);
+    let n = check_chain_batched_vs_stepped(counter_region(5_000), 700);
     assert!(n >= 4, "expected several snapshots, got {n}");
 }
 
 #[test]
 fn fine_interval_chain_is_bit_identical() {
-    let pb = Logger::new(LoggerConfig::fat(
-        "ctr",
-        RegionTrigger::GlobalIcount(50),
-        2_000,
-    ))
-    .capture(&counter_program(5_000), map_array)
-    .expect("captures");
     // Finer than the 64-insn scheduling slice: pauses land mid-thread-turn.
-    let n = check_chain(&pb, 150);
+    let n = check_chain_batched_vs_stepped(counter_region(2_000), 150);
     assert!(n >= 10, "expected a long chain, got {n}");
 }
 
 #[test]
 fn multithreaded_chain_with_races_is_bit_identical() {
-    let pb = Logger::new(LoggerConfig::fat(
-        "mt",
-        RegionTrigger::GlobalIcount(40),
-        1_200,
-    ))
-    .capture(&two_thread_program(), |m| {
-        m.mem
-            .map_range(0x7f001f0000, 0x7f00200000, elfie_vm::Perm::RW)
-            .unwrap();
-    })
-    .expect("captures");
-    assert!(pb.threads.len() >= 2, "both threads captured");
-    assert!(!pb.races.order.is_empty(), "atomic order recorded");
-    let n = check_chain(&pb, 200);
+    let capture = |machine| {
+        let pb = Logger::new(LoggerConfig {
+            machine,
+            ..LoggerConfig::fat("mt", RegionTrigger::GlobalIcount(40), 1_200)
+        })
+        .capture(&two_thread_program(), |m| {
+            m.mem
+                .map_range(0x7f001f0000, 0x7f00200000, elfie_vm::Perm::RW)
+                .unwrap();
+        })
+        .expect("captures");
+        assert!(pb.threads.len() >= 2, "both threads captured");
+        assert!(!pb.races.order.is_empty(), "atomic order recorded");
+        pb
+    };
+    let n = check_chain_batched_vs_stepped(capture, 200);
     assert!(n >= 3, "expected several snapshots, got {n}");
 }
 

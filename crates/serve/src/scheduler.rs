@@ -735,7 +735,10 @@ fn execute(
         }
         JobKind::Simulate => {
             let pb = captured_region(cache, &w, spec)?;
-            let sim = simulator_by_name(&spec.sim)?;
+            let mut sim = simulator_by_name(&spec.sim)?;
+            // A raw pinball carries no ROI markers — the captured region
+            // *is* the region of interest, as for offline `simulate`.
+            sim.roi = elfie::sim::RoiMode::Always;
             if spec.shards == 0 {
                 let o = elfie::sim::simulate_pinball(&pb, &sim);
                 return Ok(format!(

@@ -302,7 +302,7 @@ pub fn simulate_pinball_sharded_with_progress(
     progress(ShardPhase::Profile);
     let t0 = Instant::now();
     let (snaps, bbv, _profile_summary) = profile_pass(pinball, sim, &replayer, interval);
-    let snapshot_bytes: u64 = snaps.iter().map(|s| s.to_bytes().len() as u64).sum();
+    let snapshot_bytes: u64 = snaps.iter().map(|s| s.encoded_len() as u64).sum();
     let profile_wall_ns = t0.elapsed().as_nanos() as u64;
 
     // Phase 2: fan the K + 1 slices out over the worker pool.

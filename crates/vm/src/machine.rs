@@ -234,7 +234,8 @@ fn classify(effect: Effect) -> (bool, ThreadStep, u64) {
     }
 }
 
-/// Result of stepping one thread by one instruction.
+/// Result of the last instruction a [`Machine::step_thread`] call
+/// attempted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ThreadStep {
     /// The instruction retired.
@@ -510,25 +511,29 @@ impl<O: Observer> Machine<O> {
         }
     }
 
-    /// Executes one instruction on thread `idx`. Exposed so external
-    /// harnesses (the PinPlay replayer, simulators) can impose their own
-    /// schedule.
-    pub fn step_thread(&mut self, idx: usize) -> ThreadStep {
-        self.step_thread_batch(idx, 1).1
-    }
-
     /// Executes up to `max` instructions on thread `idx`, serving the
     /// straight-line remainder of the current cached block in one call so
-    /// the per-step dispatch overhead amortises over the block.
+    /// the per-step dispatch overhead amortises over the block. Exposed so
+    /// external harnesses (the PinPlay replayer, simulators) can impose
+    /// their own schedule.
     ///
-    /// Semantics are identical to calling [`Machine::step_thread`] in a
-    /// loop: every instruction retires individually (observer callbacks,
-    /// cycle accounting, graceful-exit counters, PcCount tracking), and
-    /// the batch ends at block boundaries, taken branches, syscalls,
+    /// Semantics are identical to stepping one instruction at a time
+    /// (which is what every call does with the block cache off): every
+    /// instruction retires individually (observer callbacks, cycle
+    /// accounting, graceful-exit counters, PcCount tracking), and the
+    /// batch ends at block boundaries, taken branches, syscalls, markers,
     /// faults, observer stop requests and writes to cached code pages.
-    /// Returns how many instructions were attempted (a faulting attempt
-    /// counts) and the last attempt's result.
-    fn step_thread_batch(&mut self, idx: usize, max: u64) -> (u64, ThreadStep) {
+    /// With `stop_before_atomic` set it also ends *before* any atomic
+    /// instruction but its first, so a caller that orders atomics only has
+    /// to inspect the instruction a batch starts on. Returns how many
+    /// instructions were attempted (a faulting attempt counts; a thread
+    /// that is not runnable attempts none) and the last attempt's result.
+    pub fn step_thread(
+        &mut self,
+        idx: usize,
+        max: u64,
+        stop_before_atomic: bool,
+    ) -> (u64, ThreadStep) {
         if idx >= self.threads.len() || !self.threads[idx].is_runnable() {
             return (0, ThreadStep::NotRunnable);
         }
@@ -650,8 +655,12 @@ impl<O: Observer> Machine<O> {
                     break step;
                 }
                 pos += 1;
+                // A marker ends the batch so `StopWhen::Marker` sees it
+                // as the last step.
                 if attempts >= max
                     || pos >= block.insns.len()
+                    || matches!(effect, Effect::Marker(..))
+                    || (stop_before_atomic && block.insns[pos].0.is_atomic())
                     || mem.has_dirty_code()
                     || obs.wants_stop()
                 {
@@ -829,6 +838,33 @@ impl<O: Observer> Machine<O> {
         None
     }
 
+    /// How many instructions thread `idx` may retire before an armed stop
+    /// condition could fire: the batch bound that makes one batch stop on
+    /// exactly the instruction a per-instruction check would. At least 1
+    /// (a condition already met stops the run after the next
+    /// instruction); `u64::MAX` when nothing bounds the thread. Markers need no
+    /// bound because every batch ends after one, and another thread's
+    /// instruction count cannot move while this one runs.
+    fn stop_distance(&self, idx: usize) -> u64 {
+        let mut dist = u64::MAX;
+        for (i, c) in self.stop_conditions.iter().enumerate() {
+            let left = match *c {
+                StopWhen::GlobalInsns(n) => n.saturating_sub(self.global_icount),
+                StopWhen::ThreadInsns(tid, n) if tid as usize == idx => {
+                    n.saturating_sub(self.threads[idx].icount)
+                }
+                StopWhen::ThreadInsns(tid, n) => match self.threads.get(tid as usize) {
+                    Some(t) if t.icount >= n => 0,
+                    _ => continue,
+                },
+                StopWhen::PcCount { count, .. } => count.saturating_sub(self.pc_counters[i]),
+                StopWhen::Marker(_) => continue,
+            };
+            dist = dist.min(left);
+        }
+        dist.max(1)
+    }
+
     /// Runs the machine until every thread exits, a fault occurs, a stop
     /// condition or observer stop triggers, or `fuel` instructions retire.
     pub fn run(&mut self, fuel: u64) -> RunSummary {
@@ -868,15 +904,8 @@ impl<O: Observer> Machine<O> {
                     return finish(self, ExitReason::FuelExhausted);
                 }
                 let tid = self.threads[idx].tid;
-                // With no stop conditions armed the rest of the slice can
-                // be served as one cached-block batch; otherwise the
-                // conditions must be re-evaluated after every instruction.
-                let max = if self.stop_conditions.is_empty() {
-                    slice_left.min(budget)
-                } else {
-                    1
-                };
-                let (ran, step) = self.step_thread_batch(idx, max);
+                let max = slice_left.min(budget).min(self.stop_distance(idx));
+                let (ran, step) = self.step_thread(idx, max, false);
                 budget -= ran;
                 slice_left -= ran;
                 match step {

@@ -17,11 +17,16 @@
 //! soup (via `elfie_isa::test_strategies`, including faulting and
 //! undecodable cases), random branchy block graphs that loop enough to
 //! re-execute warm cached blocks, and a hand-written self-modifying
-//! program that overwrites a block the cache has already decoded.
+//! program that overwrites a block the cache has already decoded. The
+//! random programs may also run under an armed stop condition, which the
+//! cached run must honour on exactly the instruction the per-step
+//! interpreter stops on.
 
 use elfie_isa::test_strategies::arb_insn;
-use elfie_isa::{assemble, encode, Cond, Insn, MarkerKind, Reg, RegFile};
-use elfie_vm::{ExitReason, FastPathStats, Machine, MachineConfig, Observer, Perm, RunSummary};
+use elfie_isa::{assemble, decode, encode, Cond, Insn, MarkerKind, Reg, RegFile};
+use elfie_vm::{
+    ExitReason, FastPathStats, Machine, MachineConfig, Observer, Perm, RunSummary, StopWhen,
+};
 use proptest::prelude::*;
 
 /// One observer callback, recorded verbatim.
@@ -141,12 +146,15 @@ proptest! {
     #[test]
     fn straight_line_soup_is_bit_identical(
         insns in proptest::collection::vec(arb_insn(), 1..32),
+        stop in arb_stop(),
     ) {
         let mut code = Vec::new();
         for i in &insns {
             code.extend(encode(i));
         }
+        let stop = stop_condition(stop, &insn_addrs(CODE_BASE, &code));
         let setup = move |m: &mut Machine<RecObs>| {
+            m.stop_conditions.extend(stop);
             m.mem.map_range(CODE_BASE, 0x5000, Perm::RWX).unwrap();
             m.mem
                 .map_range(ARENA_BASE, ARENA_BASE + 0x20000, Perm::RW)
@@ -169,10 +177,17 @@ proptest! {
     /// between blocks re-execute the same addresses, exercising warm block
     /// cache hits and per-thread cursors across taken/not-taken branches.
     #[test]
-    fn branchy_blocks_are_bit_identical(src in branchy_source()) {
+    fn branchy_blocks_are_bit_identical(src in branchy_source(), stop in arb_stop()) {
         let prog = assemble(&src).expect("generated source assembles");
+        let pcs: Vec<u64> = prog
+            .chunks
+            .iter()
+            .flat_map(|c| insn_addrs(c.addr, &c.bytes))
+            .collect();
+        let stop = stop_condition(stop, &pcs);
         let setup = move |m: &mut Machine<RecObs>| {
             m.load_program(&prog);
+            m.stop_conditions.extend(stop);
             m.mem
                 .map_range(ARENA_BASE, ARENA_BASE + 0x1000, Perm::RW)
                 .unwrap();
@@ -187,14 +202,54 @@ proptest! {
     }
 }
 
+/// Raw choice of the stop condition a random case arms: `(kind, count,
+/// pick)`, turned into a [`StopWhen`] by [`stop_condition`].
+fn arb_stop() -> impl Strategy<Value = (u8, u64, usize)> {
+    (0u8..5, 0u64..600, proptest::arbitrary::any::<usize>())
+}
+
+/// No stop condition, `GlobalInsns`, `ThreadInsns` (thread 0, or a
+/// thread that never exists), `PcCount` on one of the program's
+/// instruction addresses `pcs`, or `Marker`. Counts start at 0: a
+/// condition already met before the first instruction.
+fn stop_condition((kind, count, pick): (u8, u64, usize), pcs: &[u64]) -> Option<StopWhen> {
+    match kind {
+        1 => Some(StopWhen::GlobalInsns(count)),
+        2 => Some(StopWhen::ThreadInsns((pick % 2) as u32, count)),
+        3 if !pcs.is_empty() => Some(StopWhen::PcCount {
+            pc: pcs[pick % pcs.len()],
+            count: count % 40,
+        }),
+        4 => Some(StopWhen::Marker(
+            MarkerKind::ALL[pick % MarkerKind::ALL.len()],
+        )),
+        _ => None,
+    }
+}
+
+/// Addresses of the instructions in `code` (loaded at `base`), decoded
+/// linearly up to the first undecodable byte.
+fn insn_addrs(base: u64, code: &[u8]) -> Vec<u64> {
+    let mut addrs = Vec::new();
+    let mut off = 0;
+    while off < code.len() {
+        let Ok((_, len)) = decode(&code[off..]) else {
+            break;
+        };
+        addrs.push(base + off as u64);
+        off += len;
+    }
+    addrs
+}
+
 /// Generates assembly for a random graph of small basic blocks. Each block
-/// does a few safe ALU/move/load/store ops (memory via `r15` into a mapped
-/// arena) and ends with a jump, a conditional jump, or a fall-through; the
-/// final fall-through lands on an `exit(0)` stub.
+/// does a few safe ALU/move/load/store/marker ops (memory via `r15` into a
+/// mapped arena) and ends with a jump, a conditional jump, or a
+/// fall-through; the final fall-through lands on an `exit(0)` stub.
 fn branchy_source() -> impl Strategy<Value = String> {
     const REGS: [&str; 6] = ["rax", "rbx", "rcx", "rdx", "rsi", "rdi"];
     let op = (
-        0u8..8,
+        0u8..10,
         0usize..6,
         0usize..6,
         0u32..64,
@@ -221,7 +276,9 @@ fn branchy_source() -> impl Strategy<Value = String> {
                     4 => format!("    cmp {r1}, {r2}\n"),
                     5 => format!("    xor {r1}, {r2}\n"),
                     6 => format!("    mov [r15 + {disp}], {r1}\n"),
-                    _ => format!("    mov {r1}, [r15 + {disp}]\n"),
+                    7 => format!("    mov {r1}, [r15 + {disp}]\n"),
+                    8 => format!("    marker sniper, {imm}\n"),
+                    _ => format!("    marker ssc, {imm}\n"),
                 });
             }
             let t = target % n;

@@ -15,6 +15,8 @@
 //!   depths, and a job-latency histogram;
 //! * `submit --follow` streams typed phase events for a sharded
 //!   simulate job, ending with the result frame;
+//! * a served `simulate`, serial or sharded, models the whole region and
+//!   reports the cycles and CPI offline simulation computes;
 //! * a client-stamped request id lands on the daemon-side spans of the
 //!   exported Chrome trace.
 
@@ -377,6 +379,79 @@ fn submit_follow_streams_every_phase_of_a_sharded_simulate_job() {
     let row = jobs.iter().find(|j| j.id == ids[0]).expect("retained row");
     assert_eq!(row.state, "done");
     assert_eq!(row.phase, "render");
+
+    client.shutdown().expect("shutdown");
+    server.join().expect("daemon thread");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn served_simulate_models_the_region_like_offline_simulate() {
+    let dir = tmp("simulate");
+    let daemon = Daemon::bind("127.0.0.1:0", &dir, ServeConfig::default(), None).expect("binds");
+    let addr = daemon.local_addr().to_string();
+    let server = std::thread::spawn(move || daemon.run());
+
+    // Offline reference: the same fat region, simulated as offline
+    // `elfie simulate` does — the whole captured region is the ROI.
+    let (start, length) = (20_000, 6_000);
+    let w = elfie::workloads::find_workload("gcc_like", InputScale::Test).expect("workload exists");
+    let pb = elfie::pinplay::Logger::new(elfie::pinplay::LoggerConfig::fat(
+        &w.name,
+        elfie::pinball::RegionTrigger::GlobalIcount(start),
+        length,
+    ))
+    .capture(&w.program, |m| w.setup(m))
+    .expect("captures");
+    let mut sim = elfie::sim::Simulator::gem5_se(elfie::sim::CoreParams::haswell_like());
+    sim.roi = elfie::sim::RoiMode::Always;
+    let figures = |o: &elfie::sim::SimOutcome| {
+        format!(
+            ": {} cycles, IPC {:.4}, CPI {:.4}, exit {:?}\n",
+            o.cycles, o.ipc, o.cpi, o.exit
+        )
+    };
+    let serial = elfie::sim::simulate_pinball(&pb, &sim);
+    assert!(serial.cycles > 1, "offline reference models the region");
+    let sliced = elfie::sim::simulate_pinball_sharded(
+        &pb,
+        &sim,
+        &elfie::sim::ShardConfig {
+            shards: 2,
+            interval: length / 2,
+        },
+    );
+    assert!(!sliced.snapshots.is_empty(), "half-region interval slices");
+
+    // Serial, two shards over one slice (an interval as long as the
+    // region: exactly the serial outcome), and two shards over two
+    // slices (cold slices: exactly the offline sharded outcome).
+    let mut client = Client::connect(&addr).expect("connects");
+    for (shards, interval, expected) in [
+        (0, 0, &serial),
+        (2, length, &serial),
+        (2, 0, &sliced.outcome),
+    ] {
+        let job = JobSpec {
+            kind: JobKind::Simulate,
+            workload: "gcc_like".to_string(),
+            scale: "test".to_string(),
+            start,
+            length,
+            sim: "gem5-haswell".to_string(),
+            shards,
+            interval,
+            ..JobSpec::default()
+        };
+        match client.submit("acme", job).expect("submits") {
+            Response::Done { report, .. } => assert!(
+                report.ends_with(&figures(expected)),
+                "shards {shards} interval {interval}: served `{report}` != offline `{}`",
+                figures(expected)
+            ),
+            other => panic!("shards {shards}: {other:?}"),
+        }
+    }
 
     client.shutdown().expect("shutdown");
     server.join().expect("daemon thread");
