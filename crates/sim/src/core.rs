@@ -10,9 +10,9 @@
 //! full-system comparison of the paper's CoreSim case study (Table IV).
 
 use crate::cache::{Cache, CacheParams, NextLinePrefetcher, Tlb};
-use elfie_isa::{Insn, MarkerKind};
+use elfie_isa::{Insn, MarkerKind, U64BuildHasher};
 use elfie_vm::Observer;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 /// Micro-architecture parameters.
 #[derive(Debug, Clone, Copy)]
@@ -246,6 +246,47 @@ struct PendingBranch {
     fallthrough: u64,
 }
 
+/// Per-thread observer state, in a `Vec` indexed by tid (tids are dense
+/// thread indices).
+#[derive(Debug, Clone, Copy, Default)]
+struct ThreadState {
+    /// The conditional branch this thread's next instruction resolves.
+    pending: Option<PendingBranch>,
+    /// Modelled instructions (the `SimStats::per_thread` entry).
+    insns: u64,
+}
+
+/// Cycle charges derived once from [`CoreParams`]: the same f64 values
+/// the per-event expressions would produce, so cycle sums are unchanged.
+#[derive(Debug, Clone, Copy)]
+struct Charges {
+    /// `1 / issue_width`: base cost of one instruction.
+    issue: f64,
+    /// Instruction fetch that hits in L2 or L3 (no overlap).
+    fetch_l2: f64,
+    /// Data access served by L2, L3, memory (overlapped by the ROB).
+    l2: f64,
+    l3: f64,
+    mem: f64,
+    tlb_walk: f64,
+    mispredict: f64,
+}
+
+impl Charges {
+    fn new(p: &CoreParams) -> Charges {
+        let overlap = p.overlap();
+        Charges {
+            issue: 1.0 / p.issue_width as f64,
+            fetch_l2: p.l2_lat as f64,
+            l2: p.l2_lat as f64 * overlap,
+            l3: p.l3_lat as f64 * overlap,
+            mem: p.mem_lat as f64 * overlap,
+            tlb_walk: p.tlb_walk as f64,
+            mispredict: p.mispredict_penalty as f64,
+        }
+    }
+}
+
 /// Aggregate simulation statistics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimStats {
@@ -304,6 +345,9 @@ impl SimStats {
 /// The timing observer.
 pub struct TimingObserver {
     params: CoreParams,
+    charges: Charges,
+    /// `log2(l1d.line)`: footprint line index of an address.
+    line_shift: u32,
     ncores: usize,
     cores: Vec<CoreState>,
     l3: Cache,
@@ -311,10 +355,12 @@ pub struct TimingObserver {
     kernel: Option<KernelModel>,
     roi: RoiMode,
     active: bool,
+    /// Event counters; `per_thread` is filled from `threads` by
+    /// [`TimingObserver::stats`].
     stats: SimStats,
-    footprint: HashSet<u64>,
-    kernel_footprint: HashSet<u64>,
-    pending: HashMap<u32, PendingBranch>,
+    footprint: HashSet<u64, U64BuildHasher>,
+    kernel_footprint: HashSet<u64, U64BuildHasher>,
+    threads: Vec<ThreadState>,
     syscall_counter: u64,
 }
 
@@ -340,6 +386,8 @@ impl TimingObserver {
             .collect();
         TimingObserver {
             params,
+            charges: Charges::new(&params),
+            line_shift: params.l1d.line.trailing_zeros(),
             ncores,
             cores,
             l3: Cache::new(params.l3),
@@ -348,9 +396,9 @@ impl TimingObserver {
             roi,
             active: matches!(roi, RoiMode::Always),
             stats: SimStats::default(),
-            footprint: HashSet::new(),
-            kernel_footprint: HashSet::new(),
-            pending: HashMap::new(),
+            footprint: HashSet::default(),
+            kernel_footprint: HashSet::default(),
+            threads: Vec::new(),
             syscall_counter: 0,
         }
     }
@@ -380,9 +428,16 @@ impl TimingObserver {
         (self.cycles() as f64 / self.params.ghz) as u64
     }
 
-    /// Statistics snapshot (footprints folded in).
+    /// Statistics snapshot (per-thread counts and footprints folded in).
+    /// A thread appears in `per_thread` once it has a modelled
+    /// instruction.
     pub fn stats(&self) -> SimStats {
         let mut s = self.stats.clone();
+        s.per_thread = (0u32..)
+            .zip(&self.threads)
+            .filter(|(_, t)| t.insns > 0)
+            .map(|(tid, t)| (tid, t.insns))
+            .collect();
         s.footprint_lines = self.footprint.len() as u64;
         s.kernel_footprint_lines = self.kernel_footprint.len() as u64;
         s
@@ -394,7 +449,7 @@ impl TimingObserver {
     }
 
     fn data_access(&mut self, core: usize, addr: u64, kernel: bool) {
-        let line = addr / self.params.l1d.line;
+        let line = addr >> self.line_shift;
         if kernel {
             self.kernel_footprint.insert(line);
         } else {
@@ -403,28 +458,27 @@ impl TimingObserver {
         let c = &mut self.cores[core];
         if !c.dtlb.access(addr) {
             self.stats.dtlb_misses += 1;
-            c.cycles += self.params.tlb_walk as f64;
+            c.cycles += self.charges.tlb_walk;
         }
         if c.l1d.access(addr) {
             return;
         }
         self.stats.l1d_misses += 1;
-        let overlap = self.params.overlap();
         if c.l2.access(addr) {
-            c.cycles += self.params.l2_lat as f64 * overlap;
+            c.cycles += self.charges.l2;
             return;
         }
         self.stats.l2_misses += 1;
         if self.l3.access(addr) {
-            c.cycles += self.params.l3_lat as f64 * overlap;
+            c.cycles += self.charges.l3;
             return;
         }
         self.stats.l3_misses += 1;
-        c.cycles += self.params.mem_lat as f64 * overlap;
+        c.cycles += self.charges.mem;
         if self.params.prefetch {
             let next = self.pf.on_miss(&mut self.l3, addr);
             self.stats.prefetches += 1;
-            let nline = next / self.params.l1d.line;
+            let nline = next >> self.line_shift;
             if kernel {
                 self.kernel_footprint.insert(nline);
             } else {
@@ -445,7 +499,7 @@ impl TimingObserver {
             let addr = model.text_base + ((nr * 8192 + i * 64) % (128 << 10));
             let c = &mut self.cores[core];
             if !c.l1i.access(addr) && !c.l2.access(addr) && !self.l3.access(addr) {
-                self.cores[core].cycles += self.params.mem_lat as f64 * self.params.overlap();
+                c.cycles += self.charges.mem;
             }
         }
         // Kernel data: a sequential walk starting at a per-syscall
@@ -475,34 +529,36 @@ impl Observer for TimingObserver {
             return;
         }
         let core = self.core_of(tid);
+        let idx = tid as usize;
+        if idx >= self.threads.len() {
+            self.threads.resize(idx + 1, ThreadState::default());
+        }
+        let thread = &mut self.threads[idx];
+        let c = &mut self.cores[core];
         // Resolve a pending conditional branch for this thread.
-        if let Some(pb) = self.pending.remove(&tid) {
+        if let Some(pb) = thread.pending.take() {
             let taken = rip != pb.fallthrough;
-            if self.cores[core].bp.resolve(pb.pc, taken) {
+            if c.bp.resolve(pb.pc, taken) {
                 self.stats.mispredicts += 1;
-                self.cores[core].cycles += self.params.mispredict_penalty as f64;
+                c.cycles += self.charges.mispredict;
             }
         }
         self.stats.user_insns += 1;
-        *self.stats.per_thread.entry(tid).or_insert(0) += 1;
-        let c = &mut self.cores[core];
-        c.cycles += 1.0 / self.params.issue_width as f64;
+        thread.insns += 1;
+        c.cycles += self.charges.issue;
         // Instruction fetch.
         if !c.l1i.access(rip) {
             if !c.l2.access(rip) && !self.l3.access(rip) {
-                self.cores[core].cycles += self.params.mem_lat as f64 * self.params.overlap();
+                c.cycles += self.charges.mem;
             } else {
-                self.cores[core].cycles += self.params.l2_lat as f64;
+                c.cycles += self.charges.fetch_l2;
             }
         }
         if let Insn::Jcc(..) = insn {
-            self.pending.insert(
-                tid,
-                PendingBranch {
-                    pc: rip,
-                    fallthrough: rip + len as u64,
-                },
-            );
+            thread.pending = Some(PendingBranch {
+                pc: rip,
+                fallthrough: rip + len as u64,
+            });
         }
     }
 
@@ -607,6 +663,30 @@ mod tests {
             "mispredicts: {}",
             t.stats().mispredicts
         );
+    }
+
+    #[test]
+    fn per_thread_state_is_indexed_by_tid() {
+        // Threads 0 and 5 (a gap in the tids) interleave, each with its
+        // own branch at its own predictor entry: thread 0's loops onto
+        // itself (always taken), thread 5's falls through (never taken),
+        // and thread 0 retires between thread 5's branch and the
+        // instruction that resolves it.
+        let jcc = Insn::Jcc(elfie_isa::Cond::E, -6);
+        let (a, b) = (0x40_0000u64, 0x50_0100u64);
+        let mut t = obs(CoreParams::nehalem_like());
+        for _ in 0..50 {
+            t.on_insn(5, b, &jcc, 6);
+            t.on_insn(0, a, &jcc, 6);
+            t.on_insn(5, b + 6, &Insn::Nop, 1);
+        }
+        let s = t.stats();
+        // Resolved per thread, only thread 0's first (weakly not-taken)
+        // prediction misses. Resolving against the other thread's rip
+        // would train thread 5's entry towards taken and miss again.
+        assert_eq!(s.mispredicts, 1);
+        assert_eq!(s.per_thread, BTreeMap::from([(0, 50), (5, 100)]));
+        assert_eq!(s.user_insns, 150);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! BBV collectors play, and the reason it notes that "generating pinballs
 //! and ELFies is much faster" than gem5-based BBV collection.
 
-use elfie_isa::{Insn, Program};
+use elfie_isa::{Insn, Program, U64BuildHasher};
 use elfie_vm::{FastPathStats, Machine, MachineConfig, Observer};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// One slice's sparse basic-block vector: block start pc → weighted count.
 pub type Bbv = BTreeMap<u64, u64>;
@@ -93,11 +93,13 @@ impl ProfileKey {
 #[derive(Debug)]
 pub struct BbvCollector {
     slice_size: u64,
-    current: Bbv,
+    /// The open slice; sorted into a [`Bbv`] once, when it is flushed.
+    current: HashMap<u64, u64, U64BuildHasher>,
     slices: Vec<Bbv>,
     insns_in_slice: u64,
     total: u64,
-    block_start: BTreeMap<u32, (u64, u64)>, // tid -> (block start pc, len so far)
+    /// Indexed by tid: (open block's start pc, its length so far).
+    block_start: Vec<(u64, u64)>,
 }
 
 impl BbvCollector {
@@ -105,23 +107,30 @@ impl BbvCollector {
     pub fn new(slice_size: u64) -> BbvCollector {
         BbvCollector {
             slice_size: slice_size.max(1),
-            current: Bbv::new(),
+            current: HashMap::default(),
             slices: Vec::new(),
             insns_in_slice: 0,
             total: 0,
-            block_start: BTreeMap::new(),
+            block_start: Vec::new(),
+        }
+    }
+
+    /// Credits every thread's open block to the current slice and
+    /// closes it, so each slice is self-contained.
+    fn close_open_blocks(&mut self) {
+        for block in &mut self.block_start {
+            let (start, len) = std::mem::take(block);
+            if len > 0 {
+                *self.current.entry(start).or_insert(0) += len;
+            }
         }
     }
 
     /// Finalises the profile (flushes the partial last slice).
     pub fn finish(mut self) -> BbvProfile {
-        for (_tid, (start, len)) in std::mem::take(&mut self.block_start) {
-            if len > 0 {
-                *self.current.entry(start).or_insert(0) += len;
-            }
-        }
+        self.close_open_blocks();
         if !self.current.is_empty() {
-            self.slices.push(std::mem::take(&mut self.current));
+            self.slices.push(self.current.drain().collect());
         }
         BbvProfile {
             slice_size: self.slice_size,
@@ -133,27 +142,24 @@ impl BbvCollector {
 
 impl Observer for BbvCollector {
     fn on_insn(&mut self, tid: u32, rip: u64, insn: &Insn, _len: usize) {
-        let entry = self.block_start.entry(tid).or_insert((rip, 0));
+        let idx = tid as usize;
+        if idx >= self.block_start.len() {
+            self.block_start.resize(idx + 1, (0, 0));
+        }
+        let entry = &mut self.block_start[idx];
         if entry.1 == 0 {
             entry.0 = rip;
         }
         entry.1 += 1;
         self.total += 1;
         self.insns_in_slice += 1;
-        let block_done = insn.ends_basic_block();
-        if block_done {
-            let (start, len) = *entry;
+        if insn.ends_basic_block() {
+            let (start, len) = std::mem::take(entry);
             *self.current.entry(start).or_insert(0) += len;
-            *entry = (0, 0);
         }
         if self.insns_in_slice >= self.slice_size {
-            // Flush any in-flight blocks so every slice is self-contained.
-            for (_tid, (start, len)) in std::mem::take(&mut self.block_start) {
-                if len > 0 {
-                    *self.current.entry(start).or_insert(0) += len;
-                }
-            }
-            self.slices.push(std::mem::take(&mut self.current));
+            self.close_open_blocks();
+            self.slices.push(self.current.drain().collect());
             self.insns_in_slice = 0;
         }
     }
@@ -230,6 +236,33 @@ mod tests {
             "#,
         )
         .expect("assembles")
+    }
+
+    #[test]
+    fn slice_flush_credits_each_threads_open_block() {
+        // Threads 0 and 5 (a gap in the tids) interleave over their own
+        // `nop; nop; jcc` blocks; the 3-instruction slice ends mid-block
+        // for both, and the next slice's blocks start where each thread
+        // resumed.
+        let (a, b) = (0x1000u64, 0x2000u64);
+        let jcc = Insn::Jcc(elfie_isa::Cond::E, -8);
+        let mut c = BbvCollector::new(3);
+        c.on_insn(0, a, &Insn::Nop, 1);
+        c.on_insn(5, b, &Insn::Nop, 1);
+        c.on_insn(0, a + 1, &Insn::Nop, 1);
+        // Slice 0 flushed: thread 0's block is open at 2, thread 5's at 1.
+        c.on_insn(5, b + 1, &Insn::Nop, 1);
+        c.on_insn(0, a + 2, &jcc, 6);
+        c.on_insn(5, b + 2, &jcc, 6);
+        let profile = c.finish();
+        assert_eq!(profile.total_insns, 6);
+        assert_eq!(
+            profile.slices,
+            vec![
+                Bbv::from([(a, 2), (b, 1)]),
+                Bbv::from([(a + 2, 1), (b + 1, 2)]),
+            ]
+        );
     }
 
     #[test]
