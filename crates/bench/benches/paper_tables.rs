@@ -3,7 +3,10 @@
 //! Runs as a plain `cargo bench` target (`harness = false`): each
 //! experiment prints the rows/series the paper reports. Select a subset
 //! with e.g. `cargo bench --bench paper_tables -- fig9 table4`.
+//! `vm_fastpath`, `store_dedup` and `parallel_scaling` print the result
+//! of the same-named `elfie bench` scenario at the full profile.
 
+use elfie_bench::experiments::scenario;
 use std::time::Instant;
 
 fn main() {
@@ -35,22 +38,13 @@ fn main() {
             "ablation_graceful",
             elfie_bench::experiments::ablations::graceful_exit,
         ),
-        (
-            "parallel_scaling",
-            elfie_bench::experiments::ablations::parallel_scaling,
-        ),
+        ("parallel_scaling", || scenario("parallel_scaling")),
         (
             "cache_effect",
             elfie_bench::experiments::ablations::cache_effect,
         ),
-        (
-            "store_dedup",
-            elfie_bench::experiments::ablations::store_dedup,
-        ),
-        (
-            "vm_fastpath",
-            elfie_bench::experiments::ablations::vm_fastpath,
-        ),
+        ("store_dedup", || scenario("store_dedup")),
+        ("vm_fastpath", || scenario("vm_fastpath")),
     ];
 
     for (name, f) in experiments {

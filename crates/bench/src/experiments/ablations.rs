@@ -1,4 +1,9 @@
 //! Ablation studies for the design choices called out in DESIGN.md §5.
+//!
+//! Only the ablations without a measured `elfie bench` scenario live
+//! here; `paper_tables` prints `vm_fastpath`, `store_dedup` and
+//! `parallel_scaling` straight from their scenario results
+//! ([`crate::experiments::scenario`]).
 
 use crate::Table;
 use elfie::prelude::*;
@@ -166,7 +171,11 @@ pub fn graceful_exit() -> String {
     )
 }
 
-fn scaling_batch() -> (Vec<Workload>, PinPointsConfig) {
+/// **Pipeline cache**: the identical validation run twice on one engine.
+/// The second run must serve every BBV profile from the cache (zero
+/// profile misses) and reuse every successfully captured pinball — both
+/// asserted from the run-windowed [`PipelineStats`] counters.
+pub fn cache_effect() -> String {
     let f = InputScale::Train.factor();
     let workloads = vec![
         elfie::workloads::gcc_like(f),
@@ -181,69 +190,6 @@ fn scaling_batch() -> (Vec<Workload>, PinPointsConfig) {
         alternates: 2,
         ..PinPointsConfig::default()
     };
-    (workloads, cfg)
-}
-
-/// **Parallel batch validation**: the same validation batch on 1, 2 and 4
-/// workers. Each run gets a fresh cache, so the comparison is pure
-/// scheduling; the reports must be identical to the serial ones bit for
-/// bit (the engine's determinism guarantee), which is asserted here.
-pub fn parallel_scaling() -> String {
-    let (workloads, cfg) = scaling_batch();
-    const FUEL: u64 = 1_000_000_000;
-    let cores = std::thread::available_parallelism()
-        .map(usize::from)
-        .unwrap_or(1);
-    let mut t = Table::new(&["workers", "wall clock", "speedup", "reports"]);
-    let mut serial: Option<Vec<ValidationReport>> = None;
-    let mut serial_secs = 0.0f64;
-    let mut speedup4 = 0.0f64;
-    for workers in [1usize, 2, 4] {
-        let engine = BatchValidator::new().with_workers(workers);
-        let (reports, stats) = engine
-            .validate_batch(&workloads, &cfg, 17, FUEL)
-            .expect("pipeline");
-        let secs = stats.total.as_secs_f64();
-        let (speedup, same) = match &serial {
-            None => {
-                serial_secs = secs;
-                serial = Some(reports);
-                (1.0, true)
-            }
-            Some(reference) => (serial_secs / secs, *reference == reports),
-        };
-        assert!(same, "{workers}-worker reports differ from serial");
-        if workers == 4 {
-            speedup4 = speedup;
-        }
-        t.row(&[
-            workers.to_string(),
-            format!("{secs:.2}s"),
-            format!("{speedup:.2}x"),
-            "identical to serial".to_string(),
-        ]);
-    }
-    // The speedup target only holds where 4 workers actually get 4 cores.
-    if cores >= 4 {
-        assert!(
-            speedup4 >= 2.0,
-            "expected >=2x at 4 workers, measured {speedup4:.2}x"
-        );
-    }
-    format!(
-        "Ablation: parallel batch validation ({} workloads, maxK 8, {} core(s) available)\n\n{}",
-        workloads.len(),
-        cores,
-        t.render()
-    )
-}
-
-/// **Pipeline cache**: the identical validation run twice on one engine.
-/// The second run must serve every BBV profile from the cache (zero
-/// profile misses) and reuse every successfully captured pinball — both
-/// asserted from the run-windowed [`PipelineStats`] counters.
-pub fn cache_effect() -> String {
-    let (workloads, cfg) = scaling_batch();
     const FUEL: u64 = 1_000_000_000;
     let engine = BatchValidator::new();
     let mut t = Table::new(&["run", "wall clock", "profile hits", "pinball hits"]);
@@ -280,171 +226,6 @@ pub fn cache_effect() -> String {
     }
     format!(
         "Ablation: content-addressed artifact cache (identical run twice)\n\n{}",
-        t.render()
-    )
-}
-
-/// **Content-addressed store dedup**: several fat-pinball regions of one
-/// workload land in a store; because `-log:fat` pre-loads the whole
-/// address space into *every* region, most pages are shared and the store
-/// keeps a single blob per distinct page. The table reports logical vs
-/// physical bytes plus the dedup and compression ratios, and asserts the
-/// dedup ratio exceeds 1.0 on a corpus of ≥ 3 regions.
-pub fn store_dedup() -> String {
-    let w = elfie::workloads::gcc_like(4);
-    let dir = std::env::temp_dir().join(format!("elfie-bench-dedup-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let store = Store::open(&dir).expect("opens store");
-
-    let mut t = Table::new(&["region", "pages", "logical bytes", "store physical bytes"]);
-    let starts = [20_000u64, 60_000, 100_000];
-    for &start in &starts {
-        let cfg = elfie::pinplay::LoggerConfig::fat(
-            &format!("{}@{start}", w.name),
-            RegionTrigger::GlobalIcount(start),
-            40_000,
-        );
-        let pb = elfie::pinplay::Logger::new(cfg)
-            .capture(&w.program, |m| w.setup(m))
-            .expect("captures");
-        store
-            .put_pinball(&pb.region.name, &pb)
-            .expect("stores pinball");
-        let stats = store.stats().expect("stats");
-        t.row(&[
-            pb.region.name.clone(),
-            format!("{}", pb.image.page_count()),
-            format!("{}", stats.logical_bytes),
-            format!("{}", stats.physical_bytes),
-        ]);
-    }
-
-    let stats = store.stats().expect("stats");
-    assert_eq!(stats.objects, starts.len());
-    assert!(
-        stats.dedup_ratio() > 1.0,
-        "fat regions of one workload must dedup, got {:.2}x",
-        stats.dedup_ratio()
-    );
-    assert!(stats.physical_bytes < stats.logical_bytes);
-    assert!(store.verify().expect("verifies").is_ok());
-    std::fs::remove_dir_all(&dir).ok();
-
-    format!(
-        "Ablation: content-addressed store on {} fat regions of {}\n\n{}\n\
-         dedup {:.2}x * compression {:.2}x = {:.2}x overall \
-         ({} unique blob(s) for {} logical bytes)\n",
-        starts.len(),
-        w.name,
-        t.render(),
-        stats.dedup_ratio(),
-        stats.compression_ratio(),
-        stats.total_ratio(),
-        stats.blobs,
-        stats.logical_bytes,
-    )
-}
-
-/// The memory-touching counted loop used to measure interpreter
-/// throughput. Data lives on its own page so the stores never dirty the
-/// executed (and therefore watched) code page.
-fn throughput_program(iters: u64) -> Program {
-    assemble(&format!(
-        r#"
-        .org 0x400000
-        start:
-            mov rcx, {iters}
-            mov r15, buf
-            mov rax, 0
-        loop:
-            mov [r15], rax
-            add rax, 3
-            mov rbx, [r15 + 8]
-            add rbx, rax
-            sub rcx, 1
-            cmp rcx, 0
-            jne loop
-            mov rax, 60
-            mov rdi, 0
-            syscall
-        .org 0x402000
-        buf:
-            .byte 0, 0, 0, 0, 0, 0, 0, 0
-            .byte 0, 0, 0, 0, 0, 0, 0, 0
-        "#
-    ))
-    .expect("assembles")
-}
-
-/// **VM fast path**: the decoded basic-block cache and the software TLB
-/// (DESIGN.md "VM fast path"). Runs the same counted loop under all four
-/// on/off combinations, asserting bit-identical architectural results and
-/// a >=3x instruction throughput win for the full fast path over the
-/// plain per-step interpreter.
-pub fn vm_fastpath() -> String {
-    use std::time::Instant;
-    let prog = throughput_program(300_000);
-    let run = |block_cache: bool, tlb: bool| {
-        let mut m = Machine::new(MachineConfig {
-            block_cache,
-            ..MachineConfig::default()
-        });
-        m.load_program(&prog);
-        m.mem.set_tlb_enabled(tlb);
-        let t0 = Instant::now();
-        let summary = m.run(100_000_000);
-        let wall = t0.elapsed();
-        assert_eq!(summary.reason, ExitReason::AllExited(0), "loop must exit");
-        let regs = m.threads[0].regs.clone();
-        (m.fastpath_stats(), wall, regs)
-    };
-    let mut t = Table::new(&[
-        "config",
-        "guest insns",
-        "wall",
-        "MIPS",
-        "speedup",
-        "block hit",
-        "tlb hit",
-    ]);
-    let mut base_mips = 0.0f64;
-    let mut fast_mips = 0.0f64;
-    let mut reference: Option<elfie::isa::RegFile> = None;
-    for (label, cache, tlb) in [
-        ("interpreter", false, false),
-        ("tlb only", false, true),
-        ("block cache only", true, false),
-        ("block cache + tlb", true, true),
-    ] {
-        let (fp, wall, regs) = run(cache, tlb);
-        match &reference {
-            None => reference = Some(regs),
-            Some(r) => assert_eq!(r, &regs, "{label}: final registers diverged"),
-        }
-        let mips = fp.insns as f64 / 1e6 / wall.as_secs_f64();
-        if !cache && !tlb {
-            base_mips = mips;
-        }
-        if cache && tlb {
-            fast_mips = mips;
-        }
-        t.row(&[
-            label.to_string(),
-            fp.insns.to_string(),
-            format!("{:.3}s", wall.as_secs_f64()),
-            format!("{mips:.1}"),
-            format!("{:.2}x", mips / base_mips),
-            format!("{:.1}%", fp.block_hit_rate() * 100.0),
-            format!("{:.1}%", fp.tlb_hit_rate() * 100.0),
-        ]);
-    }
-    let speedup = fast_mips / base_mips;
-    assert!(
-        speedup >= 3.0,
-        "fast path must be >=3x the plain interpreter, measured {speedup:.2}x"
-    );
-    format!(
-        "Ablation: VM fast path (block cache + software TLB, same loop, bit-identical results)\n\n{}",
         t.render()
     )
 }

@@ -11,6 +11,7 @@
 //! | User-level vs full-system simulation | Table IV | [`fullsys`] |
 //! | gem5 IPC across two configs | Table V | [`gem5`] |
 //! | Design-choice ablations | DESIGN.md §5 | [`ablations`] |
+//! | Ablations gated as `elfie bench` scenarios | DESIGN.md §5 | [`scenario`] |
 
 pub mod ablations;
 pub mod fullsys;
@@ -19,8 +20,18 @@ pub mod mt;
 pub mod overhead;
 pub mod selection;
 
+use crate::harness::{self, BenchKnobs};
 use elfie::prelude::*;
 use elfie::simpoint::PinPoint;
+
+/// Runs one `elfie bench` scenario at the full (paper-scale) profile and
+/// renders its result. Ablations that the gate already measures print
+/// from here, so each figure has exactly one measuring implementation.
+pub fn scenario(name: &str) -> String {
+    harness::run_scenarios(&[name.to_string()], &BenchKnobs::full())
+        .expect("registered scenario")
+        .render_text()
+}
 
 /// Builds the standard ELFie (sysstate embedded, graceful exit, SSC ROI
 /// marker) for one selected region of a workload.

@@ -12,6 +12,7 @@
 //! `tests/bench_gate.rs` proptests end to end.
 
 use elfie::trace::json::Json;
+use std::fmt::Write as _;
 
 /// `schema` tag of a bench document (`elfie bench run --out`).
 pub const BENCH_SCHEMA: &str = "elfie-bench";
@@ -153,6 +154,32 @@ impl BenchDoc {
     /// The scenario names recorded in this document, in order.
     pub fn scenario_names(&self) -> Vec<&str> {
         self.scenarios.iter().map(|s| s.name.as_str()).collect()
+    }
+
+    /// The human-readable rendering `elfie bench run` prints and
+    /// `paper_tables` reports experiments with: a header line, then one
+    /// line per scenario followed by one aligned line per metric.
+    pub fn render_text(&self) -> String {
+        let mut out = format!(
+            "elfie-bench v1: profile {}, probe {:.1} mips, {}\n",
+            self.profile, self.probe_mips, self.date
+        );
+        for s in &self.scenarios {
+            let _ = writeln!(out, "scenario {} ({} run(s)): {}", s.name, s.runs, s.notes);
+            for m in &s.metrics {
+                let _ = writeln!(
+                    out,
+                    "  {:<24} {:>14.4} {:<6} ({}, band ±{:.0}%{})",
+                    m.name,
+                    m.value,
+                    m.unit,
+                    m.direction.name(),
+                    m.tolerance * 100.0,
+                    if m.calibrated { ", calibrated" } else { "" },
+                );
+            }
+        }
+        out
     }
 
     /// Serialises the document. Only raw values are stored; everything
@@ -330,6 +357,25 @@ mod tests {
         assert_eq!(back, doc);
         // Render → parse → render is a fixed point.
         assert_eq!(back.to_json().render_pretty(), text);
+    }
+
+    #[test]
+    fn text_rendering_is_pinned() {
+        let lines: Vec<String> = sample_doc()
+            .render_text()
+            .lines()
+            .map(str::to_string)
+            .collect();
+        assert_eq!(
+            lines,
+            [
+                "elfie-bench v1: profile smoke, probe 104.2 mips, 2026-08-08",
+                "scenario vm_fastpath (3 run(s)): counted loop",
+                "  warm_mips                      109.9000 mips   (higher, band ±35%, calibrated)",
+                "  interp_wall_ms                  15.6250 ms     (lower, band ±50%, calibrated)",
+                "  block_hit_rate                   0.9990 rate   (higher, band ±2%)",
+            ]
+        );
     }
 
     #[test]

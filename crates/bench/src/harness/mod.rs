@@ -117,7 +117,7 @@ pub fn ms(d: Duration) -> f64 {
 /// The counted memory-touching loop every throughput figure in this
 /// harness runs. Data lives on its own page so the stores never dirty
 /// the executed (and therefore watched) code page.
-pub(crate) fn counted_loop(iters: u64) -> Program {
+pub fn counted_loop(iters: u64) -> Program {
     assemble(&format!(
         r#"
         .org 0x400000

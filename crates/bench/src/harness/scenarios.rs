@@ -1,11 +1,12 @@
 //! The measured scenarios behind `elfie bench run`.
 //!
-//! Each scenario is the in-process, metric-emitting form of one of the
-//! repo's ablations (`crate::experiments::ablations`) — same workloads,
-//! same machinery — sized by [`BenchKnobs`] and measured with
-//! [`interleaved_min`]. Scenarios return a [`ScenarioResult`] whose
-//! metrics carry their own direction, tolerance band, and calibration
-//! flag, so the comparator needs no out-of-band knowledge.
+//! Each scenario is the one measuring implementation of a perf claim:
+//! `elfie bench` gates it, and `paper_tables` prints the same-named
+//! ablation from it ([`crate::experiments::scenario`]). Scenarios are
+//! sized by [`BenchKnobs`], measured with [`interleaved_min`], and
+//! return a [`ScenarioResult`] whose metrics carry their own direction,
+//! tolerance band, and calibration flag, so the comparator needs no
+//! out-of-band knowledge.
 //!
 //! Tolerance bands follow one rule: **deterministic figures get tight
 //! bands** (ratios, hit rates, byte counts — any drift is a real
@@ -306,7 +307,7 @@ pub fn parallel_scaling(knobs: &BenchKnobs) -> ScenarioResult {
 
     let run = |workers: usize| {
         // Fresh engine per run: cold caches make it a pure scheduling
-        // comparison, exactly like the ablation.
+        // comparison.
         let engine = BatchValidator::new().with_workers(workers);
         let (reports, stats) = engine
             .validate_batch(&workloads, &cfg, 17, fuel)
@@ -329,6 +330,15 @@ pub fn parallel_scaling(knobs: &BenchKnobs) -> ScenarioResult {
     };
     let minima = interleaved_min(knobs.runs, &mut [&mut serial, &mut pooled]);
     let identical = serial_reports == parallel_reports;
+    let speedup = minima[0].as_secs_f64() / minima[1].as_secs_f64();
+    // The speedup target only holds where 4 workers actually get 4 cores;
+    // smaller boxes still gate on the recorded figure and on identity.
+    if cores >= 4 {
+        assert!(
+            speedup >= 2.0,
+            "expected >= 2x at 4 workers on {cores} core(s), got {speedup:.2}x"
+        );
+    }
 
     ScenarioResult {
         name: "parallel_scaling".to_string(),
@@ -340,13 +350,7 @@ pub fn parallel_scaling(knobs: &BenchKnobs) -> ScenarioResult {
         ),
         metrics: vec![
             Metric::lower("serial_wall_ms", ms(minima[0]), "ms", 0.60),
-            Metric::higher(
-                "speedup_4workers",
-                minima[0].as_secs_f64() / minima[1].as_secs_f64(),
-                "x",
-                0.90,
-            )
-            .uncalibrated(),
+            Metric::higher("speedup_4workers", speedup, "x", 0.90).uncalibrated(),
             Metric::higher(
                 "reports_identical",
                 f64::from(u8::from(identical)),

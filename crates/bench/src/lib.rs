@@ -4,8 +4,7 @@
 //! paper's evaluation (Section IV), plus the ablation studies listed in
 //! DESIGN.md. Each experiment lives in [`experiments`] and prints the same
 //! rows/series the paper reports; `cargo bench` runs them all through the
-//! `paper_tables` bench target, and `table1_overhead` measures the
-//! pinball-replay overhead row of Table I with Criterion.
+//! `paper_tables` bench target.
 //!
 //! Scales are reduced (millions of instructions instead of billions) so
 //! the full evaluation runs on a laptop; EXPERIMENTS.md records the
@@ -15,7 +14,8 @@
 //! the standing perf-regression gate that runs the ablations as measured
 //! scenarios, snapshots them into versioned `BENCH_*.json` documents,
 //! and compares fresh runs against those baselines with noise-aware
-//! thresholds.
+//! thresholds. It is the only code that measures a perf claim: the
+//! ablations it gates reach `paper_tables` as rendered scenario results.
 
 pub mod experiments;
 pub mod harness;

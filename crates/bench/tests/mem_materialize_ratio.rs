@@ -1,6 +1,8 @@
-//! Enforces the page-byte reductions that `benches/mem_materialize.rs`
-//! measures, as a regular test so `cargo test` (and CI) fails if the
-//! zero-copy materialization path regresses:
+//! Enforces the zero-copy materialization path's page-byte reductions
+//! *after replay*, once the region has broken its copy-on-write pages.
+//! The gated `mem_materialize` scenario (`BENCH_mem.json`) only boots,
+//! so this is the one check of post-replay residency; `cargo test` (and
+//! CI) fails if it regresses:
 //!
 //! * a shared-arena boot allocates < 20% of the page bytes a deep-copy
 //!   boot does (after the region has run and broken its CoW pages), and

@@ -8,40 +8,13 @@
 //! runs, comparing minima (the noise-free estimate of each arm), and
 //! retrying before declaring a regression.
 
-use elfie::isa::{assemble, Program};
+use elfie::isa::Program;
 use elfie::prelude::*;
 use elfie::sim::{simulate_program, Simulator};
 use elfie::vm::ExitReason;
+use elfie_bench::harness::{counted_loop, interleaved_min};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn loop_program(iters: u64) -> Program {
-    assemble(&format!(
-        r#"
-        .org 0x400000
-        start:
-            mov rcx, {iters}
-            mov r15, buf
-            mov rax, 0
-        loop:
-            mov [r15], rax
-            add rax, 3
-            mov rbx, [r15 + 8]
-            add rbx, rax
-            sub rcx, 1
-            cmp rcx, 0
-            jne loop
-            mov rax, 60
-            mov rdi, 0
-            syscall
-        .org 0x402000
-        buf:
-            .byte 0, 0, 0, 0, 0, 0, 0, 0
-            .byte 0, 0, 0, 0, 0, 0, 0, 0
-        "#
-    ))
-    .expect("assembles")
-}
 
 fn timed_run(prog: &Program, tracer: Option<Arc<Tracer>>) -> Duration {
     let mut sim = Simulator::new(elfie::sim::CoreParams::haswell_like());
@@ -58,23 +31,19 @@ fn timed_run(prog: &Program, tracer: Option<Arc<Tracer>>) -> Duration {
 
 #[test]
 fn disabled_tracing_adds_at_most_two_percent() {
-    let prog = loop_program(200_000);
+    let prog = counted_loop(200_000);
     // Warm both paths (page-ins, lazy statics, branch predictors).
     timed_run(&prog, None);
     timed_run(&prog, Some(Arc::new(Tracer::new(TraceMode::Disabled))));
 
     let mut last_ratio = f64::NAN;
     for attempt in 0..5 {
-        let mut base = Duration::MAX;
-        let mut traced = Duration::MAX;
         // Interleave so load spikes hit both arms equally; min-of-runs
         // discards the spikes entirely.
-        for _ in 0..7 {
-            base = base.min(timed_run(&prog, None));
-            let tracer = Arc::new(Tracer::new(TraceMode::Disabled));
-            traced = traced.min(timed_run(&prog, Some(tracer)));
-        }
-        last_ratio = traced.as_secs_f64() / base.as_secs_f64();
+        let mut base = || timed_run(&prog, None);
+        let mut traced = || timed_run(&prog, Some(Arc::new(Tracer::new(TraceMode::Disabled))));
+        let minima = interleaved_min(7, &mut [&mut base, &mut traced]);
+        last_ratio = minima[1].as_secs_f64() / minima[0].as_secs_f64();
         if last_ratio <= 1.02 {
             return;
         }
@@ -90,7 +59,7 @@ fn disabled_tracing_adds_at_most_two_percent() {
 /// instruction count, same fast-path counters — only record them.
 #[test]
 fn full_tracing_does_not_change_results() {
-    let prog = loop_program(50_000);
+    let prog = counted_loop(50_000);
     let plain = simulate_program(
         &prog,
         &Simulator::new(elfie::sim::CoreParams::haswell_like()),

@@ -828,28 +828,6 @@ pub fn cmd_disasm(args: &Args) -> Result<String, CliError> {
 pub fn cmd_bench(args: &Args) -> Result<String, CliError> {
     use elfie_bench::harness::{self, compare, doc::BenchDoc, BenchKnobs, Profile};
 
-    let render_doc = |doc: &BenchDoc| -> String {
-        let mut out = format!(
-            "elfie-bench v1: profile {}, probe {:.1} mips, {}\n",
-            doc.profile, doc.probe_mips, doc.date
-        );
-        for s in &doc.scenarios {
-            let _ = writeln!(out, "scenario {} ({} run(s)): {}", s.name, s.runs, s.notes);
-            for m in &s.metrics {
-                let _ = writeln!(
-                    out,
-                    "  {:<24} {:>14.4} {:<6} ({}, band ±{:.0}%{})",
-                    m.name,
-                    m.value,
-                    m.unit,
-                    m.direction.name(),
-                    m.tolerance * 100.0,
-                    if m.calibrated { ", calibrated" } else { "" },
-                );
-            }
-        }
-        out
-    };
     let knobs = |args: &Args, default_profile: Profile| -> Result<BenchKnobs, CliError> {
         let profile = match args.opt("profile") {
             None => default_profile,
@@ -876,7 +854,7 @@ pub fn cmd_bench(args: &Args) -> Result<String, CliError> {
         "run" => {
             let knobs = knobs(args, Profile::Smoke)?;
             let doc = harness::run_scenarios(&args.opt_all("scenario"), &knobs).map_err(err)?;
-            let mut out = render_doc(&doc);
+            let mut out = doc.render_text();
             if let Some(path) = args.opt("out") {
                 write_json_file(Path::new(path), &doc.to_json())?;
                 let _ = writeln!(out, "bench document -> {path}");
