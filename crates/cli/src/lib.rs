@@ -1083,8 +1083,11 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
     );
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
-    let report = daemon.run();
-    let mut out = format!("{report}\n");
+    let stats = daemon.run();
+    let mut out = format!(
+        "drained: {} connection(s), {} job(s) done, {} failed, {} shed busy\n",
+        stats.connections, stats.completed, stats.failed, stats.rejected_busy
+    );
     topts.finish(&mut out, &Json::Null)?;
     Ok(out)
 }

@@ -28,7 +28,7 @@ use crate::perf::{self, NativeMeasurement};
 use crate::pipeline::{self, ClusterOutcome, PipelineError, ValidationReport};
 use crate::stats::{PipelineStats, Stage, StatsCollector};
 use elfie_simpoint::{PinPoints, PinPointsConfig};
-use elfie_trace::{MetricsRegistry, Tracer};
+use elfie_trace::Tracer;
 use elfie_workloads::Workload;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -42,7 +42,6 @@ pub struct BatchValidator {
     workers: usize,
     cache: Arc<PipelineCache>,
     tracer: Option<Arc<Tracer>>,
-    metrics: Option<Arc<MetricsRegistry>>,
 }
 
 impl Default for BatchValidator {
@@ -59,7 +58,6 @@ impl BatchValidator {
             workers: 0,
             cache: Arc::new(PipelineCache::new()),
             tracer: None,
-            metrics: None,
         }
     }
 
@@ -94,13 +92,6 @@ impl BatchValidator {
     pub fn with_tracer(mut self, tracer: Arc<Tracer>) -> BatchValidator {
         self.cache.attach_tracer(Arc::clone(&tracer));
         self.tracer = Some(tracer);
-        self
-    }
-
-    /// Feeds the typed metrics registry (stage histograms, VM counters)
-    /// during validation runs.
-    pub fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> BatchValidator {
-        self.metrics = Some(metrics);
         self
     }
 
@@ -163,9 +154,6 @@ impl BatchValidator {
         if let Some(tracer) = &self.tracer {
             tracer.set_thread_name("main");
             stats = stats.with_tracer(Arc::clone(tracer));
-        }
-        if let Some(metrics) = &self.metrics {
-            stats = stats.with_metrics(Arc::clone(metrics));
         }
         let workers = self.worker_count();
         let _batch_span =

@@ -2,21 +2,20 @@
 //! region success counts, threaded from the validation engine out to the
 //! CLI and the benchmark harness.
 //!
-//! Since the observability PR this module is also the bridge into
-//! [`elfie_trace`]: a [`StatsCollector`] built with
-//! [`StatsCollector::with_tracer`] emits stage spans, guest-run counter
-//! tracks and stage-duration histograms as it accumulates, and the frozen
-//! [`PipelineStats`] is what [`crate::render`] serialises to both the
-//! `--stats` text and the versioned `stats.json` schema — one struct, two
-//! renderings, so they can never drift.
+//! [`PipelineStats`] is the only store of these counts. A
+//! [`StatsCollector`] is that struct behind a lock: workers fold into it
+//! through the same rules [`PipelineStats::merge`] uses, and built with
+//! [`StatsCollector::with_tracer`] it also emits stage spans and
+//! guest-run counter tracks. The frozen struct is what [`crate::render`]
+//! serialises to both the `--stats` text and the versioned `stats.json`
+//! schema — one struct, two renderings, so they can never drift.
 
 use crate::cache::CacheStats;
 use elfie_pinball::{ArenaStats, PageArena};
-use elfie_trace::{MetricsRegistry, Tracer};
-use elfie_vm::{FastPathStats, MaterializeStats};
+use elfie_trace::Tracer;
+use elfie_vm::FastPathStats;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// The four measured pipeline stages.
@@ -33,7 +32,7 @@ pub enum Stage {
 }
 
 impl Stage {
-    /// The stable lower-case name used in spans, histograms and JSON.
+    /// The stable lower-case name of the stage's trace span.
     pub fn name(self) -> &'static str {
         match self {
             Stage::Profile => "profile",
@@ -50,27 +49,8 @@ impl Stage {
 /// [`PipelineStats::total`] is the end-to-end wall time.
 #[derive(Debug, Default)]
 pub struct StatsCollector {
-    profile_ns: AtomicU64,
-    capture_ns: AtomicU64,
-    convert_ns: AtomicU64,
-    measure_ns: AtomicU64,
-    regions_attempted: AtomicU64,
-    regions_failed: AtomicU64,
-    block_cache_hits: AtomicU64,
-    block_cache_misses: AtomicU64,
-    block_evictions: AtomicU64,
-    block_flushes: AtomicU64,
-    tlb_hits: AtomicU64,
-    tlb_misses: AtomicU64,
-    guest_insns: AtomicU64,
-    guest_ns: AtomicU64,
-    pages_mapped: AtomicU64,
-    shared_pages: AtomicU64,
-    cow_breaks: AtomicU64,
-    lazy_faults: AtomicU64,
-    peak_owned_bytes: AtomicU64,
+    stats: Mutex<PipelineStats>,
     tracer: Option<Arc<Tracer>>,
-    metrics: Option<Arc<MetricsRegistry>>,
 }
 
 impl StatsCollector {
@@ -87,54 +67,53 @@ impl StatsCollector {
         self
     }
 
-    /// Feeds stage-duration histograms (`stage.<name>_ns`) into a
-    /// metrics registry alongside the flat counters.
-    pub fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> StatsCollector {
-        self.metrics = Some(metrics);
-        self
-    }
-
     /// The attached tracer, if any.
     pub fn tracer(&self) -> Option<&Arc<Tracer>> {
         self.tracer.as_ref()
     }
 
+    fn stats(&self) -> MutexGuard<'_, PipelineStats> {
+        self.stats
+            .lock()
+            .expect("no thread panics while folding into the stats")
+    }
+
     /// Runs `f`, charging its wall time to `stage`. With a tracer
     /// attached the stage also appears as a span on the calling thread's
-    /// timeline, and with a metrics registry the duration feeds a
-    /// per-stage histogram.
+    /// timeline.
     pub fn time<T>(&self, stage: Stage, f: impl FnOnce() -> T) -> T {
         let _span = elfie_trace::maybe_span(self.tracer.as_ref(), "stage", stage.name());
         let t0 = Instant::now();
         let out = f();
-        let ns = t0.elapsed().as_nanos() as u64;
-        let counter = match stage {
-            Stage::Profile => &self.profile_ns,
-            Stage::Capture => &self.capture_ns,
-            Stage::Convert => &self.convert_ns,
-            Stage::Measure => &self.measure_ns,
-        };
-        counter.fetch_add(ns, Ordering::Relaxed);
-        if let Some(metrics) = &self.metrics {
-            let name = match stage {
-                Stage::Profile => "stage.profile_ns",
-                Stage::Capture => "stage.capture_ns",
-                Stage::Convert => "stage.convert_ns",
-                Stage::Measure => "stage.measure_ns",
-            };
-            metrics.histogram(name).record(ns);
-        }
+        self.add_time(stage, t0.elapsed());
         out
+    }
+
+    /// Charges an already-measured `elapsed` to `stage` (saturating);
+    /// [`StatsCollector::time`] measures and charges in one call.
+    pub fn add_time(&self, stage: Stage, elapsed: Duration) {
+        let mut stats = self.stats();
+        let slot = match stage {
+            Stage::Profile => &mut stats.profile_time,
+            Stage::Capture => &mut stats.capture_time,
+            Stage::Convert => &mut stats.convert_time,
+            Stage::Measure => &mut stats.measure_time,
+        };
+        *slot = slot.saturating_add(elapsed);
     }
 
     /// Records one candidate region attempt.
     pub fn region_attempted(&self) {
-        self.regions_attempted.fetch_add(1, Ordering::Relaxed);
+        let mut stats = self.stats();
+        stats.regions_attempted = stats.regions_attempted.saturating_add(1);
     }
 
     /// Records a candidate that failed to produce a usable measurement.
     pub fn region_failed(&self) {
-        self.regions_failed.fetch_add(1, Ordering::Relaxed);
+        {
+            let mut stats = self.stats();
+            stats.regions_failed = stats.regions_failed.saturating_add(1);
+        }
         if let Some(tracer) = &self.tracer {
             tracer.instant("pipeline", "region_failed", &[]);
         }
@@ -147,38 +126,15 @@ impl StatsCollector {
     /// events: the interpreter stays tracer-free by construction, so its
     /// disabled-mode overhead is structurally zero, and each finished run
     /// contributes one batch of cumulative counter samples.
-    pub fn record_vm(&self, fp: FastPathStats, wall: Duration) {
-        self.block_cache_hits
-            .fetch_add(fp.block_hits, Ordering::Relaxed);
-        self.block_cache_misses
-            .fetch_add(fp.block_misses, Ordering::Relaxed);
-        self.block_evictions
-            .fetch_add(fp.block_evictions, Ordering::Relaxed);
-        self.block_flushes
-            .fetch_add(fp.block_flushes, Ordering::Relaxed);
-        self.tlb_hits.fetch_add(fp.tlb_hits, Ordering::Relaxed);
-        self.tlb_misses.fetch_add(fp.tlb_misses, Ordering::Relaxed);
-        let insns_total = self
-            .guest_insns
-            .fetch_add(fp.insns, Ordering::Relaxed)
-            .saturating_add(fp.insns);
-        self.guest_ns
-            .fetch_add(wall.as_nanos() as u64, Ordering::Relaxed);
-        self.pages_mapped
-            .fetch_add(fp.mat.pages_mapped, Ordering::Relaxed);
-        self.shared_pages
-            .fetch_add(fp.mat.shared_pages, Ordering::Relaxed);
-        self.cow_breaks
-            .fetch_add(fp.mat.cow_breaks, Ordering::Relaxed);
-        let lazy_total = self
-            .lazy_faults
-            .fetch_add(fp.mat.lazy_faults, Ordering::Relaxed)
-            .saturating_add(fp.mat.lazy_faults);
-        // Per-machine peaks are summed: together they bound the private
-        // page bytes the fleet of guests would hold resident at once,
-        // which is the number the CoW sharing is meant to shrink.
-        self.peak_owned_bytes
-            .fetch_add(fp.mat.peak_owned_bytes, Ordering::Relaxed);
+    pub fn record_vm(&self, mut fp: FastPathStats, wall: Duration) {
+        // The pipeline carries no per-run residual owned bytes: the
+        // summed report keeps `owned_bytes` at 0 (see `PipelineStats::vm`).
+        fp.mat.owned_bytes = 0;
+        let (insns_total, lazy_total) = {
+            let mut stats = self.stats();
+            stats.add_vm(fp, wall.as_nanos() as u64);
+            (stats.vm.insns, stats.vm.mat.lazy_faults)
+        };
         if let Some(tracer) = &self.tracer {
             tracer.counter("vm", "guest_insns", insns_total);
             tracer.counter("vm", "lazy_faults", lazy_total);
@@ -193,12 +149,6 @@ impl StatsCollector {
                 ],
             );
         }
-        if let Some(metrics) = &self.metrics {
-            metrics.counter("vm.guest_insns").add(fp.insns);
-            metrics
-                .histogram("vm.run_wall_ns")
-                .record(wall.as_nanos() as u64);
-        }
     }
 
     /// Freezes the collector into a report.
@@ -206,38 +156,15 @@ impl StatsCollector {
         PipelineStats {
             workers,
             total,
-            profile_time: Duration::from_nanos(self.profile_ns.load(Ordering::Relaxed)),
-            capture_time: Duration::from_nanos(self.capture_ns.load(Ordering::Relaxed)),
-            convert_time: Duration::from_nanos(self.convert_ns.load(Ordering::Relaxed)),
-            measure_time: Duration::from_nanos(self.measure_ns.load(Ordering::Relaxed)),
-            regions_attempted: self.regions_attempted.load(Ordering::Relaxed),
-            regions_failed: self.regions_failed.load(Ordering::Relaxed),
-            vm: FastPathStats {
-                block_hits: self.block_cache_hits.load(Ordering::Relaxed),
-                block_misses: self.block_cache_misses.load(Ordering::Relaxed),
-                block_evictions: self.block_evictions.load(Ordering::Relaxed),
-                block_flushes: self.block_flushes.load(Ordering::Relaxed),
-                tlb_hits: self.tlb_hits.load(Ordering::Relaxed),
-                tlb_misses: self.tlb_misses.load(Ordering::Relaxed),
-                insns: self.guest_insns.load(Ordering::Relaxed),
-                mat: MaterializeStats {
-                    pages_mapped: self.pages_mapped.load(Ordering::Relaxed),
-                    shared_pages: self.shared_pages.load(Ordering::Relaxed),
-                    cow_breaks: self.cow_breaks.load(Ordering::Relaxed),
-                    lazy_faults: self.lazy_faults.load(Ordering::Relaxed),
-                    owned_bytes: 0,
-                    peak_owned_bytes: self.peak_owned_bytes.load(Ordering::Relaxed),
-                },
-            },
-            guest_ns: self.guest_ns.load(Ordering::Relaxed),
             arena: PageArena::global().stats(),
             cache,
+            ..*self.stats()
         }
     }
 }
 
 /// What one validation run cost, stage by stage.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PipelineStats {
     /// Worker threads the engine ran with (1 = serial).
     pub workers: usize,
@@ -257,10 +184,11 @@ pub struct PipelineStats {
     pub regions_failed: u64,
     /// VM fast-path counters summed over all instrumented guest runs —
     /// the same struct one `Machine` reports, so hit rates come from one
-    /// definition. `vm.mat.owned_bytes` is 0 here, and
-    /// `vm.mat.peak_owned_bytes` is the *summed* per-machine peak (the
-    /// fleet's private-page residency bound), unlike a single machine's
-    /// max-folded peak.
+    /// definition. `vm.mat.owned_bytes` is structurally 0 here: the
+    /// pipeline does not carry per-run residual owned bytes (what that
+    /// figure should mean is ROADMAP item 1). `vm.mat.peak_owned_bytes`
+    /// is the *summed* per-machine peak (the fleet's private-page
+    /// residency bound), unlike a single machine's max-folded peak.
     pub vm: FastPathStats,
     /// Host wall nanoseconds spent inside instrumented guest runs (the
     /// denominator of [`PipelineStats::guest_mips`]).
@@ -321,18 +249,25 @@ impl PipelineStats {
             .regions_attempted
             .saturating_add(other.regions_attempted);
         self.regions_failed = self.regions_failed.saturating_add(other.regions_failed);
-        // FastPathStats::accumulate max-folds the peak (single-machine
-        // semantics); at the pipeline level peaks sum — see `vm` docs.
+        self.add_vm(other.vm, other.guest_ns);
+        self.arena.merge(&other.arena);
+        self.cache.merge(&other.cache);
+    }
+
+    /// Folds guest-run counters in — the one rule shared by
+    /// [`StatsCollector::record_vm`] and [`PipelineStats::merge`]: VM
+    /// counters and guest time are saturating sums, and so are the
+    /// per-machine peaks (`FastPathStats::accumulate` max-folds them,
+    /// single-machine semantics; see the `vm` docs).
+    fn add_vm(&mut self, vm: FastPathStats, guest_ns: u64) {
         let peak = self
             .vm
             .mat
             .peak_owned_bytes
-            .saturating_add(other.vm.mat.peak_owned_bytes);
-        self.vm.accumulate(other.vm);
+            .saturating_add(vm.mat.peak_owned_bytes);
+        self.vm.accumulate(vm);
         self.vm.mat.peak_owned_bytes = peak;
-        self.guest_ns = self.guest_ns.saturating_add(other.guest_ns);
-        self.arena.merge(&other.arena);
-        self.cache.merge(&other.cache);
+        self.guest_ns = self.guest_ns.saturating_add(guest_ns);
     }
 }
 
@@ -346,6 +281,7 @@ impl fmt::Display for PipelineStats {
 mod tests {
     use super::*;
     use elfie_trace::TraceMode;
+    use elfie_vm::MaterializeStats;
 
     #[test]
     fn time_accumulates_into_the_right_stage() {
@@ -481,24 +417,6 @@ mod tests {
         c.time(Stage::Profile, || ());
         c.record_vm(FastPathStats::default(), Duration::ZERO);
         assert_eq!(tracer.collect().event_count(), 0);
-    }
-
-    #[test]
-    fn metrics_registry_sees_stage_histograms() {
-        let metrics = Arc::new(MetricsRegistry::new());
-        let c = StatsCollector::new().with_metrics(Arc::clone(&metrics));
-        c.time(Stage::Convert, || ());
-        c.record_vm(
-            FastPathStats {
-                insns: 7,
-                ..FastPathStats::default()
-            },
-            Duration::from_micros(3),
-        );
-        let snap = metrics.snapshot();
-        assert_eq!(snap.histograms["stage.convert_ns"].count(), 1);
-        assert_eq!(snap.counters["vm.guest_insns"], 7);
-        assert_eq!(snap.histograms["vm.run_wall_ns"].count(), 1);
     }
 
     #[test]

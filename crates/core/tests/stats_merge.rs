@@ -7,12 +7,13 @@
 //! `elfie trace summarize stats.json` bit-identical to `--stats` text).
 //! These properties exercise all three merged structs — [`PipelineStats`],
 //! [`FastPathStats`] and [`MaterializeStats`] — including the saturating
-//! edge at `u64::MAX`.
+//! edge at `u64::MAX`, and pin the live [`StatsCollector`] to the same
+//! fold rules as `merge`.
 
 use elfie::cache::CacheStats;
 use elfie::pinball::ArenaStats;
 use elfie::render;
-use elfie::stats::PipelineStats;
+use elfie::stats::{PipelineStats, Stage, StatsCollector};
 use elfie::vm::{FastPathStats, MaterializeStats};
 use proptest::prelude::*;
 use std::time::Duration;
@@ -237,7 +238,55 @@ fn assert_order_independent<T: Clone + PartialEq + std::fmt::Debug>(
     Ok(())
 }
 
+fn stage() -> impl Strategy<Value = Stage> {
+    prop_oneof![
+        Just(Stage::Profile),
+        Just(Stage::Capture),
+        Just(Stage::Convert),
+        Just(Stage::Measure),
+    ]
+}
+
+/// One guest run as the engine reports it: fast-path counters, the run's
+/// wall time, and a stage time charged alongside.
+fn vm_run() -> impl Strategy<Value = (FastPathStats, u64, Stage, u64)> {
+    (fastpath_stats(), counter(), stage(), counter())
+}
+
+/// Feeds `runs` into one collector and freezes it. The arena snapshot is
+/// process-global, not collected, so it is zeroed for comparison.
+fn collect(runs: &[(FastPathStats, u64, Stage, u64)]) -> PipelineStats {
+    let c = StatsCollector::new();
+    for &(fp, wall_ns, stage, stage_ns) in runs {
+        c.add_time(stage, Duration::from_nanos(stage_ns));
+        c.record_vm(fp, Duration::from_nanos(wall_ns));
+    }
+    let mut s = c.finish(Duration::ZERO, 0, CacheStats::default());
+    s.arena = ArenaStats::default();
+    s
+}
+
 proptest! {
+    /// One collector fed N runs reports exactly the `merge` fold of N
+    /// single-run collectors: the collector and `merge` share one set of
+    /// fold rules, saturation at `u64::MAX` included.
+    #[test]
+    fn collector_equals_merge_of_single_run_collectors(
+        runs in proptest::collection::vec(vm_run(), 0..8)
+    ) {
+        let collected = collect(&runs);
+        let mut folded = PipelineStats::default();
+        for run in &runs {
+            folded.merge(&collect(std::slice::from_ref(run)));
+        }
+        prop_assert_eq!(&collected, &folded);
+        let peaks = runs
+            .iter()
+            .fold(0u64, |acc, (fp, ..)| acc.saturating_add(fp.mat.peak_owned_bytes));
+        prop_assert_eq!(collected.vm.mat.peak_owned_bytes, peaks, "per-machine peaks sum");
+        prop_assert_eq!(collected.vm.mat.owned_bytes, 0, "the pipeline carries no owned bytes");
+    }
+
     #[test]
     fn materialize_stats_merge_is_order_independent(
         shards in proptest::collection::vec(mat_stats(), 0..8)

@@ -19,13 +19,14 @@
 
 use crate::protocol::{
     frame_rid, read_frame, with_rid, write_frame, FrameError, JobPhase, JobSpec, Request, Response,
+    ServeStats,
 };
 use crate::scheduler::{Enqueued, Scheduler, ServeConfig, Submitted};
 use elfie::trace::{Counter, MetricsRegistry, Tracer};
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -68,29 +69,6 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// What a finished daemon reports (the `elfie serve` exit summary).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServeReport {
-    /// Connections accepted.
-    pub connections: u64,
-    /// Jobs completed.
-    pub completed: u64,
-    /// Jobs failed.
-    pub failed: u64,
-    /// Jobs shed with `busy`.
-    pub rejected_busy: u64,
-}
-
-impl std::fmt::Display for ServeReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "drained: {} connection(s), {} job(s) done, {} failed, {} shed busy",
-            self.connections, self.completed, self.failed, self.rejected_busy
-        )
-    }
-}
-
 /// Pre-registered per-verb request counters, so the request hot path
 /// (a ping flood, say) never touches the registry's name map.
 struct VerbCounters {
@@ -132,7 +110,6 @@ pub struct Daemon {
     listener: TcpListener,
     scheduler: Scheduler,
     tracer: Option<Arc<Tracer>>,
-    connections: AtomicU64,
     started: Instant,
 }
 
@@ -167,7 +144,6 @@ impl Daemon {
             listener,
             scheduler,
             tracer,
-            connections: AtomicU64::new(0),
             started: Instant::now(),
         })
     }
@@ -181,8 +157,9 @@ impl Daemon {
     }
 
     /// Serves until a client requests shutdown, then drains gracefully.
-    /// Returns the lifetime summary.
-    pub fn run(mut self) -> ServeReport {
+    /// Returns the lifetime counters (taken before the drain, as the
+    /// last `stats` request would see them).
+    pub fn run(mut self) -> ServeStats {
         let shutdown = AtomicBool::new(false);
         let local = self.local_addr();
         let verbs = self
@@ -193,7 +170,6 @@ impl Daemon {
             scheduler: &self.scheduler,
             tracer: &self.tracer,
             shutdown: &shutdown,
-            connections: &self.connections,
             verbs: verbs.as_ref(),
             started: self.started,
         };
@@ -206,7 +182,7 @@ impl Daemon {
                 if shutdown.load(Ordering::SeqCst) {
                     break; // the drain wake-up; nothing to serve
                 }
-                let conn = self.connections.fetch_add(1, Ordering::Relaxed);
+                let conn = self.scheduler.count_connection();
                 s.spawn(move || {
                     if let Some(tracer) = ctx.tracer {
                         tracer.set_thread_name(&format!("conn-{conn}"));
@@ -223,12 +199,7 @@ impl Daemon {
         });
         let stats = self.scheduler.stats();
         self.scheduler.drain();
-        ServeReport {
-            connections: self.connections.load(Ordering::Relaxed),
-            completed: stats.completed,
-            failed: stats.failed,
-            rejected_busy: stats.rejected_busy,
-        }
+        stats
     }
 }
 
@@ -238,7 +209,6 @@ struct ConnCtx<'a> {
     scheduler: &'a Scheduler,
     tracer: &'a Option<Arc<Tracer>>,
     shutdown: &'a AtomicBool,
-    connections: &'a AtomicU64,
     verbs: Option<&'a VerbCounters>,
     started: Instant,
 }
@@ -495,21 +465,19 @@ fn handle(request: &Request, ctx: &ConnCtx<'_>) -> (Response, bool) {
             },
             false,
         ),
-        Request::Stats => {
-            let mut stats = ctx.scheduler.stats();
-            stats.connections = ctx.connections.load(Ordering::Relaxed);
-            (Response::Stats { stats }, false)
-        }
+        Request::Stats => (
+            Response::Stats {
+                stats: ctx.scheduler.stats(),
+            },
+            false,
+        ),
         Request::Metrics => {
             if let Some(registry) = ctx.scheduler.metrics_registry() {
-                // Scrape-time gauges: refreshed at the moment of
+                // A scrape-time gauge: refreshed at the moment of
                 // observation rather than maintained on the hot path.
                 registry
                     .gauge("serve.uptime_s")
                     .set(i64::try_from(ctx.started.elapsed().as_secs()).unwrap_or(i64::MAX));
-                registry.gauge("serve.connections").set(
-                    i64::try_from(ctx.connections.load(Ordering::Relaxed)).unwrap_or(i64::MAX),
-                );
             }
             (
                 Response::Metrics {

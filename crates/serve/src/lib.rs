@@ -31,7 +31,7 @@ pub mod protocol;
 pub mod scheduler;
 
 pub use client::{Client, ClientError};
-pub use daemon::{Daemon, ServeError, ServeReport};
+pub use daemon::{Daemon, ServeError};
 pub use protocol::{
     frame_rid, with_rid, FrameError, JobKind, JobPhase, JobSpec, JobSummary, Request, Response,
     ServeStats, MAX_FRAME, PROTOCOL_VERSION,

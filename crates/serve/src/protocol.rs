@@ -601,8 +601,9 @@ pub struct ServeStats {
     /// daemon's guest-memory RSS figure.
     pub peak_rss_bytes: u64,
     /// Residual privately-owned page bytes (`MaterializeStats::
-    /// owned_bytes`) after jobs tore down — 0 unless a machine leaks
-    /// frames (the `daemon_serve` bench gates on this staying 0).
+    /// owned_bytes`) after jobs tore down. Structurally 0: the pipeline
+    /// does not carry per-run owned bytes, so the `daemon_serve` bench
+    /// gate on it staying 0 cannot fail yet (ROADMAP item 1).
     pub owned_rss_bytes: u64,
 }
 

@@ -32,9 +32,11 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Bounded queue depth per shard; a full queue sheds load.
     pub queue_depth: usize,
-    /// Record serving metrics (queue depths, request counters, latency
-    /// histograms) into the daemon's registry. Off, the hot path does
-    /// no metric work at all — the `daemon_serve` bench A/Bs the two to
+    /// Record the exposition-only metrics (per-shard queue depths,
+    /// per-verb request counters, the job-latency histogram) and answer
+    /// `metrics` with them. Off, the hot path skips that work and
+    /// `metrics` answers an empty snapshot; the counts `stats` reports
+    /// are recorded either way. The `daemon_serve` bench A/Bs the two to
     /// hold the telemetry overhead under its budget.
     pub telemetry: bool,
 }
@@ -256,7 +258,9 @@ impl JobTable {
     }
 }
 
-/// Pre-registered metric handles: the hot path touches atomics only,
+/// The daemon's registry with its pre-registered handles — the only
+/// store of the job, shed, connection and guest-memory counts that
+/// [`Scheduler::stats`] reports. The hot path touches atomics only,
 /// never the registry's name map.
 struct ServeMetrics {
     registry: Arc<MetricsRegistry>,
@@ -264,34 +268,53 @@ struct ServeMetrics {
     jobs_completed: Arc<Counter>,
     jobs_failed: Arc<Counter>,
     busy_shed: Arc<Counter>,
+    /// Connections accepted over the daemon's lifetime.
+    connections: Arc<Gauge>,
+    /// Summed `peak_owned_bytes` of every completed validate job.
+    peak_rss: Arc<Gauge>,
+    /// Never written: the pipeline carries no residual owned bytes
+    /// (see `ServeStats::owned_rss_bytes`).
+    owned_rss: Arc<Gauge>,
+    store_hits: Arc<Counter>,
+    store_puts: Arc<Counter>,
+    /// `None` with telemetry off: workers skip this per-job work.
+    telemetry: Option<Telemetry>,
+}
+
+/// The metrics only the `metrics` exposition reads.
+struct Telemetry {
     job_latency: Arc<Histogram>,
     /// One queue-depth gauge per shard, indexed by shard number.
     shard_depth: Vec<Arc<Gauge>>,
-    store_hits: Arc<Counter>,
-    store_puts: Arc<Counter>,
-    peak_rss: Arc<Gauge>,
-    owned_rss: Arc<Gauge>,
 }
 
 impl ServeMetrics {
-    fn new(shards: usize) -> ServeMetrics {
+    fn new(shards: usize, telemetry: bool) -> ServeMetrics {
         let registry = Arc::new(MetricsRegistry::new());
         ServeMetrics {
             jobs_submitted: registry.counter("serve.jobs.submitted"),
             jobs_completed: registry.counter("serve.jobs.completed"),
             jobs_failed: registry.counter("serve.jobs.failed"),
             busy_shed: registry.counter("serve.busy_shed"),
-            job_latency: registry.histogram("serve.job_latency_ns"),
-            shard_depth: (0..shards)
-                .map(|i| registry.gauge(&format!("serve.shard{i}.queue_depth")))
-                .collect(),
-            store_hits: registry.counter("serve.store.hits"),
-            store_puts: registry.counter("serve.store.puts"),
+            connections: registry.gauge("serve.connections"),
             peak_rss: registry.gauge("serve.peak_rss_bytes"),
             owned_rss: registry.gauge("serve.owned_rss_bytes"),
+            store_hits: registry.counter("serve.store.hits"),
+            store_puts: registry.counter("serve.store.puts"),
+            telemetry: telemetry.then(|| Telemetry {
+                job_latency: registry.histogram("serve.job_latency_ns"),
+                shard_depth: (0..shards)
+                    .map(|i| registry.gauge(&format!("serve.shard{i}.queue_depth")))
+                    .collect(),
+            }),
             registry,
         }
     }
+}
+
+/// A gauge that only goes up, read as the count it holds.
+fn gauge_total(gauge: &Gauge) -> u64 {
+    u64::try_from(gauge.get()).unwrap_or(0)
 }
 
 /// State shared between shards and the scheduler front end.
@@ -300,13 +323,8 @@ struct Shared {
     tracer: Option<Arc<Tracer>>,
     /// Every tenant cache any shard has opened, for stats roll-up.
     caches: Mutex<Vec<Arc<PipelineCache>>>,
-    /// Validate-job [`PipelineStats`] folded into daemon totals.
-    merged: Mutex<Option<PipelineStats>>,
     table: JobTable,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    /// `None` when telemetry is disabled: workers skip all metric work.
-    metrics: Option<ServeMetrics>,
+    metrics: ServeMetrics,
 }
 
 /// The sharded scheduler. One per daemon; [`Scheduler::submit`] is safe
@@ -316,8 +334,6 @@ pub struct Scheduler {
     handles: Vec<std::thread::JoinHandle<()>>,
     queue_depth: usize,
     next_id: AtomicU64,
-    accepted: AtomicU64,
-    rejected_busy: AtomicU64,
     shared: Arc<Shared>,
 }
 
@@ -355,11 +371,8 @@ impl Scheduler {
             store_dir,
             tracer,
             caches: Mutex::new(Vec::new()),
-            merged: Mutex::new(None),
             table: JobTable::default(),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            metrics: cfg.telemetry.then(|| ServeMetrics::new(shards)),
+            metrics: ServeMetrics::new(shards, cfg.telemetry),
         });
         let mut senders = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
@@ -379,8 +392,6 @@ impl Scheduler {
             handles,
             queue_depth: cfg.queue_depth.max(1),
             next_id: AtomicU64::new(1),
-            accepted: AtomicU64::new(0),
-            rejected_busy: AtomicU64::new(0),
             shared,
         }
     }
@@ -429,10 +440,7 @@ impl Scheduler {
             Ok(()) => {}
             Err(mpsc::TrySendError::Full(_)) => {
                 // Shed: nothing was queued, so nothing stays tabled.
-                self.rejected_busy.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = &self.shared.metrics {
-                    m.busy_shed.add(1);
-                }
+                self.shared.metrics.busy_shed.add(1);
                 self.shared.table.remove(id);
                 return Enqueued::Busy {
                     shard: shard as u64,
@@ -444,10 +452,10 @@ impl Scheduler {
                 return Enqueued::Rejected("daemon is draining".to_string());
             }
         }
-        self.accepted.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &self.shared.metrics {
-            m.jobs_submitted.add(1);
-            m.shard_depth[shard].adjust(1);
+        let m = &self.shared.metrics;
+        m.jobs_submitted.add(1);
+        if let Some(t) = &m.telemetry {
+            t.shard_depth[shard].adjust(1);
         }
         Enqueued::Queued {
             id,
@@ -519,62 +527,58 @@ impl Scheduler {
     /// The daemon layer registers its request counters and uptime gauge
     /// here so one snapshot covers the whole process.
     pub fn metrics_registry(&self) -> Option<&Arc<MetricsRegistry>> {
-        self.shared.metrics.as_ref().map(|m| &m.registry)
+        let m = &self.shared.metrics;
+        m.telemetry.as_ref().map(|_| &m.registry)
     }
 
-    /// A point-in-time metrics snapshot, with scrape-time derived
-    /// values (store totals, RSS gauges) refreshed from
-    /// [`Scheduler::stats`] first. Empty when telemetry is off.
+    /// Counts one accepted client connection (`serve.connections`) and
+    /// returns how many were accepted before it. Call it from one accept
+    /// loop only, so the returned ordinals are distinct.
+    pub fn count_connection(&self) -> u64 {
+        let connections = &self.shared.metrics.connections;
+        connections.adjust(1);
+        gauge_total(connections).saturating_sub(1)
+    }
+
+    /// A point-in-time metrics snapshot, with the store totals refreshed
+    /// from the tenant caches first. Empty when telemetry is off.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        match &self.shared.metrics {
-            None => MetricsSnapshot::default(),
-            Some(m) => {
-                let stats = self.stats();
-                m.store_hits.observe_total(stats.store_hits);
-                m.store_puts.observe_total(stats.store_puts);
-                m.peak_rss
-                    .set(i64::try_from(stats.peak_rss_bytes).unwrap_or(i64::MAX));
-                m.owned_rss
-                    .set(i64::try_from(stats.owned_rss_bytes).unwrap_or(i64::MAX));
-                m.registry.snapshot()
-            }
+        let m = &self.shared.metrics;
+        if m.telemetry.is_none() {
+            return MetricsSnapshot::default();
         }
+        let stats = self.stats();
+        m.store_hits.observe_total(stats.store_hits);
+        m.store_puts.observe_total(stats.store_puts);
+        m.registry.snapshot()
     }
 
-    /// Daemon-wide counters: admission totals plus the roll-up of every
-    /// tenant cache and every completed validate job's pipeline stats.
+    /// Daemon-wide counters, read from the registry handles, plus the
+    /// roll-up of every tenant cache.
     pub fn stats(&self) -> ServeStats {
         let mut cache = CacheStats::default();
         for c in self.shared.caches.lock().unwrap().iter() {
             cache.merge(&c.stats());
         }
-        let (peak_rss_bytes, owned_rss_bytes) = self
-            .shared
-            .merged
-            .lock()
-            .unwrap()
-            .as_ref()
-            .map_or((0, 0), |m| {
-                (m.vm.mat.peak_owned_bytes, m.vm.mat.owned_bytes)
-            });
+        let m = &self.shared.metrics;
         ServeStats {
-            accepted: self.accepted.load(Ordering::Relaxed),
-            rejected_busy: self.rejected_busy.load(Ordering::Relaxed),
-            completed: self.shared.completed.load(Ordering::Relaxed),
-            failed: self.shared.failed.load(Ordering::Relaxed),
-            connections: 0, // the daemon layer owns this counter
+            accepted: m.jobs_submitted.get(),
+            rejected_busy: m.busy_shed.get(),
+            completed: m.jobs_completed.get(),
+            failed: m.jobs_failed.get(),
+            connections: gauge_total(&m.connections),
             cache_hits: cache.hits(),
             cache_misses: cache.misses(),
             store_hits: cache.store_hits,
             store_puts: cache.store_puts,
-            peak_rss_bytes,
-            owned_rss_bytes,
+            peak_rss_bytes: gauge_total(&m.peak_rss),
+            owned_rss_bytes: gauge_total(&m.owned_rss),
         }
     }
 
     /// Jobs completed over the scheduler's lifetime.
     pub fn completed(&self) -> u64 {
-        self.shared.completed.load(Ordering::Relaxed)
+        self.shared.metrics.jobs_completed.get()
     }
 
     /// Graceful drain: stop admitting, let every shard finish its queue,
@@ -600,9 +604,10 @@ fn shard_worker(shard: usize, rx: &mpsc::Receiver<ShardJob>, shared: &Shared) {
         tracer.set_thread_name(&format!("shard-{shard}"));
     }
     let mut tenants: HashMap<String, Arc<PipelineCache>> = HashMap::new();
+    let m = &shared.metrics;
     while let Ok(job) = rx.recv() {
-        if let Some(m) = &shared.metrics {
-            m.shard_depth[shard].adjust(-1);
+        if let Some(t) = &m.telemetry {
+            t.shard_depth[shard].adjust(-1);
         }
         let queue_ns = job.enqueued.elapsed().as_nanos() as u64;
         shared.table.set_state(job.id, RUNNING);
@@ -627,20 +632,16 @@ fn shard_worker(shard: usize, rx: &mpsc::Receiver<ShardJob>, shared: &Shared) {
         let run_ns = t0.elapsed().as_nanos() as u64;
         match &result {
             Ok(_) => {
-                shared.completed.fetch_add(1, Ordering::Relaxed);
+                m.jobs_completed.add(1);
                 shared.table.set_state(job.id, DONE);
             }
             Err(_) => {
-                shared.failed.fetch_add(1, Ordering::Relaxed);
+                m.jobs_failed.add(1);
                 shared.table.set_state(job.id, FAILED);
             }
         };
-        if let Some(m) = &shared.metrics {
-            match &result {
-                Ok(_) => m.jobs_completed.add(1),
-                Err(_) => m.jobs_failed.add(1),
-            }
-            m.job_latency.record(queue_ns.saturating_add(run_ns));
+        if let Some(t) = &m.telemetry {
+            t.job_latency.record(queue_ns.saturating_add(run_ns));
         }
         // The submitter may have given up (connection dropped); a full
         // or disconnected reply slot is fine either way.
@@ -704,11 +705,10 @@ fn execute(
             let (report, stats) = engine
                 .validate(&w, &cfg, spec.seed, spec.fuel)
                 .map_err(|e| format!("validation failed: {e}"))?;
-            let mut merged = shared.merged.lock().unwrap();
-            match &mut *merged {
-                None => *merged = Some(stats),
-                Some(m) => m.merge(&stats),
-            }
+            shared
+                .metrics
+                .peak_rss
+                .adjust(i64::try_from(stats.vm.mat.peak_owned_bytes).unwrap_or(i64::MAX));
             Ok(elfie::render::validation_report(&w.name, &report))
         }
         JobKind::Record => {

@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use crate::json::Json;
 
@@ -17,10 +17,9 @@ use crate::json::Json;
 pub struct Counter(AtomicU64);
 
 impl Counter {
-    /// Adds `n` (saturating).
+    /// Adds `n`, wrapping on overflow: a saturating CAS loop would cost
+    /// more on the hot path than a 2^64 wrap is worth guarding against.
     pub fn add(&self, n: u64) {
-        // fetch_add wraps on overflow; a saturating CAS loop would cost
-        // more than the failure mode is worth, but cap the common case.
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
@@ -188,11 +187,9 @@ struct Inner {
 /// A registry handing out shared metric handles by name.
 ///
 /// Names are owned strings so dynamically-shaped families
-/// (`serve.shard3.queue_depth`) register per instance. Components that
-/// want one ambient registry for the whole process use
-/// [`MetricsRegistry::global`]; components that need hermetic counts
-/// (a daemon under test, concurrent daemons in one binary) own their
-/// own instance instead.
+/// (`serve.shard3.queue_depth`) register per instance. There is no
+/// process-global instance: each component owns its registry, so counts
+/// stay hermetic (a daemon under test, concurrent daemons in one binary).
 #[derive(Default)]
 pub struct MetricsRegistry {
     inner: Mutex<Inner>,
@@ -213,14 +210,6 @@ impl MetricsRegistry {
     /// Creates an empty registry.
     pub fn new() -> MetricsRegistry {
         MetricsRegistry::default()
-    }
-
-    /// The process-global registry, created on first use. Long-lived
-    /// services that want "the" registry share this one; anything that
-    /// asserts on exact counts should own a private instance.
-    pub fn global() -> &'static MetricsRegistry {
-        static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-        GLOBAL.get_or_init(MetricsRegistry::new)
     }
 
     /// The counter named `name`, creating it on first use.
@@ -506,13 +495,6 @@ mod tests {
         assert_eq!(c.get(), 10);
         c.observe_total(12);
         assert_eq!(c.get(), 12);
-    }
-
-    #[test]
-    fn global_registry_is_shared() {
-        MetricsRegistry::global().counter("test.global").inc();
-        MetricsRegistry::global().counter("test.global").inc();
-        assert!(MetricsRegistry::global().counter("test.global").get() >= 2);
     }
 
     #[test]

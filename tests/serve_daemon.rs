@@ -13,6 +13,8 @@
 //! * the telemetry layer (`metrics` verb) agrees *exactly* with the
 //!   protocol-level stats — job totals, shed counts, per-shard queue
 //!   depths, and a job-latency histogram;
+//! * with telemetry off, `stats` still counts jobs, sheds and
+//!   connections while `metrics` answers an empty snapshot;
 //! * `submit --follow` streams typed phase events for a sharded
 //!   simulate job, ending with the result frame;
 //! * a served `simulate`, serial or sharded, models the whole region and
@@ -245,6 +247,73 @@ fn over_capacity_burst_is_shed_with_typed_busy() {
     control.shutdown().expect("shutdown");
     let report = server.join().expect("daemon thread");
     assert_eq!(report.rejected_busy, busy as u64);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn telemetry_off_still_counts_what_stats_reports() {
+    let dir = tmp("no-telemetry");
+    let daemon = Daemon::bind(
+        "127.0.0.1:0",
+        &dir,
+        ServeConfig {
+            shards: 1,
+            queue_depth: 1,
+            telemetry: false,
+        },
+        None,
+    )
+    .expect("binds");
+    let addr = daemon.local_addr().to_string();
+    let server = std::thread::spawn(move || daemon.run());
+
+    const BURST: usize = 8;
+    let done = AtomicUsize::new(0);
+    let busy = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for _ in 0..BURST {
+            let (addr, done, busy) = (&addr, &done, &busy);
+            s.spawn(move || {
+                let mut client = Client::connect(addr).expect("connects");
+                match client.submit("quiet", spec("gcc_like")).expect("submits") {
+                    Response::Done { .. } => done.fetch_add(1, Ordering::Relaxed),
+                    Response::Busy { .. } => busy.fetch_add(1, Ordering::Relaxed),
+                    other => panic!("burst: {other:?}"),
+                };
+            });
+        }
+    });
+    let (done, busy) = (
+        done.load(Ordering::Relaxed) as u64,
+        busy.load(Ordering::Relaxed) as u64,
+    );
+    assert_eq!(
+        done + busy,
+        BURST as u64,
+        "every submit answers done or busy"
+    );
+    assert!(done >= 1, "at least the running job completes");
+    assert!(busy >= 1, "a 1-deep queue must shed a {BURST}-wide burst");
+
+    // Telemetry off skips the exposition, not the counts `stats` reads.
+    let mut control = Client::connect(&addr).expect("connects");
+    let stats = control.stats().expect("stats");
+    assert_eq!(stats.accepted, done);
+    assert_eq!(stats.completed, done);
+    assert_eq!(stats.failed, 0);
+    assert_eq!(stats.rejected_busy, busy);
+    assert_eq!(stats.connections, BURST as u64 + 1, "burst plus control");
+    assert!(stats.peak_rss_bytes > 0, "jobs materialize guest pages");
+    assert_eq!(stats.owned_rss_bytes, 0);
+    assert_eq!(
+        control.metrics().expect("metrics"),
+        elfie::trace::MetricsSnapshot::default(),
+        "the metrics verb answers an empty snapshot"
+    );
+
+    assert_eq!(control.shutdown().expect("shutdown"), done);
+    let report = server.join().expect("daemon thread");
+    assert_eq!(report, stats, "the exit summary is the last stats reading");
     std::fs::remove_dir_all(&dir).ok();
 }
 
