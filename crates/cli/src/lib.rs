@@ -228,11 +228,8 @@ pub fn cmd_record(args: &Args) -> Result<String, CliError> {
     pb.save_dir(&out)
         .map_err(|e| err(format!("save failed: {e}")))?;
     let mut report = format!(
-        "captured {} ({} pages, {} thread(s), {} instructions) -> {}",
-        pb.region.name,
-        pb.image.page_count(),
-        pb.threads.len(),
-        pb.region.length,
+        "{} -> {}",
+        elfie::render::capture_line(&pb).trim_end(),
         out.display()
     );
     if let Some(dir) = args.opt("store") {
@@ -382,10 +379,7 @@ pub fn cmd_replay(args: &Args) -> Result<String, CliError> {
         ReplayConfig::injectionless()
     };
     let s = Replayer::new(cfg).replay(&pb, |_| {});
-    let mut out = format!(
-        "replay {}: completed={} injected={} lazy_pages={} instructions={}\n",
-        pb.region.name, s.completed, s.injected_syscalls, s.lazy_pages_injected, s.global_icount
-    );
+    let mut out = elfie::render::replay_line(&pb.region.name, &s);
     if let Some(d) = &s.divergence {
         let _ = writeln!(out, "divergence: {d}");
     }
@@ -581,18 +575,7 @@ fn simulate_pinball_report(args: &Args, pb: &Pinball, sim: &Simulator) -> Result
 pub fn cmd_simulate(args: &Args) -> Result<String, CliError> {
     let path = args.pos(0, "elfie-file")?;
     let topts = parse_trace_opts(args)?;
-    let mut sim = match args.opt("sim").unwrap_or("coresim") {
-        "sniper" => Simulator::sniper(),
-        "coresim" => Simulator::coresim_sde(),
-        "coresim-fs" => Simulator::coresim_simics(),
-        "gem5-nehalem" => Simulator::gem5_se(elfie::sim::CoreParams::nehalem_like()),
-        "gem5-haswell" => Simulator::gem5_se(elfie::sim::CoreParams::haswell_like()),
-        other => {
-            return Err(err(format!(
-                "unknown simulator `{other}` (sniper|coresim|coresim-fs|gem5-nehalem|gem5-haswell)"
-            )))
-        }
-    };
+    let mut sim = Simulator::by_name(args.opt("sim").unwrap_or("coresim")).map_err(err)?;
     if let Some(tracer) = &topts.tracer {
         sim = sim.with_tracer(Arc::clone(tracer));
     }

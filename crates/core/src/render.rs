@@ -10,13 +10,18 @@
 //! therefore reproduces the original text bit for bit — which the CLI
 //! round-trip tests assert.
 //!
+//! The reports that both the CLI and an `elfie serve` daemon print (the
+//! validation report, the capture and replay summary lines) live here
+//! too, so served and offline output are one rendering.
+//!
 //! Schema stability: documents carry `schema` ([`STATS_SCHEMA`] or
 //! [`SIM_STATS_SCHEMA`]) and `version` ([`STATS_VERSION`]). Readers
 //! reject unknown schemas and newer majors rather than misparse.
 
 use crate::cache::CacheStats;
 use crate::stats::PipelineStats;
-use elfie_pinball::ArenaStats;
+use elfie_pinball::{ArenaStats, Pinball};
+use elfie_pinplay::ReplaySummary;
 use elfie_trace::json::Json;
 use elfie_vm::{FastPathStats, MaterializeStats};
 use std::fmt;
@@ -131,6 +136,29 @@ pub fn validation_report(name: &str, report: &crate::pipeline::ValidationReport)
         }
     }
     out
+}
+
+/// The summary line of a captured region, newline-terminated — the
+/// exact report of a served `record` job, and what `elfie record`
+/// prints before ` -> DIR`.
+pub fn capture_line(pb: &Pinball) -> String {
+    format!(
+        "captured {} ({} pages, {} thread(s), {} instructions)\n",
+        pb.region.name,
+        pb.image.page_count(),
+        pb.threads.len(),
+        pb.region.length
+    )
+}
+
+/// The summary line of a replay of region `name`, newline-terminated —
+/// the exact report of a served `replay` job and the first line `elfie
+/// replay` prints.
+pub fn replay_line(name: &str, s: &ReplaySummary) -> String {
+    format!(
+        "replay {name}: completed={} injected={} lazy_pages={} instructions={}\n",
+        s.completed, s.injected_syscalls, s.lazy_pages_injected, s.global_icount
+    )
 }
 
 /// The two `vm ...` lines `elfie simulate --stats` prints (no trailing

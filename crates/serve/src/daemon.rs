@@ -21,7 +21,7 @@ use crate::protocol::{
     frame_rid, read_frame, with_rid, write_frame, FrameError, JobPhase, JobSpec, Request, Response,
     ServeStats,
 };
-use crate::scheduler::{Enqueued, Scheduler, ServeConfig, Submitted};
+use crate::scheduler::{Enqueued, JobOutcome, Scheduler, ServeConfig};
 use elfie::trace::{Counter, MetricsRegistry, Tracer};
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -130,8 +130,9 @@ impl Daemon {
     ) -> Result<Daemon, ServeError> {
         // Open the store once up front: this creates the directory tree
         // on first use and rejects a path that exists but is not a
-        // store-shaped directory before we start accepting work.
-        elfie::store::Store::open(store_dir).map_err(|e| ServeError::Store {
+        // store-shaped directory before we start accepting work. Every
+        // tenant cache shares this one handle.
+        let store = elfie::store::Store::open(store_dir).map_err(|e| ServeError::Store {
             dir: store_dir.to_path_buf(),
             detail: e.to_string(),
         })?;
@@ -139,7 +140,7 @@ impl Daemon {
             addr: addr.to_string(),
             detail: e.to_string(),
         })?;
-        let scheduler = Scheduler::start(store_dir.to_path_buf(), cfg, tracer.clone());
+        let scheduler = Scheduler::start(store, cfg, tracer.clone());
         Ok(Daemon {
             listener,
             scheduler,
@@ -333,7 +334,7 @@ fn serve_submit(
         );
     }
     let (id, reply) = match ctx.scheduler.enqueue(tenant, job, rid) {
-        Enqueued::Queued { id, reply, .. } => (id, reply),
+        Enqueued::Queued { id, reply } => (id, reply),
         Enqueued::Busy { shard, capacity } => {
             return send(stream, rid, &Response::Busy { shard, capacity });
         }
@@ -346,9 +347,10 @@ fn serve_submit(
         // history (not a latest-phase poll) is what guarantees a
         // follower sees *every* transition — queued, profile, each
         // slice, stitch, render — however fast the job ran.
+        let table = ctx.scheduler.table();
         let mut sent = 0usize;
         let flush = |stream: &mut TcpStream, sent: &mut usize| -> bool {
-            if let Some((shard, tail)) = ctx.scheduler.phases_since(id, *sent) {
+            if let Some((shard, tail)) = table.phases_since(id, *sent) {
                 for phase in tail {
                     *sent += 1;
                     if !send(stream, rid, &Response::Progress { id, shard, phase }) {
@@ -358,7 +360,7 @@ fn serve_submit(
             }
             true
         };
-        let mut seen = ctx.scheduler.table_version();
+        let mut seen = table.version();
         loop {
             match reply.try_recv() {
                 Ok(outcome) => {
@@ -384,18 +386,17 @@ fn serve_submit(
             if !flush(stream, &mut sent) {
                 return false;
             }
-            seen = ctx.scheduler.wait_table_change(seen, PROGRESS_POLL);
+            seen = table.wait_change(seen, PROGRESS_POLL);
         }
     }
     let response = match ctx.scheduler.await_outcome(id, &reply) {
-        Submitted::Finished(outcome) => outcome_response(outcome),
-        Submitted::Busy { shard, capacity } => Response::Busy { shard, capacity },
-        Submitted::Rejected(message) => Response::Error { message },
+        Ok(outcome) => outcome_response(outcome),
+        Err(message) => Response::Error { message },
     };
     send(stream, rid, &response)
 }
 
-fn outcome_response(outcome: crate::scheduler::JobOutcome) -> Response {
+fn outcome_response(outcome: JobOutcome) -> Response {
     match outcome.result {
         Ok(report) => Response::Done {
             id: outcome.id,
@@ -412,22 +413,20 @@ fn outcome_response(outcome: crate::scheduler::JobOutcome) -> Response {
 /// job listing. Returns `false` when the connection is gone.
 fn serve_watch(stream: &mut TcpStream, ctx: &ConnCtx<'_>, rid: u64, watch_ms: u64) -> bool {
     let deadline = Instant::now() + Duration::from_millis(watch_ms);
-    let mut last: BTreeMap<u64, JobPhase> = ctx
-        .scheduler
+    let table = ctx.scheduler.table();
+    let mut last: BTreeMap<u64, JobPhase> = table
         .phases()
         .into_iter()
         .map(|(id, _, phase)| (id, phase))
         .collect();
-    let mut seen = ctx.scheduler.table_version();
+    let mut seen = table.version();
     loop {
         let left = deadline.saturating_duration_since(Instant::now());
         if left.is_zero() {
             break;
         }
-        seen = ctx
-            .scheduler
-            .wait_table_change(seen, left.min(PROGRESS_POLL));
-        for (id, shard, phase) in ctx.scheduler.phases() {
+        seen = table.wait_change(seen, left.min(PROGRESS_POLL));
+        for (id, shard, phase) in table.phases() {
             if last.get(&id) != Some(&phase) {
                 last.insert(id, phase);
                 if !send(stream, rid, &Response::Progress { id, shard, phase }) {
@@ -440,7 +439,7 @@ fn serve_watch(stream: &mut TcpStream, ctx: &ConnCtx<'_>, rid: u64, watch_ms: u6
         stream,
         rid,
         &Response::Jobs {
-            jobs: ctx.scheduler.jobs(),
+            jobs: table.snapshot(),
         },
     )
 }
@@ -461,7 +460,7 @@ fn handle(request: &Request, ctx: &ConnCtx<'_>) -> (Response, bool) {
         Request::Submit { .. } | Request::Jobs { watch_ms: 1.. } => unreachable!(),
         Request::Jobs { watch_ms: 0 } => (
             Response::Jobs {
-                jobs: ctx.scheduler.jobs(),
+                jobs: ctx.scheduler.table().snapshot(),
             },
             false,
         ),

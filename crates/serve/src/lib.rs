@@ -11,8 +11,9 @@
 //!   envelopes. Decoding never panics; truncation and oversized length
 //!   prefixes are typed [`FrameError`]s.
 //! * [`scheduler`] — jobs hash to N worker shards, each owning its own
-//!   bounded queue and per-tenant `PipelineCache::persistent` tiers over
-//!   the one shared store. Admission is a lock-free `try_send`; a full
+//!   bounded queue. Every shard runs jobs against one shared
+//!   `PipelineCache` per tenant, all over the store the daemon opened
+//!   once. Admission is a `try_send` onto the shard's queue; a full
 //!   shard sheds the job with a typed `Busy` instead of queueing
 //!   unboundedly.
 //! * [`daemon`]/[`client`] — the TCP ends. The daemon drains gracefully
@@ -36,4 +37,4 @@ pub use protocol::{
     frame_rid, with_rid, FrameError, JobKind, JobPhase, JobSpec, JobSummary, Request, Response,
     ServeStats, MAX_FRAME, PROTOCOL_VERSION,
 };
-pub use scheduler::{valid_tenant, Enqueued, Scheduler, ServeConfig, Submitted};
+pub use scheduler::{valid_tenant, Enqueued, Scheduler, ServeConfig};

@@ -1,17 +1,17 @@
 //! The sharded job scheduler behind an `elfie serve` daemon.
 //!
 //! Jobs hash to one of N *shards* — worker threads that each own a
-//! bounded [`std::sync::mpsc::sync_channel`] queue and a private set of
-//! per-tenant [`PipelineCache`] tiers over the one shared store
-//! directory. The hot path takes no shared lock: admission is a
-//! `try_send` onto the target shard's channel, execution happens on the
-//! shard thread against shard-owned caches, and the result travels back
-//! on a per-job rendezvous channel. Hashing on `(tenant, workload)`
-//! keeps a tenant's repeat jobs on the shard whose memory tier already
-//! holds their artifacts.
+//! bounded [`std::sync::mpsc::sync_channel`] queue. Every shard runs its
+//! jobs against one shared map of per-tenant [`PipelineCache`] tiers, all
+//! over the single store the daemon opened: a tenant's memory tier is one
+//! object whichever shard runs the job. Admission is a `try_send` onto the
+//! target shard's channel; the result travels back on a per-job
+//! rendezvous channel. Each job takes the job-table lock for its state
+//! changes and the tenant-map lock once to find its cache. Hashing on
+//! `(tenant, workload)` keeps a tenant's repeat jobs on one shard's queue.
 //!
 //! **Admission control**: a full shard queue sheds the job immediately
-//! ([`Submitted::Busy`]) instead of queueing unboundedly — the caller
+//! ([`Enqueued::Busy`]) instead of queueing unboundedly — the caller
 //! turns that into the protocol's typed `Busy` response. **Graceful
 //! drain**: dropping the shard senders lets each worker finish its
 //! queued jobs and exit; [`Scheduler::drain`] joins them all.
@@ -20,7 +20,6 @@ use crate::protocol::{JobKind, JobPhase, JobSpec, JobSummary, ServeStats};
 use elfie::prelude::*;
 use elfie::trace::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, Tracer};
 use std::collections::{BTreeMap, HashMap};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -28,7 +27,7 @@ use std::time::{Duration, Instant};
 /// Scheduler sizing.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
-    /// Worker shards (each owns its caches and queue).
+    /// Worker shards (each owns its queue; all share the tenant caches).
     pub shards: usize,
     /// Bounded queue depth per shard; a full queue sheds load.
     pub queue_depth: usize,
@@ -51,36 +50,19 @@ impl Default for ServeConfig {
     }
 }
 
-/// What happened to an enqueue attempt. Unlike [`Submitted`], a queued
-/// job's result has not been waited for yet: the caller holds the reply
-/// channel and can stream progress while the job runs.
+/// What happened to an enqueue attempt. A queued job's result has not
+/// been waited for yet: the caller holds the reply channel and can
+/// stream progress while the job runs.
 #[derive(Debug)]
 pub enum Enqueued {
-    /// The job is on a shard queue; its outcome will arrive on `reply`.
+    /// The job is on a shard queue; its outcome will arrive on `reply`
+    /// ([`Scheduler::await_outcome`]).
     Queued {
         /// Daemon-unique job id.
         id: u64,
-        /// Shard the job hashed to.
-        shard: u64,
         /// Rendezvous channel the shard sends the outcome on.
         reply: mpsc::Receiver<JobOutcome>,
     },
-    /// The target shard's queue was full; nothing was queued.
-    Busy {
-        /// The shard that was full.
-        shard: u64,
-        /// Its queue capacity.
-        capacity: u64,
-    },
-    /// The job never reached a shard (invalid tenant, draining daemon).
-    Rejected(String),
-}
-
-/// What happened to a submitted job.
-#[derive(Debug)]
-pub enum Submitted {
-    /// The job ran; here is its outcome.
-    Finished(JobOutcome),
     /// The target shard's queue was full; nothing was queued.
     Busy {
         /// The shard that was full.
@@ -141,8 +123,11 @@ struct TableState {
     version: u64,
 }
 
+/// The daemon's job listing and per-job phase history. Shard workers
+/// write it; the daemon's list, watch and follow handlers read it
+/// through [`Scheduler::table`].
 #[derive(Default)]
-struct JobTable {
+pub(crate) struct JobTable {
     state: Mutex<TableState>,
     changed: Condvar,
 }
@@ -202,15 +187,18 @@ impl JobTable {
         self.bump(&mut state);
     }
 
-    fn snapshot(&self) -> Vec<JobSummary> {
+    /// Every job the table retains, id-ascending.
+    pub(crate) fn snapshot(&self) -> Vec<JobSummary> {
         self.state.lock().unwrap().rows.values().cloned().collect()
     }
 
-    fn version(&self) -> u64 {
+    /// The current change version (see [`JobTable::wait_change`]).
+    pub(crate) fn version(&self) -> u64 {
         self.state.lock().unwrap().version
     }
 
-    fn phases(&self) -> Vec<(u64, u64, JobPhase)> {
+    /// Latest published `(id, shard, phase)` per retained job.
+    pub(crate) fn phases(&self) -> Vec<(u64, u64, JobPhase)> {
         let state = self.state.lock().unwrap();
         state
             .phases
@@ -222,16 +210,11 @@ impl JobTable {
             .collect()
     }
 
-    fn phase_of(&self, id: u64) -> Option<(u64, JobPhase)> {
-        let state = self.state.lock().unwrap();
-        let phase = *state.phases.get(&id)?.last()?;
-        Some((state.rows.get(&id)?.shard, phase))
-    }
-
-    /// The phase transitions of job `id` from history index `from` on.
-    /// A follower replays exactly the tail it has not streamed yet, so
-    /// fast transitions cannot be coalesced away between wakeups.
-    fn phases_since(&self, id: u64, from: usize) -> Option<(u64, Vec<JobPhase>)> {
+    /// The `(shard, phases)` tail of job `id`'s phase history from index
+    /// `from` on — the lossless feed behind `submit --follow`. A follower
+    /// replays exactly the tail it has not streamed yet, so fast
+    /// transitions cannot be coalesced away between wakeups.
+    pub(crate) fn phases_since(&self, id: u64, from: usize) -> Option<(u64, Vec<JobPhase>)> {
         let state = self.state.lock().unwrap();
         let hist = state.phases.get(&id)?;
         let shard = state.rows.get(&id)?.shard;
@@ -239,8 +222,10 @@ impl JobTable {
     }
 
     /// Blocks until the table's version exceeds `seen` or `timeout`
-    /// elapses; returns the current version either way.
-    fn wait_change(&self, seen: u64, timeout: Duration) -> u64 {
+    /// elapses; returns the current version either way. Watch/follow
+    /// connection threads poll on this — shard workers never wait for a
+    /// watcher.
+    pub(crate) fn wait_change(&self, seen: u64, timeout: Duration) -> u64 {
         let deadline = Instant::now() + timeout;
         let mut state = self.state.lock().unwrap();
         while state.version <= seen {
@@ -319,15 +304,36 @@ fn gauge_total(gauge: &Gauge) -> u64 {
 
 /// State shared between shards and the scheduler front end.
 struct Shared {
-    store_dir: PathBuf,
+    store: Store,
     tracer: Option<Arc<Tracer>>,
-    /// Every tenant cache any shard has opened, for stats roll-up.
-    caches: Mutex<Vec<Arc<PipelineCache>>>,
+    /// One cache per tenant, shared by every shard and built on first
+    /// use over `store`.
+    tenants: Mutex<HashMap<String, Arc<PipelineCache>>>,
     table: JobTable,
     metrics: ServeMetrics,
 }
 
-/// The sharded scheduler. One per daemon; [`Scheduler::submit`] is safe
+impl Shared {
+    /// `tenant`'s cache: its memory tier plus the `{tenant}--` namespace
+    /// of the shared store.
+    fn tenant_cache(&self, tenant: &str) -> Arc<PipelineCache> {
+        let mut tenants = self.tenants.lock().expect("tenant map poisoned");
+        if let Some(cache) = tenants.get(tenant) {
+            return Arc::clone(cache);
+        }
+        let cache = PipelineCache::new()
+            .with_store(self.store.clone())
+            .with_namespace(tenant);
+        if let Some(tracer) = &self.tracer {
+            cache.attach_tracer(Arc::clone(tracer));
+        }
+        let cache = Arc::new(cache);
+        tenants.insert(tenant.to_string(), Arc::clone(&cache));
+        cache
+    }
+}
+
+/// The sharded scheduler. One per daemon; [`Scheduler::enqueue`] is safe
 /// to call from any number of connection threads.
 pub struct Scheduler {
     senders: Vec<mpsc::SyncSender<ShardJob>>,
@@ -361,16 +367,14 @@ fn shard_of(tenant: &str, workload: &str, shards: usize) -> usize {
 }
 
 impl Scheduler {
-    /// Spawns `cfg.shards` worker threads over the store at `store_dir`.
-    /// The directory is created on demand by the first tenant cache; an
-    /// unusable path surfaces as per-job failures, while the daemon
-    /// front end validates it up front.
-    pub fn start(store_dir: PathBuf, cfg: ServeConfig, tracer: Option<Arc<Tracer>>) -> Scheduler {
+    /// Spawns `cfg.shards` worker threads over the opened `store`,
+    /// which every tenant cache shares.
+    pub fn start(store: Store, cfg: ServeConfig, tracer: Option<Arc<Tracer>>) -> Scheduler {
         let shards = cfg.shards.max(1);
         let shared = Arc::new(Shared {
-            store_dir,
+            store,
             tracer,
-            caches: Mutex::new(Vec::new()),
+            tenants: Mutex::new(HashMap::new()),
             table: JobTable::default(),
             metrics: ServeMetrics::new(shards, cfg.telemetry),
         });
@@ -396,14 +400,9 @@ impl Scheduler {
         }
     }
 
-    /// Number of worker shards.
-    pub fn shards(&self) -> usize {
-        self.senders.len()
-    }
-
     /// Admits `spec` under `tenant` without waiting for it: on success
     /// the caller holds the reply channel and can stream the job's
-    /// phase changes ([`Scheduler::wait_table_change`]) while it runs.
+    /// phase changes from the job table while it runs.
     /// A full target shard sheds the job immediately. `rid` is the
     /// client's correlation id (0 = untagged), threaded onto the
     /// worker's job span.
@@ -415,7 +414,7 @@ impl Scheduler {
         }
         let shard = shard_of(tenant, &spec.workload, self.senders.len());
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let (reply_tx, reply_rx) = mpsc::sync_channel::<JobOutcome>(1);
+        let (reply_tx, reply) = mpsc::sync_channel::<JobOutcome>(1);
         let job = ShardJob {
             id,
             tenant: tenant.to_string(),
@@ -457,70 +456,27 @@ impl Scheduler {
         if let Some(t) = &m.telemetry {
             t.shard_depth[shard].adjust(1);
         }
-        Enqueued::Queued {
-            id,
-            shard: shard as u64,
-            reply: reply_rx,
-        }
+        Enqueued::Queued { id, reply }
     }
 
-    /// Admits `spec` under `tenant` and blocks until it finishes. A full
-    /// target shard sheds the job immediately with [`Submitted::Busy`].
-    pub fn submit(&self, tenant: &str, spec: JobSpec) -> Submitted {
-        match self.enqueue(tenant, spec, 0) {
-            Enqueued::Queued { id, reply, .. } => self.await_outcome(id, &reply),
-            Enqueued::Busy { shard, capacity } => Submitted::Busy { shard, capacity },
-            Enqueued::Rejected(msg) => Submitted::Rejected(msg),
-        }
-    }
-
-    /// Blocks on an [`Enqueued::Queued`] job's reply channel and folds
-    /// the broken-channel case (drain raced the submit) into
-    /// [`Submitted::Rejected`], marking the job failed in the table.
-    pub fn await_outcome(&self, id: u64, reply: &mpsc::Receiver<JobOutcome>) -> Submitted {
-        match reply.recv() {
-            Ok(outcome) => Submitted::Finished(outcome),
+    /// Blocks on an [`Enqueued::Queued`] job's reply channel. A broken
+    /// channel (drain raced the submit) marks the job failed in the table
+    /// and comes back as the error message.
+    pub fn await_outcome(
+        &self,
+        id: u64,
+        reply: &mpsc::Receiver<JobOutcome>,
+    ) -> Result<JobOutcome, String> {
+        reply.recv().map_err(|_| {
             // The shard died mid-job (drain raced a submit).
-            Err(_) => {
-                self.shared.table.set_state(id, FAILED);
-                Submitted::Rejected("daemon is draining".to_string())
-            }
-        }
+            self.shared.table.set_state(id, FAILED);
+            "daemon is draining".to_string()
+        })
     }
 
-    /// Every job the table retains, id-ascending.
-    pub fn jobs(&self) -> Vec<JobSummary> {
-        self.shared.table.snapshot()
-    }
-
-    /// The job table's current change version (see
-    /// [`Scheduler::wait_table_change`]).
-    pub fn table_version(&self) -> u64 {
-        self.shared.table.version()
-    }
-
-    /// Blocks until the job table changes past version `seen` or
-    /// `timeout` elapses; returns the current version either way.
-    /// Watch/follow connection threads poll on this — shard workers
-    /// never wait for a watcher.
-    pub fn wait_table_change(&self, seen: u64, timeout: Duration) -> u64 {
-        self.shared.table.wait_change(seen, timeout)
-    }
-
-    /// Latest published `(id, shard, phase)` per retained job.
-    pub fn phases(&self) -> Vec<(u64, u64, JobPhase)> {
-        self.shared.table.phases()
-    }
-
-    /// Latest `(shard, phase)` of one job, if still tabled.
-    pub fn phase_of(&self, id: u64) -> Option<(u64, JobPhase)> {
-        self.shared.table.phase_of(id)
-    }
-
-    /// The `(shard, phases)` tail of one job's phase history from index
-    /// `from` on — the lossless feed behind `submit --follow`.
-    pub fn phases_since(&self, id: u64, from: usize) -> Option<(u64, Vec<JobPhase>)> {
-        self.shared.table.phases_since(id, from)
+    /// The job table the daemon lists, watches and follows.
+    pub(crate) fn table(&self) -> &JobTable {
+        &self.shared.table
     }
 
     /// The daemon-private metrics registry (`None` with telemetry off).
@@ -556,11 +512,12 @@ impl Scheduler {
     /// Daemon-wide counters, read from the registry handles, plus the
     /// roll-up of every tenant cache.
     pub fn stats(&self) -> ServeStats {
+        let shared = &self.shared;
         let mut cache = CacheStats::default();
-        for c in self.shared.caches.lock().unwrap().iter() {
+        for c in shared.tenants.lock().expect("tenant map poisoned").values() {
             cache.merge(&c.stats());
         }
-        let m = &self.shared.metrics;
+        let m = &shared.metrics;
         ServeStats {
             accepted: m.jobs_submitted.get(),
             rejected_busy: m.busy_shed.get(),
@@ -597,13 +554,12 @@ impl Drop for Scheduler {
     }
 }
 
-/// One shard: pulls jobs until the channel disconnects (drain), keeping
-/// a private per-tenant cache map over the shared store.
+/// One shard: pulls jobs until the channel disconnects (drain) and runs
+/// each against its tenant's shared cache.
 fn shard_worker(shard: usize, rx: &mpsc::Receiver<ShardJob>, shared: &Shared) {
     if let Some(tracer) = &shared.tracer {
         tracer.set_thread_name(&format!("shard-{shard}"));
     }
-    let mut tenants: HashMap<String, Arc<PipelineCache>> = HashMap::new();
     let m = &shared.metrics;
     while let Ok(job) = rx.recv() {
         if let Some(t) = &m.telemetry {
@@ -611,7 +567,7 @@ fn shard_worker(shard: usize, rx: &mpsc::Receiver<ShardJob>, shared: &Shared) {
         }
         let queue_ns = job.enqueued.elapsed().as_nanos() as u64;
         shared.table.set_state(job.id, RUNNING);
-        let cache = tenant_cache(&mut tenants, &job.tenant, shared);
+        let cache = shared.tenant_cache(&job.tenant);
         let t0 = Instant::now();
         let result = {
             let mut span = shared.tracer.as_ref().map(|t| {
@@ -624,10 +580,7 @@ fn shard_worker(shard: usize, rx: &mpsc::Receiver<ShardJob>, shared: &Shared) {
             if let (Some(span), true) = (span.as_mut(), job.rid != 0) {
                 span.arg("request_id", job.rid);
             }
-            match cache {
-                Ok(ref cache) => execute(&job.spec, job.id, cache, shared),
-                Err(ref e) => Err(e.clone()),
-            }
+            execute(&job.spec, job.id, &cache, shared)
         };
         let run_ns = t0.elapsed().as_nanos() as u64;
         match &result {
@@ -653,28 +606,6 @@ fn shard_worker(shard: usize, rx: &mpsc::Receiver<ShardJob>, shared: &Shared) {
             result,
         });
     }
-}
-
-/// The shard's cache for `tenant`, opened (and registered for stats)
-/// on first use.
-fn tenant_cache(
-    tenants: &mut HashMap<String, Arc<PipelineCache>>,
-    tenant: &str,
-    shared: &Shared,
-) -> Result<Arc<PipelineCache>, String> {
-    if let Some(cache) = tenants.get(tenant) {
-        return Ok(Arc::clone(cache));
-    }
-    let cache = PipelineCache::persistent(&shared.store_dir)
-        .map_err(|e| format!("open store {}: {e}", shared.store_dir.display()))?
-        .with_namespace(tenant);
-    if let Some(tracer) = &shared.tracer {
-        cache.attach_tracer(Arc::clone(tracer));
-    }
-    let cache = Arc::new(cache);
-    shared.caches.lock().unwrap().push(Arc::clone(&cache));
-    tenants.insert(tenant.to_string(), Arc::clone(&cache));
-    Ok(cache)
 }
 
 /// Runs one job against the tenant's cache. Validate reports are the
@@ -713,29 +644,16 @@ fn execute(
         }
         JobKind::Record => {
             let pb = captured_region(cache, &w, spec)?;
-            Ok(format!(
-                "captured {} ({} pages, {} thread(s), {} instructions)\n",
-                pb.region.name,
-                pb.image.page_count(),
-                pb.threads.len(),
-                pb.region.length
-            ))
+            Ok(elfie::render::capture_line(&pb))
         }
         JobKind::Replay => {
             let pb = captured_region(cache, &w, spec)?;
             let s = Replayer::new(ReplayConfig::default()).replay(&pb, |_| {});
-            Ok(format!(
-                "replay {}: completed={} injected={} lazy_pages={} instructions={}\n",
-                pb.region.name,
-                s.completed,
-                s.injected_syscalls,
-                s.lazy_pages_injected,
-                s.global_icount
-            ))
+            Ok(elfie::render::replay_line(&pb.region.name, &s))
         }
         JobKind::Simulate => {
             let pb = captured_region(cache, &w, spec)?;
-            let mut sim = simulator_by_name(&spec.sim)?;
+            let mut sim = Simulator::by_name(&spec.sim)?;
             // A raw pinball carries no ROI markers — the captured region
             // *is* the region of interest, as for offline `simulate`.
             sim.roi = elfie::sim::RoiMode::Always;
@@ -820,19 +738,6 @@ fn captured_region(
         .map_err(|e| format!("capture failed: {e}"))
 }
 
-fn simulator_by_name(name: &str) -> Result<Simulator, String> {
-    match name {
-        "sniper" => Ok(Simulator::sniper()),
-        "coresim" => Ok(Simulator::coresim_sde()),
-        "coresim-fs" => Ok(Simulator::coresim_simics()),
-        "gem5-nehalem" => Ok(Simulator::gem5_se(elfie::sim::CoreParams::nehalem_like())),
-        "gem5-haswell" => Ok(Simulator::gem5_se(elfie::sim::CoreParams::haswell_like())),
-        other => Err(format!(
-            "unknown simulator `{other}` (sniper|coresim|coresim-fs|gem5-nehalem|gem5-haswell)"
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -866,12 +771,13 @@ mod tests {
     #[test]
     fn invalid_tenant_is_rejected_before_any_queueing() {
         let dir = std::env::temp_dir().join(format!("elfie-sched-rej-{}", std::process::id()));
-        let mut sched = Scheduler::start(dir.clone(), ServeConfig::default(), None);
-        match sched.submit("../evil", JobSpec::default()) {
-            Submitted::Rejected(msg) => assert!(msg.contains("invalid tenant"), "{msg}"),
+        let store = Store::open(&dir).expect("opens store");
+        let mut sched = Scheduler::start(store, ServeConfig::default(), None);
+        match sched.enqueue("../evil", JobSpec::default(), 0) {
+            Enqueued::Rejected(msg) => assert!(msg.contains("invalid tenant"), "{msg}"),
             other => panic!("{other:?}"),
         }
-        assert!(sched.jobs().is_empty(), "nothing was tabled");
+        assert!(sched.table().snapshot().is_empty(), "nothing was tabled");
         sched.drain();
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -110,6 +110,25 @@ impl Simulator {
         }
     }
 
+    /// The personality `name` picks on the command line and in served
+    /// `simulate` jobs: `sniper`, `coresim`, `coresim-fs`,
+    /// `gem5-nehalem` or `gem5-haswell`.
+    ///
+    /// # Errors
+    /// A one-line message listing the known names for any other name.
+    pub fn by_name(name: &str) -> Result<Simulator, String> {
+        match name {
+            "sniper" => Ok(Simulator::sniper()),
+            "coresim" => Ok(Simulator::coresim_sde()),
+            "coresim-fs" => Ok(Simulator::coresim_simics()),
+            "gem5-nehalem" => Ok(Simulator::gem5_se(CoreParams::nehalem_like())),
+            "gem5-haswell" => Ok(Simulator::gem5_se(CoreParams::haswell_like())),
+            other => Err(format!(
+                "unknown simulator `{other}` (sniper|coresim|coresim-fs|gem5-nehalem|gem5-haswell)"
+            )),
+        }
+    }
+
     pub(crate) fn observer(&self) -> TimingObserver {
         TimingObserver::new(
             self.params,
@@ -261,4 +280,37 @@ pub fn simulate_pinball(pinball: &Pinball, sim: &Simulator) -> SimOutcome {
     let out = outcome(&m.obs, exit, icounts, m.fastpath_stats());
     finish_span(&mut span, &out);
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn by_name_resolves_each_personality() {
+        let cases = [
+            ("sniper", Simulator::sniper()),
+            ("coresim", Simulator::coresim_sde()),
+            ("coresim-fs", Simulator::coresim_simics()),
+            (
+                "gem5-nehalem",
+                Simulator::gem5_se(CoreParams::nehalem_like()),
+            ),
+            (
+                "gem5-haswell",
+                Simulator::gem5_se(CoreParams::haswell_like()),
+            ),
+        ];
+        for (name, want) in cases {
+            let got = Simulator::by_name(name).expect(name);
+            assert_eq!(got.params.name, want.params.name, "{name}");
+            assert_eq!(got.full_system, want.full_system, "{name}");
+            assert_eq!(got.ncores, want.ncores, "{name}");
+            assert_eq!(got.roi, want.roi, "{name}");
+        }
+        assert_eq!(
+            Simulator::by_name("gem5").err().as_deref(),
+            Some("unknown simulator `gem5` (sniper|coresim|coresim-fs|gem5-nehalem|gem5-haswell)")
+        );
+    }
 }

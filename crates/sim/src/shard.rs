@@ -280,9 +280,10 @@ pub fn simulate_pinball_sharded(
 ///
 /// `progress` is invoked from the calling thread for [`ShardPhase::
 /// Profile`] and [`ShardPhase::Stitch`], and from worker threads for
-/// each [`ShardPhase::Slice`] completion (hence the `Sync` bound). The
-/// callback must be cheap and non-blocking: it runs inside the
-/// simulation fan-out.
+/// each [`ShardPhase::Slice`] completion (hence the `Sync` bound). Slice
+/// reports are serialized, so their `done` counts arrive in rising
+/// order. The callback must be cheap and non-blocking: it runs inside
+/// the simulation fan-out.
 ///
 /// # Panics
 /// Same contract as [`simulate_pinball_sharded`].
@@ -309,11 +310,14 @@ pub fn simulate_pinball_sharded_with_progress(
     let t1 = Instant::now();
     let nslices = snaps.len() + 1;
     let workers = cfg.shards.max(1).min(nslices);
-    let finished = AtomicUsize::new(0);
+    // Count and report under one lock: concurrent completions then reach
+    // `progress` in the order they were counted, so `done` only rises.
+    let finished = Mutex::new(0u64);
     let slice_done = |_i: usize| {
-        let done = finished.fetch_add(1, Ordering::Relaxed) as u64 + 1;
+        let mut done = finished.lock().expect("a slice progress report panicked");
+        *done += 1;
         progress(ShardPhase::Slice {
-            done,
+            done: *done,
             total: nslices as u64,
         });
     };

@@ -19,6 +19,8 @@
 //!   simulate job, ending with the result frame;
 //! * a served `simulate`, serial or sharded, models the whole region and
 //!   reports the cycles and CPI offline simulation computes;
+//! * served `record` and `replay` answer the offline summary lines;
+//! * tenants stay isolated while every shard shares their caches;
 //! * a client-stamped request id lands on the daemon-side spans of the
 //!   exported Chrome trace.
 
@@ -520,6 +522,118 @@ fn served_simulate_models_the_region_like_offline_simulate() {
             ),
             other => panic!("shards {shards}: {other:?}"),
         }
+    }
+
+    client.shutdown().expect("shutdown");
+    server.join().expect("daemon thread");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `kind` job over the gcc_like region the region tests share.
+fn region_spec(kind: JobKind, start: u64, length: u64) -> JobSpec {
+    JobSpec {
+        kind,
+        workload: "gcc_like".to_string(),
+        scale: "test".to_string(),
+        start,
+        length,
+        ..JobSpec::default()
+    }
+}
+
+#[test]
+fn served_record_and_replay_match_offline_summary_lines() {
+    let dir = tmp("record-replay");
+    let daemon = Daemon::bind("127.0.0.1:0", &dir, ServeConfig::default(), None).expect("binds");
+    let addr = daemon.local_addr().to_string();
+    let server = std::thread::spawn(move || daemon.run());
+
+    // Offline reference: `elfie record` + `elfie replay` of the region.
+    let (start, length) = (20_000, 6_000);
+    let w = elfie::workloads::find_workload("gcc_like", InputScale::Test).expect("workload exists");
+    let pb = elfie::pinplay::Logger::new(elfie::pinplay::LoggerConfig::fat(
+        &w.name,
+        elfie::pinball::RegionTrigger::GlobalIcount(start),
+        length,
+    ))
+    .capture(&w.program, |m| w.setup(m))
+    .expect("captures");
+    let summary = Replayer::new(ReplayConfig::default()).replay(&pb, |_| {});
+    assert!(summary.completed, "offline replay completes");
+
+    let mut client = Client::connect(&addr).expect("connects");
+    for (kind, expected) in [
+        (JobKind::Record, elfie::render::capture_line(&pb)),
+        (
+            JobKind::Replay,
+            elfie::render::replay_line(&pb.region.name, &summary),
+        ),
+    ] {
+        match client
+            .submit("acme", region_spec(kind, start, length))
+            .expect("submits")
+        {
+            Response::Done { report, .. } => assert_eq!(report, expected, "{kind:?}"),
+            other => panic!("{kind:?}: {other:?}"),
+        }
+    }
+
+    client.shutdown().expect("shutdown");
+    server.join().expect("daemon thread");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn tenants_stay_isolated_while_shards_share_caches() {
+    let dir = tmp("tenants");
+    let cfg = ServeConfig {
+        shards: 2,
+        ..ServeConfig::default()
+    };
+    let daemon = Daemon::bind("127.0.0.1:0", &dir, cfg, None).expect("binds");
+    let addr = daemon.local_addr().to_string();
+    let server = std::thread::spawn(move || daemon.run());
+
+    let mut client = Client::connect(&addr).expect("connects");
+    // Records the shared region as `tenant` and returns the `stats`
+    // deltas (misses, hits, store puts) the job caused.
+    let mut record = |tenant: &str| {
+        let before = client.stats().expect("stats");
+        match client
+            .submit(tenant, region_spec(JobKind::Record, 20_000, 6_000))
+            .expect("submits")
+        {
+            Response::Done { .. } => {}
+            other => panic!("{tenant}: {other:?}"),
+        }
+        let after = client.stats().expect("stats");
+        (
+            after.cache_misses - before.cache_misses,
+            after.cache_hits - before.cache_hits,
+            after.store_puts - before.store_puts,
+        )
+    };
+    assert_eq!(record("a"), (1, 0, 1), "a: cold capture, one put");
+    assert_eq!(
+        record("b"),
+        (1, 0, 1),
+        "b must not hit a's memory tier or store namespace"
+    );
+    assert_eq!(record("a"), (0, 1, 0), "a: warm hit, no put");
+
+    let refs: Vec<String> = elfie::store::Store::open(&dir)
+        .expect("opens store")
+        .list()
+        .expect("lists")
+        .into_iter()
+        .map(|e| e.name)
+        .collect();
+    for tenant in ["a", "b"] {
+        let prefix = format!("{tenant}--pinball-");
+        assert!(
+            refs.iter().any(|name| name.starts_with(&prefix)),
+            "no {prefix}… ref in {refs:?}"
+        );
     }
 
     client.shutdown().expect("shutdown");
