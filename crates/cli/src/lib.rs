@@ -716,7 +716,7 @@ fn summarize_request(args: &Args, rid_text: &str) -> Result<String, CliError> {
         files.len()
     );
     for s in &spans {
-        let _ = writeln!(
+        let _ = write!(
             out,
             "  +{:>10.3}us {:>12.3}us  {:<14} {} [{}]",
             s.ts_us - base,
@@ -725,6 +725,10 @@ fn summarize_request(args: &Args, rid_text: &str) -> Result<String, CliError> {
             s.name,
             s.cat
         );
+        if let Some(queue_ns) = s.queue_ns {
+            let _ = write!(out, " queue_ns={queue_ns}");
+        }
+        out.push('\n');
     }
     Ok(out)
 }
@@ -1913,6 +1917,40 @@ mod tests {
         .unwrap_err();
         assert!(e.0.contains("chrome trace"), "{e}");
         std::fs::remove_file(&bogus).ok();
+    }
+
+    #[test]
+    fn trace_summarize_request_prints_the_queue_wait() {
+        let dir = tmp("trace-request");
+        let tracer = Arc::new(Tracer::new(TraceMode::Full));
+        {
+            let mut job = tracer.span_labeled("serve", "job", "validate acme:gcc_like#3");
+            job.arg("queue_ns", 2_500);
+            job.arg("request_id", 41);
+        }
+        {
+            let mut request = tracer.span("serve", "request");
+            request.arg("request_id", 41);
+        }
+        let tracefile = dir.join("daemon.json");
+        let doc = elfie::trace::chrome_trace(&tracer.collect());
+        std::fs::write(&tracefile, doc.render()).unwrap();
+        let out = dispatch(&argv(&format!(
+            "trace summarize --request 41 {}",
+            tracefile.display()
+        )))
+        .expect("summarize --request");
+        let line = |name: &str| {
+            out.lines()
+                .find(|l| l.contains(name))
+                .unwrap_or_else(|| panic!("no {name} line: {out}"))
+        };
+        assert!(
+            line("job validate acme:gcc_like#3").ends_with("[serve] queue_ns=2500"),
+            "{out}"
+        );
+        assert!(!line(" request [serve]").contains("queue_ns"), "{out}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -10,12 +10,14 @@
 //!   `Json` from `elfie-trace`) with typed [`Request`]/[`Response`]
 //!   envelopes. Decoding never panics; truncation and oversized length
 //!   prefixes are typed [`FrameError`]s.
-//! * [`scheduler`] — jobs hash to N worker shards, each owning its own
-//!   bounded queue. Every shard runs jobs against one shared
-//!   `PipelineCache` per tenant, all over the store the daemon opened
-//!   once. Admission is a `try_send` onto the shard's queue; a full
-//!   shard sheds the job with a typed `Busy` instead of queueing
-//!   unboundedly.
+//! * [`scheduler`] — N worker shards, each owning its own bounded
+//!   queue. Every shard runs jobs against one shared `PipelineCache` per
+//!   tenant, all over the store the daemon opened once. While a core is
+//!   free a job goes to the shard with the fewest outstanding jobs, else
+//!   to its `(tenant, workload)` home shard. Admission is a `try_send`
+//!   onto that shard's queue; a full queue sheds the job with a typed
+//!   `Busy` instead of queueing unboundedly. A panicking job fails with
+//!   an `internal` error and its shard keeps serving.
 //! * [`daemon`]/[`client`] — the TCP ends. The daemon drains gracefully
 //!   on `shutdown` (every admitted job finishes first) and, with a
 //!   tracer attached, leaves an `elfie-trace` span per request/job, so

@@ -539,7 +539,7 @@ pub struct JobSummary {
     pub kind: JobKind,
     /// Workload name.
     pub workload: String,
-    /// Shard the job hashed to.
+    /// Shard the job was placed on.
     pub shard: u64,
     /// `queued`/`running`/`done`/`failed`.
     pub state: String,

@@ -1,20 +1,29 @@
 //! The sharded job scheduler behind an `elfie serve` daemon.
 //!
-//! Jobs hash to one of N *shards* — worker threads that each own a
+//! Jobs go to one of N *shards* — worker threads that each own a
 //! bounded [`std::sync::mpsc::sync_channel`] queue. Every shard runs its
 //! jobs against one shared map of per-tenant [`PipelineCache`] tiers, all
 //! over the single store the daemon opened: a tenant's memory tier is one
-//! object whichever shard runs the job. Admission is a `try_send` onto the
-//! target shard's channel; the result travels back on a per-job
-//! rendezvous channel. Each job takes the job-table lock for its state
-//! changes and the tenant-map lock once to find its cache. Hashing on
-//! `(tenant, workload)` keeps a tenant's repeat jobs on one shard's queue.
+//! object whichever shard runs the job, so placement is free to follow
+//! load. Each shard counts its outstanding (queued plus running) jobs.
+//! While fewer shards are busy than there are cores, a job goes to the
+//! shard with the fewest outstanding jobs: an idle shard takes it
+//! instead of it waiting behind another. Once every core is busy, a job
+//! goes to its home shard, a hash of `(tenant, workload)`: spreading
+//! further would only time-slice the cores, while at home a job queues
+//! behind its own pair's jobs, so a cheap workload's jobs need not wait
+//! behind an expensive one's. Admission is a `try_send` onto the chosen
+//! shard's channel; the result travels back on a per-job rendezvous
+//! channel. Each job takes the job-table lock for its state changes and
+//! the tenant-map lock once to find its cache.
 //!
-//! **Admission control**: a full shard queue sheds the job immediately
-//! ([`Enqueued::Busy`]) instead of queueing unboundedly — the caller
-//! turns that into the protocol's typed `Busy` response. **Graceful
-//! drain**: dropping the shard senders lets each worker finish its
-//! queued jobs and exit; [`Scheduler::drain`] joins them all.
+//! **Admission control**: a full queue on the chosen shard sheds the
+//! job immediately ([`Enqueued::Busy`]) instead of queueing unboundedly
+//! — the caller turns that into the protocol's typed `Busy` response.
+//! **Job isolation**: a job that panics fails with an `internal` error
+//! and its shard keeps serving. **Graceful drain**: dropping the shard
+//! senders lets each worker finish its queued jobs and exit;
+//! [`Scheduler::drain`] joins them all.
 
 use crate::protocol::{JobKind, JobPhase, JobSpec, JobSummary, ServeStats};
 use elfie::prelude::*;
@@ -28,8 +37,11 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
     /// Worker shards (each owns its queue; all share the tenant caches).
+    /// A job goes to the shard with the fewest outstanding jobs while a
+    /// core is free, else to its `(tenant, workload)` home shard.
     pub shards: usize,
-    /// Bounded queue depth per shard; a full queue sheds load.
+    /// Bounded queue depth per shard; a job whose chosen shard has a
+    /// full queue is shed.
     pub queue_depth: usize,
     /// Record the exposition-only metrics (per-shard queue depths,
     /// per-verb request counters, the job-latency histogram) and answer
@@ -252,6 +264,8 @@ struct ServeMetrics {
     jobs_submitted: Arc<Counter>,
     jobs_completed: Arc<Counter>,
     jobs_failed: Arc<Counter>,
+    /// Failed jobs whose failure was a panic (also in `jobs_failed`).
+    jobs_panicked: Arc<Counter>,
     busy_shed: Arc<Counter>,
     /// Connections accepted over the daemon's lifetime.
     connections: Arc<Gauge>,
@@ -280,6 +294,7 @@ impl ServeMetrics {
             jobs_submitted: registry.counter("serve.jobs.submitted"),
             jobs_completed: registry.counter("serve.jobs.completed"),
             jobs_failed: registry.counter("serve.jobs.failed"),
+            jobs_panicked: registry.counter("serve.jobs.panicked"),
             busy_shed: registry.counter("serve.busy_shed"),
             connections: registry.gauge("serve.connections"),
             peak_rss: registry.gauge("serve.peak_rss_bytes"),
@@ -311,6 +326,16 @@ struct Shared {
     tenants: Mutex<HashMap<String, Arc<PipelineCache>>>,
     table: JobTable,
     metrics: ServeMetrics,
+    /// Outstanding jobs per shard, queued plus running, indexed by shard
+    /// number: [`Scheduler::enqueue`] places by it and increments it, and
+    /// every exit path (shed, disconnect, reply) decrements it. The counts
+    /// are a placement hint and publish no other data, so they are
+    /// `Relaxed` and read without a lock: two racing submits may both
+    /// see the same shard as least loaded, and a stale read costs at
+    /// most one job queued behind another.
+    load: Vec<AtomicU64>,
+    /// Cores the shards run on ([`std::thread::available_parallelism`]).
+    cores: usize,
 }
 
 impl Shared {
@@ -355,8 +380,8 @@ pub fn valid_tenant(tenant: &str) -> bool {
         && Store::valid_ref_name(tenant)
 }
 
-/// FNV-1a over the job's placement key. Same tenant + workload → same
-/// shard, so repeat jobs land where the memory tier is already warm.
+/// FNV-1a over `(tenant, workload)`: the job's *home* shard, where it
+/// goes once every core is busy. Repeat jobs of one pair share a home.
 fn shard_of(tenant: &str, workload: &str, shards: usize) -> usize {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in tenant.bytes().chain([0u8]).chain(workload.bytes()) {
@@ -364,6 +389,32 @@ fn shard_of(tenant: &str, workload: &str, shards: usize) -> usize {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     (h % shards.max(1) as u64) as usize
+}
+
+/// Where a job goes: the least-loaded shard while fewer than `cores`
+/// shards are busy, else its `home` shard; home also wins ties. An idle
+/// shard thus takes a job instead of it waiting behind another while a
+/// core is free to run it. Past that, spreading jobs would only
+/// time-slice the cores and put every job behind every other.
+fn place(loads: &[AtomicU64], home: usize, cores: usize) -> usize {
+    let load = |shard: usize| loads[shard].load(Ordering::Relaxed);
+    let busy = (0..loads.len()).filter(|&shard| load(shard) > 0).count();
+    let least = least_loaded(loads);
+    if busy >= cores || load(home) <= load(least) {
+        home
+    } else {
+        least
+    }
+}
+
+/// The shard with the fewest outstanding jobs; ties go to the lowest
+/// index.
+fn least_loaded(loads: &[AtomicU64]) -> usize {
+    loads
+        .iter()
+        .enumerate()
+        .min_by_key(|(_, load)| load.load(Ordering::Relaxed))
+        .map_or(0, |(shard, _)| shard)
 }
 
 impl Scheduler {
@@ -377,6 +428,8 @@ impl Scheduler {
             tenants: Mutex::new(HashMap::new()),
             table: JobTable::default(),
             metrics: ServeMetrics::new(shards, cfg.telemetry),
+            load: (0..shards).map(|_| AtomicU64::new(0)).collect(),
+            cores: std::thread::available_parallelism().map_or(1, usize::from),
         });
         let mut senders = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
@@ -403,16 +456,20 @@ impl Scheduler {
     /// Admits `spec` under `tenant` without waiting for it: on success
     /// the caller holds the reply channel and can stream the job's
     /// phase changes from the job table while it runs.
-    /// A full target shard sheds the job immediately. `rid` is the
-    /// client's correlation id (0 = untagged), threaded onto the
-    /// worker's job span.
+    /// The job goes to the least-loaded shard while a core is free, else
+    /// to its home shard; if that shard's queue is full the job is shed
+    /// immediately. `rid` is the client's correlation id (0 = untagged),
+    /// threaded onto the worker's job span.
     pub fn enqueue(&self, tenant: &str, spec: JobSpec, rid: u64) -> Enqueued {
         if !valid_tenant(tenant) {
             return Enqueued::Rejected(format!(
                 "invalid tenant `{tenant}` (1-64 chars of [A-Za-z0-9._-])"
             ));
         }
-        let shard = shard_of(tenant, &spec.workload, self.senders.len());
+        let load = &self.shared.load;
+        let home = shard_of(tenant, &spec.workload, load.len());
+        let shard = place(load, home, self.shared.cores);
+        load[shard].fetch_add(1, Ordering::Relaxed);
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (reply_tx, reply) = mpsc::sync_channel::<JobOutcome>(1);
         let job = ShardJob {
@@ -439,6 +496,7 @@ impl Scheduler {
             Ok(()) => {}
             Err(mpsc::TrySendError::Full(_)) => {
                 // Shed: nothing was queued, so nothing stays tabled.
+                load[shard].fetch_sub(1, Ordering::Relaxed);
                 self.shared.metrics.busy_shed.add(1);
                 self.shared.table.remove(id);
                 return Enqueued::Busy {
@@ -447,6 +505,7 @@ impl Scheduler {
                 };
             }
             Err(mpsc::TrySendError::Disconnected(_)) => {
+                load[shard].fetch_sub(1, Ordering::Relaxed);
                 self.shared.table.remove(id);
                 return Enqueued::Rejected("daemon is draining".to_string());
             }
@@ -574,13 +633,25 @@ fn shard_worker(shard: usize, rx: &mpsc::Receiver<ShardJob>, shared: &Shared) {
                 t.span_labeled(
                     "serve",
                     "job",
-                    format!("{}:{}#{}", job.tenant, job.spec.workload, job.id),
+                    format!(
+                        "{} {}:{}#{}",
+                        job.spec.kind.name(),
+                        job.tenant,
+                        job.spec.workload,
+                        job.id
+                    ),
                 )
             });
-            if let (Some(span), true) = (span.as_mut(), job.rid != 0) {
-                span.arg("request_id", job.rid);
+            if let Some(span) = span.as_mut() {
+                span.arg("queue_ns", queue_ns);
+                if job.rid != 0 {
+                    span.arg("request_id", job.rid);
+                }
             }
-            execute(&job.spec, job.id, &cache, shared)
+            run_guarded(|| execute(&job.spec, job.id, &cache, shared)).unwrap_or_else(|e| {
+                m.jobs_panicked.add(1);
+                Err(e)
+            })
         };
         let run_ns = t0.elapsed().as_nanos() as u64;
         match &result {
@@ -596,6 +667,10 @@ fn shard_worker(shard: usize, rx: &mpsc::Receiver<ShardJob>, shared: &Shared) {
         if let Some(t) = &m.telemetry {
             t.job_latency.record(queue_ns.saturating_add(run_ns));
         }
+        // Uncount the job before replying: a closed-loop client submits
+        // its next job as soon as it reads this reply, and placement must
+        // not see the finished job as still running.
+        shared.load[shard].fetch_sub(1, Ordering::Relaxed);
         // The submitter may have given up (connection dropped); a full
         // or disconnected reply slot is fine either way.
         let _ = job.reply.try_send(JobOutcome {
@@ -606,6 +681,19 @@ fn shard_worker(shard: usize, rx: &mpsc::Receiver<ShardJob>, shared: &Shared) {
             result,
         });
     }
+}
+
+/// Runs `job` so that a panic cannot take its shard thread down: the
+/// panic comes back as an `internal` error carrying its message.
+fn run_guarded<T>(job: impl FnOnce() -> T) -> Result<T, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).map_err(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string payload".to_string());
+        format!("internal: job panicked: {message}")
+    })
 }
 
 /// Runs one job against the tenant's cache. Validate reports are the
@@ -757,6 +845,55 @@ mod tests {
         );
     }
 
+    fn loads(counts: &[u64]) -> Vec<AtomicU64> {
+        counts.iter().map(|&c| AtomicU64::new(c)).collect()
+    }
+
+    #[test]
+    fn placement_picks_the_least_loaded_shard_lowest_index_first() {
+        for (counts, want) in [
+            (&[0, 0][..], 0),
+            (&[1, 0], 1),
+            (&[1, 1], 0),
+            (&[2, 1, 1], 1),
+            (&[3], 0),
+        ] {
+            assert_eq!(least_loaded(&loads(counts)), want, "{counts:?}");
+        }
+    }
+
+    #[test]
+    fn a_busy_home_yields_to_an_idle_shard_only_while_a_core_is_free() {
+        for (counts, home, cores, want) in [
+            // An idle home keeps its job.
+            (&[0, 0][..], 1, 2, 1),
+            // A busy home with a core free: the least-loaded shard.
+            (&[0, 1], 1, 2, 0),
+            (&[2, 1, 1], 0, 8, 1),
+            // ...unless no shard is less loaded than home.
+            (&[1, 1], 1, 4, 1),
+            // Every core busy: the job stays home, idle shards or not.
+            (&[1, 1, 0], 0, 2, 0),
+            (&[1, 0], 0, 1, 0),
+            (&[3, 0, 0, 2], 3, 2, 3),
+        ] {
+            assert_eq!(
+                place(&loads(counts), home, cores),
+                want,
+                "{counts:?} home {home} cores {cores}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_becomes_an_internal_error() {
+        assert_eq!(run_guarded(|| 7), Ok(7));
+        let err = run_guarded(|| -> u32 { panic!("boom {}", 1) }).unwrap_err();
+        assert_eq!(err, "internal: job panicked: boom 1");
+        let err = run_guarded(|| -> u32 { panic!("static") }).unwrap_err();
+        assert_eq!(err, "internal: job panicked: static");
+    }
+
     #[test]
     fn tenant_validation_rejects_path_tricks() {
         assert!(valid_tenant("acme"));
@@ -778,6 +915,32 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert!(sched.table().snapshot().is_empty(), "nothing was tabled");
+        sched.drain();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_job_leaves_every_shard_uncounted() {
+        let dir = std::env::temp_dir().join(format!("elfie-sched-fail-{}", std::process::id()));
+        let store = Store::open(&dir).expect("opens store");
+        let mut sched = Scheduler::start(store, ServeConfig::default(), None);
+        let spec = JobSpec {
+            workload: "nope".to_string(),
+            ..JobSpec::default()
+        };
+        let Enqueued::Queued { id, reply } = sched.enqueue("acme", spec, 0) else {
+            panic!("an idle scheduler admits the job");
+        };
+        let outcome = sched.await_outcome(id, &reply).expect("replies");
+        assert!(outcome.result.is_err(), "{outcome:?}");
+        let loads: Vec<u64> = sched
+            .shared
+            .load
+            .iter()
+            .map(|load| load.load(Ordering::Relaxed))
+            .collect();
+        assert!(loads.iter().all(|&l| l == 0), "{loads:?}");
+        assert_eq!(sched.stats().failed, 1);
         sched.drain();
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -303,6 +303,9 @@ pub struct RequestSpan {
     pub name: String,
     /// Span category.
     pub cat: String,
+    /// Nanoseconds the request's job waited in a shard queue — the
+    /// `queue_ns` argument a daemon's job span carries; `None` elsewhere.
+    pub queue_ns: Option<u64>,
 }
 
 /// Extracts every span in a parsed Chrome trace document whose
@@ -340,12 +343,13 @@ pub fn request_chain(doc: &Json, rid: u64) -> Result<Vec<RequestSpan>, String> {
         if event.get("ph").and_then(Json::as_str) != Some("X") {
             continue;
         }
-        let matches = event
-            .get("args")
-            .and_then(|a| a.get("request_id"))
-            .and_then(Json::as_u64)
-            == Some(rid);
-        if !matches {
+        let arg = |key: &str| {
+            event
+                .get("args")
+                .and_then(|a| a.get(key))
+                .and_then(Json::as_u64)
+        };
+        if arg("request_id") != Some(rid) {
             continue;
         }
         let err = |e: String| format!("event {i}: {e}");
@@ -380,6 +384,7 @@ pub fn request_chain(doc: &Json, rid: u64) -> Result<Vec<RequestSpan>, String> {
                 .and_then(Json::as_str)
                 .unwrap_or("")
                 .to_string(),
+            queue_ns: arg("queue_ns"),
         });
     }
     chain.sort_by(|a, b| a.ts_us.total_cmp(&b.ts_us));
@@ -612,7 +617,8 @@ mod tests {
             span.arg("request_id", 77);
         }
         {
-            let mut span = tracer.span_labeled("serve", "job", "acme:gcc#1");
+            let mut span = tracer.span_labeled("serve", "job", "validate acme:gcc#1");
+            span.arg("queue_ns", 1_500);
             span.arg("request_id", 77);
             span.arg("shard", 2);
         }
@@ -627,7 +633,17 @@ mod tests {
         assert_eq!(chain.len(), 2, "{chain:?}");
         assert!(chain.iter().all(|s| s.thread == "conn-1"));
         assert!(chain.windows(2).all(|w| w[0].ts_us <= w[1].ts_us));
-        assert!(chain.iter().any(|s| s.name == "job acme:gcc#1"));
+        let job = chain
+            .iter()
+            .find(|s| s.name == "job validate acme:gcc#1")
+            .expect("job span");
+        assert_eq!(job.queue_ns, Some(1_500), "the job span's queue wait");
+        assert!(
+            chain
+                .iter()
+                .any(|s| s.name == "request" && s.queue_ns.is_none()),
+            "a span without the argument carries none: {chain:?}"
+        );
         assert!(request_chain(&parsed, 12345).unwrap().is_empty());
         assert!(request_chain(&Json::Null, 1).is_err());
     }

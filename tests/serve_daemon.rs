@@ -21,6 +21,8 @@
 //!   reports the cycles and CPI offline simulation computes;
 //! * served `record` and `replay` answer the offline summary lines;
 //! * tenants stay isolated while every shard shares their caches;
+//! * a job submitted while another runs goes to the idle shard, even for
+//!   the same tenant and workload, when a core is free to run it;
 //! * a client-stamped request id lands on the daemon-side spans of the
 //!   exported Chrome trace.
 
@@ -637,6 +639,101 @@ fn tenants_stay_isolated_while_shards_share_caches() {
     }
 
     client.shutdown().expect("shutdown");
+    server.join().expect("daemon thread");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_idle_shard_takes_the_job_another_shard_is_running() {
+    let dir = tmp("idle-shard");
+    let cfg = ServeConfig {
+        shards: 2,
+        ..ServeConfig::default()
+    };
+    let daemon = Daemon::bind("127.0.0.1:0", &dir, cfg, None).expect("binds");
+    let addr = daemon.local_addr().to_string();
+    let server = std::thread::spawn(move || daemon.run());
+
+    // Offline references: the region's capture line and its two-slice
+    // sharded simulation, over a region long enough that A runs for far
+    // longer than B's round trip.
+    let (start, length) = (20_000, 100_000);
+    let w = elfie::workloads::find_workload("gcc_like", InputScale::Test).expect("workload exists");
+    let pb = elfie::pinplay::Logger::new(elfie::pinplay::LoggerConfig::fat(
+        &w.name,
+        elfie::pinball::RegionTrigger::GlobalIcount(start),
+        length,
+    ))
+    .capture(&w.program, |m| w.setup(m))
+    .expect("captures");
+    let mut sim = elfie::sim::Simulator::gem5_se(elfie::sim::CoreParams::haswell_like());
+    sim.roi = elfie::sim::RoiMode::Always;
+    let shard_cfg = elfie::sim::ShardConfig {
+        shards: 2,
+        interval: length / 2,
+    };
+    let sharded = elfie::sim::simulate_pinball_sharded(&pb, &sim, &shard_cfg);
+    let o = &sharded.outcome;
+    let simulated = format!(
+        "sim gem5-haswell on {} ({} slices, {} workers): {} cycles, IPC {:.4}, CPI {:.4}, exit {:?}\n",
+        pb.region.name,
+        sharded.slices.len(),
+        sharded.workers,
+        o.cycles,
+        o.ipc,
+        o.cpi,
+        o.exit
+    );
+    let recorded = elfie::render::capture_line(&pb);
+
+    // A follows a sharded simulate. Once it reports a phase past
+    // `queued` it is running, and it stays counted on its shard until
+    // its reply is sent. B has the same tenant and workload, so the same
+    // home shard: with a second core free it must go to the idle shard;
+    // on a single core it stays home.
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let a_job = JobSpec {
+        sim: "gem5-haswell".to_string(),
+        shards: shard_cfg.shards as u64,
+        interval: shard_cfg.interval,
+        ..region_spec(JobKind::Simulate, start, length)
+    };
+    let mut a = Client::connect(&addr).expect("a connects");
+    let mut b = Client::connect(&addr).expect("b connects");
+    let mut a_shard = None;
+    let mut b_response = None;
+    let a_response = a
+        .submit_follow("acme", a_job, |_, shard, phase| {
+            if phase != JobPhase::Queued && b_response.is_none() {
+                a_shard = Some(shard);
+                b_response = Some(
+                    b.submit("acme", region_spec(JobKind::Record, start, length))
+                        .expect("b submits"),
+                );
+            }
+        })
+        .expect("a follows");
+    let a_shard = a_shard.expect("a reported a phase past queued");
+    match a_response {
+        Response::Done { shard, report, .. } => {
+            assert_eq!(shard, a_shard);
+            assert_eq!(report, simulated);
+        }
+        other => panic!("a: {other:?}"),
+    }
+    match b_response.expect("b submitted") {
+        Response::Done { shard, report, .. } => {
+            if cores >= 2 {
+                assert_ne!(shard, a_shard, "b must not queue behind a running job");
+            } else {
+                assert_eq!(shard, a_shard, "with every core busy, b stays home");
+            }
+            assert_eq!(report, recorded);
+        }
+        other => panic!("b: {other:?}"),
+    }
+
+    a.shutdown().expect("shutdown");
     server.join().expect("daemon thread");
     std::fs::remove_dir_all(&dir).ok();
 }
