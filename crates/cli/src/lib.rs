@@ -129,7 +129,9 @@ fn parse_trace_opts(args: &Args) -> Result<TraceOpts, CliError> {
                 None => TraceMode::Full,
                 Some(text) => TraceMode::parse(text).map_err(err)?,
             };
-            Some(Arc::new(Tracer::new(mode)))
+            let tracer = Arc::new(Tracer::new(mode));
+            tracer.set_thread_name("main");
+            Some(tracer)
         }
     };
     Ok(TraceOpts {
@@ -511,14 +513,7 @@ fn simulate_pinball_report(args: &Args, pb: &Pinball, sim: &Simulator) -> Result
         let _ = writeln!(report, "replay: {} (serial)", pb.region.name);
         return Ok(report);
     }
-    let cfg = elfie::sim::ShardConfig {
-        shards,
-        interval: if interval == 0 {
-            elfie::sim::ShardConfig::default().interval
-        } else {
-            interval
-        },
-    };
+    let cfg = elfie::sim::ShardConfig { shards, interval };
     let out = elfie::sim::simulate_pinball_sharded(pb, sim, &cfg);
     let mut report = render_sim_outcome(sim, &out.outcome);
     report.push('\n');
@@ -529,15 +524,14 @@ fn simulate_pinball_report(args: &Args, pb: &Pinball, sim: &Simulator) -> Result
         out.slices.len(),
         out.snapshots.len(),
         out.snapshot_bytes / 1024,
-        cfg.interval,
+        cfg.interval_for(pb.region.length),
     );
     let _ = writeln!(
         report,
-        "wall: profile {} ms  simulate {} ms  stitch {} us  bbv slices {}",
+        "wall: profile {} ms  simulate {} ms  stitch {} us",
         out.profile_wall_ns / 1_000_000,
         out.simulate_wall_ns / 1_000_000,
         out.stitch_wall_ns / 1_000,
-        out.bbv.slice_count(),
     );
     if !out.summary.completed {
         let _ = writeln!(report, "divergence: {:?}", out.summary.divergence);
@@ -1822,6 +1816,28 @@ mod tests {
             .expect("summarize stats");
         let vm_block: Vec<&str> = out.lines().filter(|l| l.starts_with("vm ")).collect();
         assert_eq!(rendered, vm_block.join("\n"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn simulate_shards_without_an_interval_runs_one_slice_per_shard() {
+        let dir = tmp("sim-default-interval");
+        let pbdir = dir.join("pb");
+        dispatch(&argv(&format!(
+            "record gcc_like --scale test --start 20000 --length 6000 --out {}",
+            pbdir.display()
+        )))
+        .expect("record");
+        let out = dispatch(&argv(&format!(
+            "simulate {} gcc_like --sim gem5-haswell --shards 4",
+            pbdir.display()
+        )))
+        .expect("simulate sharded");
+        assert!(
+            out.contains("4 worker(s), 4 slice(s), 3 snapshot(s)"),
+            "{out}"
+        );
+        assert!(out.contains("interval 1500\n"), "{out}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

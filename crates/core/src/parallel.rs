@@ -152,7 +152,6 @@ impl BatchValidator {
         let cache_before = self.cache.stats();
         let mut stats = StatsCollector::new();
         if let Some(tracer) = &self.tracer {
-            tracer.set_thread_name("main");
             stats = stats.with_tracer(Arc::clone(tracer));
         }
         let workers = self.worker_count();

@@ -302,7 +302,7 @@ pub struct JobSpec {
     /// (0 = unsharded single pass).
     pub shards: u64,
     /// Simulate: snapshot interval in instructions for sharded
-    /// simulation (0 = derive from `length`/`shards`).
+    /// simulation (0 = one slice per shard, `length / shards`).
     pub interval: u64,
 }
 

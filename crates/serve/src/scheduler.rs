@@ -754,12 +754,7 @@ fn execute(
             }
             let cfg = ShardConfig {
                 shards: spec.shards as usize,
-                interval: if spec.interval > 0 {
-                    spec.interval
-                } else {
-                    // Aim for one slice per shard over the region.
-                    (spec.length / spec.shards).max(1)
-                },
+                interval: spec.interval,
             };
             let table = &shared.table;
             let sharded = elfie::sim::simulate_pinball_sharded_with_progress(

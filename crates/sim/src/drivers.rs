@@ -16,7 +16,7 @@
 use crate::core::{CoreParams, KernelModel, RoiMode, SimStats, TimingObserver};
 use elfie_isa::Program;
 use elfie_pinball::Pinball;
-use elfie_pinplay::{ReplayConfig, Replayer};
+use elfie_pinplay::{ReplayConfig, ReplaySummary, Replayer};
 use elfie_trace::Tracer;
 use elfie_vm::{ExitReason, FastPathStats, Machine, MachineConfig, StopWhen};
 use std::collections::BTreeMap;
@@ -149,6 +149,19 @@ impl Simulator {
             ..MachineConfig::default()
         }
     }
+
+    /// The constrained replayer every pinball simulation runs on: this
+    /// simulator's machine config, plus its tracer when one is attached.
+    pub(crate) fn replayer(&self) -> Replayer {
+        let replayer = Replayer::new(ReplayConfig {
+            machine: self.machine_config(),
+            ..ReplayConfig::default()
+        });
+        match &self.tracer {
+            Some(tracer) => replayer.with_tracer(Arc::clone(tracer)),
+            None => replayer,
+        }
+    }
 }
 
 /// The result of one simulation.
@@ -173,6 +186,32 @@ pub struct SimOutcome {
     pub fastpath: FastPathStats,
 }
 
+impl SimOutcome {
+    /// Assembles an outcome from the timing totals; `cycles` is clamped
+    /// to 1 so IPC and CPI stay finite.
+    pub(crate) fn new(
+        stats: SimStats,
+        cycles: u64,
+        runtime_ns: u64,
+        exit: ExitReason,
+        machine_icounts: BTreeMap<u32, u64>,
+        fastpath: FastPathStats,
+    ) -> SimOutcome {
+        let cycles = cycles.max(1);
+        let insns = stats.user_insns + stats.kernel_insns;
+        SimOutcome {
+            ipc: insns as f64 / cycles as f64,
+            cpi: cycles as f64 / insns.max(1) as f64,
+            stats,
+            cycles,
+            runtime_ns,
+            exit,
+            machine_icounts,
+            fastpath,
+        }
+    }
+}
+
 /// Opens the per-run span on the simulator's optional tracer.
 fn sim_span(sim: &Simulator, name: &'static str) -> elfie_trace::Span {
     elfie_trace::maybe_span(sim.tracer.as_ref(), "sim", name)
@@ -185,24 +224,25 @@ fn finish_span(span: &mut elfie_trace::Span, out: &SimOutcome) {
     span.arg("guest_insns", out.fastpath.insns);
 }
 
-fn outcome(
-    obs: &TimingObserver,
-    exit: ExitReason,
-    machine_icounts: BTreeMap<u32, u64>,
-    fastpath: FastPathStats,
-) -> SimOutcome {
-    let stats = obs.stats();
-    let cycles = obs.cycles().max(1);
-    let insns = stats.user_insns + stats.kernel_insns;
-    SimOutcome {
-        runtime_ns: obs.runtime_ns(),
-        ipc: insns as f64 / cycles as f64,
-        cpi: cycles as f64 / insns.max(1) as f64,
-        stats,
-        cycles,
+fn outcome(m: &Machine<TimingObserver>, exit: ExitReason) -> SimOutcome {
+    let obs = &m.obs;
+    SimOutcome::new(
+        obs.stats(),
+        obs.cycles(),
+        obs.runtime_ns(),
         exit,
-        machine_icounts,
-        fastpath,
+        collect_icounts(m),
+        m.fastpath_stats(),
+    )
+}
+
+/// How a constrained replay ended: a divergence (detail in the summary)
+/// reads as a deadlock.
+pub(crate) fn replay_exit(summary: &ReplaySummary) -> ExitReason {
+    if summary.completed {
+        ExitReason::AllExited(0)
+    } else {
+        ExitReason::Deadlock
     }
 }
 
@@ -222,8 +262,7 @@ pub fn simulate_program(
     m.load_program(prog);
     setup(&mut m);
     let s = m.run(sim.fuel);
-    let icounts = collect_icounts(&m);
-    let out = outcome(&m.obs, s.reason, icounts, m.fastpath_stats());
+    let out = outcome(&m, s.reason);
     finish_span(&mut span, &out);
     out
 }
@@ -251,8 +290,7 @@ pub fn simulate_elfie(
     elfie_elf::load(&mut m, elf_bytes, &loader)?;
     m.stop_conditions = stop;
     let s = m.run(sim.fuel);
-    let icounts = collect_icounts(&m);
-    let out = outcome(&m.obs, s.reason, icounts, m.fastpath_stats());
+    let out = outcome(&m, s.reason);
     finish_span(&mut span, &out);
     Ok(out)
 }
@@ -263,21 +301,10 @@ pub fn simulate_elfie(
 /// the timing results inherit the paper's caveat about artificial stalls).
 pub fn simulate_pinball(pinball: &Pinball, sim: &Simulator) -> SimOutcome {
     let mut span = sim_span(sim, "simulate_pinball");
-    let mut replayer = Replayer::new(ReplayConfig {
-        machine: sim.machine_config(),
-        ..ReplayConfig::default()
-    });
-    if let Some(tracer) = &sim.tracer {
-        replayer = replayer.with_tracer(Arc::clone(tracer));
-    }
-    let (summary, m) = replayer.replay_full_with(pinball, sim.observer(), |_| {});
-    let exit = if summary.completed {
-        ExitReason::AllExited(0)
-    } else {
-        ExitReason::Deadlock // divergence; detail in summary
-    };
-    let icounts = collect_icounts(&m);
-    let out = outcome(&m.obs, exit, icounts, m.fastpath_stats());
+    let (summary, m) = sim
+        .replayer()
+        .replay_full_with(pinball, sim.observer(), |_| {});
+    let out = outcome(&m, replay_exit(&summary));
     finish_span(&mut span, &out);
     out
 }

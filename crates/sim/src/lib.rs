@@ -16,10 +16,9 @@
 //!
 //! Long regions can additionally be simulated in parallel *within* the
 //! region: [`shard::simulate_pinball_sharded`] runs a fast functional
-//! profiling pass that captures interval snapshots, fans the slices out
-//! over a worker pool, and deterministically stitches the per-slice
-//! results (`O(region / workers)` wall time; see [`shard`] for the
-//! determinism contract).
+//! pass whose only job is to capture interval snapshots, fans the slices
+//! out over a worker pool, and deterministically stitches the per-slice
+//! results (see [`shard`] for the determinism contract).
 
 pub mod cache;
 pub mod core;

@@ -1,12 +1,13 @@
 //! Sharded intra-region simulation over interval snapshots.
 //!
 //! Detailed timing simulation of a long region is serial in the region
-//! length; this module cuts that dependence to `O(region / workers)` wall
-//! time. A fast *profiling pass* (functional replay with a
-//! [`BbvCollector`] observer — no timing model) captures an interval
-//! [`Snapshot`] of the replay session every `interval` instructions. The
-//! resulting `K + 1` slices are then fanned out over a worker pool: each
-//! worker boots a fresh [`TimingObserver`] machine from its slice's
+//! length; this module spreads the timing work over `workers` threads.
+//! A fast *profiling pass* (plain functional replay: no observer, no
+//! timing model) captures an interval [`Snapshot`] of the replay session
+//! every `interval` instructions; placing the snapshots is its only job,
+//! and its `O(region)` functional replay is the part that stays serial.
+//! The resulting `K + 1` slices are then fanned out over a worker pool:
+//! each worker boots a fresh [`TimingObserver`] machine from its slice's
 //! snapshot (the first slice boots from the pinball itself), runs to the
 //! next snapshot's recorded instruction boundary, and reports per-slice
 //! statistics. A deterministic *stitch* merges the per-slice results in
@@ -23,8 +24,9 @@
 //! * The **stitched timing outcome is a pure function of the interval**:
 //!   it does not depend on the worker count, because the slice boundaries
 //!   are fixed by the profiling pass and every slice simulates in
-//!   isolation. `shards = 1, 2, 8, …` all produce the identical
-//!   [`SimOutcome`].
+//!   isolation. At a fixed interval, `shards = 1, 2, 8, …` all produce
+//!   the identical [`SimOutcome`]. (`interval = 0` derives the interval
+//!   from the shard count, see [`ShardConfig::interval_for`].)
 //! * With `interval >= region length` the profiling pass emits **zero
 //!   snapshots**, the single slice is an ordinary constrained replay, and
 //!   the stitched outcome equals [`simulate_pinball`]'s exactly.
@@ -39,14 +41,13 @@
 //! [`simulate_pinball`]: crate::drivers::simulate_pinball
 
 use crate::core::{SimStats, TimingObserver};
-use crate::drivers::{collect_icounts, SimOutcome, Simulator};
+use crate::drivers::{collect_icounts, replay_exit, SimOutcome, Simulator};
 use elfie_pinball::{Pinball, Snapshot};
-use elfie_pinplay::{ReplayConfig, ReplaySession, ReplaySummary, Replayer, SessionStep};
-use elfie_simpoint::{BbvCollector, BbvProfile};
-use elfie_vm::{ExitReason, FastPathStats};
+use elfie_pinplay::{ReplaySession, ReplaySummary, Replayer, SessionStep};
+use elfie_vm::{FastPathStats, NullObserver};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Configuration for [`simulate_pinball_sharded`].
@@ -58,15 +59,19 @@ pub struct ShardConfig {
     /// Snapshot interval in retired instructions. A snapshot is captured
     /// at the first scheduling boundary at or after each multiple of the
     /// interval; an interval at least as long as the region yields a
-    /// single slice.
+    /// single slice. `0` means one slice per shard (see
+    /// [`ShardConfig::interval_for`]).
     pub interval: u64,
 }
 
-impl Default for ShardConfig {
-    fn default() -> ShardConfig {
-        ShardConfig {
-            shards: 1,
-            interval: 10_000_000,
+impl ShardConfig {
+    /// The snapshot interval a run over a region of `region_len`
+    /// instructions uses: `interval` when set, otherwise
+    /// `max(1, region_len / max(1, shards))`, i.e. one slice per shard.
+    pub fn interval_for(&self, region_len: u64) -> u64 {
+        match self.interval {
+            0 => (region_len / self.shards.max(1) as u64).max(1),
+            set => set,
         }
     }
 }
@@ -76,7 +81,8 @@ impl Default for ShardConfig {
 /// boundaries. The serve layer forwards these to `--follow` clients.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardPhase {
-    /// The profiling pass (snapshot chain + BBV collection) started.
+    /// The profiling pass (functional replay capturing the snapshot
+    /// chain) started.
     Profile,
     /// `done` of `total` slices have finished simulating.
     Slice {
@@ -107,8 +113,8 @@ pub struct SliceReport {
 }
 
 /// The result of a sharded simulation: the stitched timing outcome plus
-/// the artifacts of the profiling pass (snapshot chain, BBV profile) and
-/// the scheduling accounting the bench/trace layers report.
+/// the profiling pass's snapshot chain and the scheduling accounting the
+/// bench/trace layers report.
 #[derive(Debug, Clone)]
 pub struct ShardedOutcome {
     /// Stitched timing outcome (see the module docs for semantics).
@@ -116,9 +122,6 @@ pub struct ShardedOutcome {
     /// Replay summary of the final slice — bit-identical to a serial
     /// replay's summary.
     pub summary: ReplaySummary,
-    /// BBV profile collected by the profiling pass, with one vector per
-    /// `interval` instructions (aligned with the slice schedule).
-    pub bbv: BbvProfile,
     /// The interval snapshot chain, in capture order. Callers may persist
     /// it (e.g. `Store::put_snapshot` with each element's predecessor as
     /// the parent) or drop it.
@@ -148,28 +151,16 @@ struct SliceOut {
     fin: Option<(ReplaySummary, BTreeMap<u32, u64>)>,
 }
 
-fn replayer_for(sim: &Simulator) -> Replayer {
-    let mut replayer = Replayer::new(ReplayConfig {
-        machine: sim.machine_config(),
-        ..ReplayConfig::default()
-    });
-    if let Some(tracer) = &sim.tracer {
-        replayer = replayer.with_tracer(Arc::clone(tracer));
-    }
-    replayer
-}
-
-/// Runs the profiling pass: a functional replay under a [`BbvCollector`]
-/// that pauses at every interval boundary to capture a snapshot. Returns
-/// the chain, the BBV profile, and the profiling pass's summary.
+/// Runs the profiling pass: a plain functional replay that pauses at
+/// every interval boundary to capture a snapshot. Returns the chain.
 fn profile_pass(
     pinball: &Pinball,
     sim: &Simulator,
     replayer: &Replayer,
     interval: u64,
-) -> (Vec<Snapshot>, BbvProfile, ReplaySummary) {
+) -> Vec<Snapshot> {
     let mut span = elfie_trace::maybe_span(sim.tracer.as_ref(), "sim", "shard_profile");
-    let mut session = replayer.session_with(pinball, BbvCollector::new(interval), None, |_| {});
+    let mut session = replayer.session_with(pinball, NullObserver, None, |_| {});
     let mut snaps: Vec<Snapshot> = Vec::new();
     let mut boundary = interval;
     while session.run_until(Some(boundary)) == SessionStep::Paused {
@@ -179,11 +170,9 @@ fn profile_pass(
         // multiple strictly ahead of where the pause actually landed.
         boundary = (session.global_icount() / interval + 1).saturating_mul(interval);
     }
-    let (summary, mut m) = session.finish();
-    let bbv = std::mem::replace(&mut m.obs, BbvCollector::new(interval)).finish();
     span.arg("snapshots", snaps.len() as u64);
-    span.arg("icount", summary.global_icount);
-    (snaps, bbv, summary)
+    span.arg("icount", session.global_icount());
+    snaps
 }
 
 /// Simulates one slice under a cold [`TimingObserver`] and packages the
@@ -293,16 +282,16 @@ pub fn simulate_pinball_sharded_with_progress(
     cfg: &ShardConfig,
     progress: &(dyn Fn(ShardPhase) + Sync),
 ) -> ShardedOutcome {
-    let interval = cfg.interval.max(1);
+    let interval = cfg.interval_for(pinball.region.length);
     let mut span = elfie_trace::maybe_span(sim.tracer.as_ref(), "sim", "simulate_sharded");
     span.arg("shards", cfg.shards as u64);
     span.arg("interval", interval);
-    let replayer = replayer_for(sim);
+    let replayer = sim.replayer();
 
     // Phase 1: profiling pass (functional; emits the snapshot chain).
     progress(ShardPhase::Profile);
     let t0 = Instant::now();
-    let (snaps, bbv, _profile_summary) = profile_pass(pinball, sim, &replayer, interval);
+    let snaps = profile_pass(pinball, sim, &replayer, interval);
     let snapshot_bytes: u64 = snaps.iter().map(|s| s.encoded_len() as u64).sum();
     let profile_wall_ns = t0.elapsed().as_nanos() as u64;
 
@@ -373,23 +362,9 @@ pub fn simulate_pinball_sharded_with_progress(
         slices.push(o.report);
     }
     let (summary, machine_icounts) = fin.expect("final slice runs to completion");
-    let exit = if summary.completed {
-        ExitReason::AllExited(0)
-    } else {
-        ExitReason::Deadlock // divergence; detail in summary
-    };
-    let cycles = cycles.max(1);
     let insns = stats.user_insns + stats.kernel_insns;
-    let outcome = SimOutcome {
-        ipc: insns as f64 / cycles as f64,
-        cpi: cycles as f64 / insns.max(1) as f64,
-        stats,
-        cycles,
-        runtime_ns,
-        exit,
-        machine_icounts,
-        fastpath,
-    };
+    let exit = replay_exit(&summary);
+    let outcome = SimOutcome::new(stats, cycles, runtime_ns, exit, machine_icounts, fastpath);
     let stitch_wall_ns = t2.elapsed().as_nanos() as u64;
     stitch_span.arg("slices", nslices as u64);
     stitch_span.arg("snapshot_bytes", snapshot_bytes);
@@ -401,7 +376,6 @@ pub fn simulate_pinball_sharded_with_progress(
     ShardedOutcome {
         outcome,
         summary,
-        bbv,
         snapshots: snaps,
         slices,
         snapshot_bytes,

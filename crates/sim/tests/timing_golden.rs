@@ -13,8 +13,9 @@
 //! * one captured region under `gem5_se(haswell_like)`,
 //!   `gem5_se(nehalem_like)`, `sniper()` (8 cores) and `coresim_simics()`
 //!   (full system: kernel footprint), each serial and with 2 shards at an
-//!   interval of region/8 (the sharded digest also folds in the profiling
-//!   pass's BBV fingerprint);
+//!   interval of region/8 (the sharded digest also folds in the snapshot
+//!   chain: its length, its encoded bytes and each snapshot's global
+//!   instruction count);
 //! * `profile_program` at two slice sizes.
 //!
 //! A deliberate change to the model re-records the tables from the
@@ -106,9 +107,13 @@ fn sim_rows(suite: &[Workload]) -> Vec<(String, &'static str, u64, u64)> {
             let serial = simulate_pinball(&pb, &sim);
             assert!(serial.stats.user_insns > 0, "{} {name}: ROI armed", w.name);
             let sharded = simulate_pinball_sharded(&pb, &sim, &shard_cfg);
-            let sharded_digest = outcome_digest(&sharded.outcome)
-                .u64(sharded.bbv.fingerprint())
-                .finish();
+            let mut sharded_digest = outcome_digest(&sharded.outcome)
+                .u64(sharded.snapshots.len() as u64)
+                .u64(sharded.snapshot_bytes);
+            for snap in &sharded.snapshots {
+                sharded_digest = sharded_digest.u64(snap.meta.global_icount);
+            }
+            let sharded_digest = sharded_digest.finish();
             rows.push((
                 w.name.clone(),
                 name,
@@ -183,86 +188,86 @@ fn bbv_profiles_are_pinned() {
 
 #[rustfmt::skip]
 const INT_GOLDEN: &[(&str, &str, u64, u64)] = &[
-    ("perlbench_like", "gem5-haswell", 0xd586c4fb7c032c67, 0x9479e61703e98301),
-    ("perlbench_like", "gem5-nehalem", 0xda7a58daa229b975, 0xdeddfb919a5680d2),
-    ("perlbench_like", "sniper", 0xda7a58daa229b975, 0xdeddfb919a5680d2),
-    ("perlbench_like", "simics", 0x209b38e2d330c646, 0xdb7cece5c4dead66),
-    ("gcc_like", "gem5-haswell", 0x2e381c24e0aa2ae4, 0x86d0491216e87e62),
-    ("gcc_like", "gem5-nehalem", 0x22a649ad6f3898a3, 0xc8ff986dce738033),
-    ("gcc_like", "sniper", 0x22a649ad6f3898a3, 0xc8ff986dce738033),
-    ("gcc_like", "simics", 0x40dbc886c649aedf, 0x5bec7940825fa6c7),
-    ("mcf_like", "gem5-haswell", 0x99b7ae804efaf03f, 0x8c50dbd15f3c7bf1),
-    ("mcf_like", "gem5-nehalem", 0x5c58149e50e98683, 0xee0722cf95a0921e),
-    ("mcf_like", "sniper", 0x5c58149e50e98683, 0xee0722cf95a0921e),
-    ("mcf_like", "simics", 0xd63cb793933b94ed, 0xd34f9610c2e32178),
-    ("omnetpp_like", "gem5-haswell", 0xd072b2632b2d73ae, 0x5f3e3854b305caeb),
-    ("omnetpp_like", "gem5-nehalem", 0x55f02cd68dc62e47, 0x7c4685169c7894fb),
-    ("omnetpp_like", "sniper", 0x55f02cd68dc62e47, 0x7c4685169c7894fb),
-    ("omnetpp_like", "simics", 0x24917d2f4cceea76, 0x18c0959902566f56),
-    ("xalancbmk_like", "gem5-haswell", 0xc8e4acf92201e068, 0x2343d873cad3d9f3),
-    ("xalancbmk_like", "gem5-nehalem", 0x7f55de048360b42a, 0xda73c0c7f6236c7d),
-    ("xalancbmk_like", "sniper", 0x7f55de048360b42a, 0xda73c0c7f6236c7d),
-    ("xalancbmk_like", "simics", 0x6405ce175ccd2114, 0x37460f9e551fe1f4),
-    ("x264_like", "gem5-haswell", 0x114eb0ff3a15c82b, 0xf2b2a778ee09b0e5),
-    ("x264_like", "gem5-nehalem", 0xfaf2d399b51c9f3b, 0x7680552580a66ca6),
-    ("x264_like", "sniper", 0xfaf2d399b51c9f3b, 0x7680552580a66ca6),
-    ("x264_like", "simics", 0xae7e8fc9ef1fc17a, 0x6761ed4d57c2dcf1),
-    ("deepsjeng_like", "gem5-haswell", 0x96f75deda72163b6, 0xef7fbe2a31412bca),
-    ("deepsjeng_like", "gem5-nehalem", 0xcea34f5274e85f66, 0x8ebcae19f830bcc8),
-    ("deepsjeng_like", "sniper", 0xcea34f5274e85f66, 0x8ebcae19f830bcc8),
-    ("deepsjeng_like", "simics", 0x78e83955d5e228eb, 0x71efd197a416627e),
-    ("leela_like", "gem5-haswell", 0x651569f3411ea0d5, 0x163c5d7eb652043b),
-    ("leela_like", "gem5-nehalem", 0xa1a36f1d24e1a921, 0xbdf6d46a32304b46),
-    ("leela_like", "sniper", 0xa1a36f1d24e1a921, 0xbdf6d46a32304b46),
-    ("leela_like", "simics", 0x4af6ea3e4fc091d7, 0xddfd28633b7a85ec),
-    ("exchange2_like", "gem5-haswell", 0x0628fcdc5cffc292, 0x694156127111dd7a),
-    ("exchange2_like", "gem5-nehalem", 0xb670e15ebd326ca8, 0x1b03b79e2666e233),
-    ("exchange2_like", "sniper", 0xb670e15ebd326ca8, 0x1b03b79e2666e233),
-    ("exchange2_like", "simics", 0xa85af8fc6eb2673e, 0xa0da156770e85bfa),
-    ("xz_like", "gem5-haswell", 0xefda1aceb2226062, 0x8aaf59354cd4b5b6),
-    ("xz_like", "gem5-nehalem", 0x3f78039212e4b144, 0x8c8f90cbe02a3c38),
-    ("xz_like", "sniper", 0x3f78039212e4b144, 0x8c8f90cbe02a3c38),
-    ("xz_like", "simics", 0x253f3449a3d43eec, 0x6c9c380fcd418c91),
+    ("perlbench_like", "gem5-haswell", 0xd586c4fb7c032c67, 0x9a5f1715b46ba6ed),
+    ("perlbench_like", "gem5-nehalem", 0xda7a58daa229b975, 0x650c5424f5cb763a),
+    ("perlbench_like", "sniper", 0xda7a58daa229b975, 0x650c5424f5cb763a),
+    ("perlbench_like", "simics", 0x209b38e2d330c646, 0xbe752f5c45e7579e),
+    ("gcc_like", "gem5-haswell", 0x2e381c24e0aa2ae4, 0x2038e4b40ed1a8c4),
+    ("gcc_like", "gem5-nehalem", 0x22a649ad6f3898a3, 0x70a0533fb4c27ffd),
+    ("gcc_like", "sniper", 0x22a649ad6f3898a3, 0x70a0533fb4c27ffd),
+    ("gcc_like", "simics", 0x40dbc886c649aedf, 0x439fc2f9b30b07c9),
+    ("mcf_like", "gem5-haswell", 0x99b7ae804efaf03f, 0x4ce3d5ad30e742d4),
+    ("mcf_like", "gem5-nehalem", 0x5c58149e50e98683, 0x92766f5bcce3a547),
+    ("mcf_like", "sniper", 0x5c58149e50e98683, 0x92766f5bcce3a547),
+    ("mcf_like", "simics", 0xd63cb793933b94ed, 0x7dc7924345dce465),
+    ("omnetpp_like", "gem5-haswell", 0xd072b2632b2d73ae, 0xed97365570ee0680),
+    ("omnetpp_like", "gem5-nehalem", 0x55f02cd68dc62e47, 0xd0494bc4cb96e0f0),
+    ("omnetpp_like", "sniper", 0x55f02cd68dc62e47, 0xd0494bc4cb96e0f0),
+    ("omnetpp_like", "simics", 0x24917d2f4cceea76, 0xc34a77b665accb5d),
+    ("xalancbmk_like", "gem5-haswell", 0xc8e4acf92201e068, 0x41d1babb93d31bab),
+    ("xalancbmk_like", "gem5-nehalem", 0x7f55de048360b42a, 0x54f02302b804e3d9),
+    ("xalancbmk_like", "sniper", 0x7f55de048360b42a, 0x54f02302b804e3d9),
+    ("xalancbmk_like", "simics", 0x6405ce175ccd2114, 0xe813d84f9192dd2c),
+    ("x264_like", "gem5-haswell", 0x114eb0ff3a15c82b, 0x026c8b19eeb2668c),
+    ("x264_like", "gem5-nehalem", 0xfaf2d399b51c9f3b, 0x75472381c9c8efd3),
+    ("x264_like", "sniper", 0xfaf2d399b51c9f3b, 0x75472381c9c8efd3),
+    ("x264_like", "simics", 0xae7e8fc9ef1fc17a, 0x504b41ce11df2850),
+    ("deepsjeng_like", "gem5-haswell", 0x96f75deda72163b6, 0x421950275548fe30),
+    ("deepsjeng_like", "gem5-nehalem", 0xcea34f5274e85f66, 0x007f97201f3d2eba),
+    ("deepsjeng_like", "sniper", 0xcea34f5274e85f66, 0x007f97201f3d2eba),
+    ("deepsjeng_like", "simics", 0x78e83955d5e228eb, 0x01712657d63ef044),
+    ("leela_like", "gem5-haswell", 0x651569f3411ea0d5, 0x8f681006accf158b),
+    ("leela_like", "gem5-nehalem", 0xa1a36f1d24e1a921, 0x005723f44618e0f6),
+    ("leela_like", "sniper", 0xa1a36f1d24e1a921, 0x005723f44618e0f6),
+    ("leela_like", "simics", 0x4af6ea3e4fc091d7, 0x55c015d219ba533c),
+    ("exchange2_like", "gem5-haswell", 0x0628fcdc5cffc292, 0x5d393bde45ecc519),
+    ("exchange2_like", "gem5-nehalem", 0xb670e15ebd326ca8, 0xd7070b7690c6a6f4),
+    ("exchange2_like", "sniper", 0xb670e15ebd326ca8, 0xd7070b7690c6a6f4),
+    ("exchange2_like", "simics", 0xa85af8fc6eb2673e, 0x388c5be77d7bbe99),
+    ("xz_like", "gem5-haswell", 0xefda1aceb2226062, 0x29243e4ed87f3241),
+    ("xz_like", "gem5-nehalem", 0x3f78039212e4b144, 0x92a169cefa2691b3),
+    ("xz_like", "sniper", 0x3f78039212e4b144, 0x92a169cefa2691b3),
+    ("xz_like", "simics", 0x253f3449a3d43eec, 0x370ea050b63a8f3a),
 ];
 
 #[rustfmt::skip]
 const FP_GOLDEN: &[(&str, &str, u64, u64)] = &[
-    ("lbm_like", "gem5-haswell", 0x718fcfc5a2a0ecb2, 0x51f32f65e0260676),
-    ("lbm_like", "gem5-nehalem", 0xb570516fc39c3aa1, 0xf4129760fc1edb70),
-    ("lbm_like", "sniper", 0xb570516fc39c3aa1, 0xf4129760fc1edb70),
-    ("lbm_like", "simics", 0xa5506f4c8d196c22, 0x322059dda5b5f3d0),
-    ("nab_like", "gem5-haswell", 0x6cf57a384c5c5192, 0x6955d2db63bfca25),
-    ("nab_like", "gem5-nehalem", 0x2bb018023be381c1, 0xb81111f425825095),
-    ("nab_like", "sniper", 0x2bb018023be381c1, 0xb81111f425825095),
-    ("nab_like", "simics", 0xf31a36a42b569d45, 0x3cf82923ce702e7a),
-    ("cam4_like", "gem5-haswell", 0xa4e1063907d3b9ee, 0x70f6f2a11cac4134),
-    ("cam4_like", "gem5-nehalem", 0xe4483153dfdbfcf0, 0x9d23d51d3c782870),
-    ("cam4_like", "sniper", 0xe4483153dfdbfcf0, 0x9d23d51d3c782870),
-    ("cam4_like", "simics", 0x1d1762b6bbb9ea72, 0x9695cdd74bfc43b8),
+    ("lbm_like", "gem5-haswell", 0x718fcfc5a2a0ecb2, 0x00720c6fb243e8fe),
+    ("lbm_like", "gem5-nehalem", 0xb570516fc39c3aa1, 0x9e08bdf01081f660),
+    ("lbm_like", "sniper", 0xb570516fc39c3aa1, 0x9e08bdf01081f660),
+    ("lbm_like", "simics", 0xa5506f4c8d196c22, 0xbfb22e04952c87c0),
+    ("nab_like", "gem5-haswell", 0x6cf57a384c5c5192, 0x23e2e34abc309cff),
+    ("nab_like", "gem5-nehalem", 0x2bb018023be381c1, 0xa3896b2980823f4f),
+    ("nab_like", "sniper", 0x2bb018023be381c1, 0xa3896b2980823f4f),
+    ("nab_like", "simics", 0xf31a36a42b569d45, 0x9405829a7c3419d0),
+    ("cam4_like", "gem5-haswell", 0xa4e1063907d3b9ee, 0x1d79432887e640be),
+    ("cam4_like", "gem5-nehalem", 0xe4483153dfdbfcf0, 0x616f7aa0e5cceb7a),
+    ("cam4_like", "sniper", 0xe4483153dfdbfcf0, 0x616f7aa0e5cceb7a),
+    ("cam4_like", "simics", 0x1d1762b6bbb9ea72, 0xdeb9c9ab9316e362),
 ];
 
 #[rustfmt::skip]
 const MT_GOLDEN: &[(&str, &str, u64, u64)] = &[
-    ("lbm_s_like", "gem5-haswell", 0xf1ef88f742c68f4f, 0xd692e2a4f3c4f054),
-    ("lbm_s_like", "gem5-nehalem", 0x4fdd21ce234e3338, 0x05ca5ddddbc74d61),
-    ("lbm_s_like", "sniper", 0x20ac156b3800039c, 0x554c169fdc2c47d0),
-    ("lbm_s_like", "simics", 0xe98603f4bdde52d9, 0x1394e00b54dba715),
-    ("bwaves_s_like", "gem5-haswell", 0x553fb02daf24e08d, 0x642987b4daaac331),
-    ("bwaves_s_like", "gem5-nehalem", 0x9b67a45cc0ae0998, 0xf0dc1bf22f540590),
-    ("bwaves_s_like", "sniper", 0x029c33e473843184, 0xa3bc083dd7013170),
-    ("bwaves_s_like", "simics", 0x787fc939763eca58, 0xa91ed9c37188e31a),
-    ("imagick_s_like", "gem5-haswell", 0x0809966d37fbe20f, 0x3d3954ab03c46346),
-    ("imagick_s_like", "gem5-nehalem", 0x36c0cf13eb36994b, 0xdfd9f86357a701fd),
-    ("imagick_s_like", "sniper", 0x2f35868cc14ff761, 0xce314c226ff30672),
-    ("imagick_s_like", "simics", 0x62dd16156909bbf2, 0xdd79996f01c193e4),
-    ("sweep3d_s_like", "gem5-haswell", 0xd4c147cef0db8ffc, 0x6e668578998f5494),
-    ("sweep3d_s_like", "gem5-nehalem", 0x9c3fb59634d8eed1, 0x79b633b418af551a),
-    ("sweep3d_s_like", "sniper", 0x9ac06f38cc450d2c, 0x33f7667c08d607cc),
-    ("sweep3d_s_like", "simics", 0xbf2d1f1b93113cf2, 0x35a39141f3ce3018),
-    ("xz_s_like", "gem5-haswell", 0xefda1aceb2226062, 0x8aaf59354cd4b5b6),
-    ("xz_s_like", "gem5-nehalem", 0x3f78039212e4b144, 0x8c8f90cbe02a3c38),
-    ("xz_s_like", "sniper", 0x3f78039212e4b144, 0x8c8f90cbe02a3c38),
-    ("xz_s_like", "simics", 0x253f3449a3d43eec, 0x6c9c380fcd418c91),
+    ("lbm_s_like", "gem5-haswell", 0xf1ef88f742c68f4f, 0x979b065ce3076ad8),
+    ("lbm_s_like", "gem5-nehalem", 0x4fdd21ce234e3338, 0x3d6b327c30e04a85),
+    ("lbm_s_like", "sniper", 0x20ac156b3800039c, 0xdd98cb0bd3eaa42c),
+    ("lbm_s_like", "simics", 0xe98603f4bdde52d9, 0x724d44a78a398541),
+    ("bwaves_s_like", "gem5-haswell", 0x553fb02daf24e08d, 0x1b78319edb57730c),
+    ("bwaves_s_like", "gem5-nehalem", 0x9b67a45cc0ae0998, 0x48ae599391252509),
+    ("bwaves_s_like", "sniper", 0x029c33e473843184, 0x63e569e2025245e9),
+    ("bwaves_s_like", "simics", 0x787fc939763eca58, 0x5dc9101f83bb03ef),
+    ("imagick_s_like", "gem5-haswell", 0x0809966d37fbe20f, 0x1fa355a2d3428187),
+    ("imagick_s_like", "gem5-nehalem", 0x36c0cf13eb36994b, 0xab571d88e066b584),
+    ("imagick_s_like", "sniper", 0x2f35868cc14ff761, 0xa2d065ef3ac160bb),
+    ("imagick_s_like", "simics", 0x62dd16156909bbf2, 0x9ddfafbaf2144b6d),
+    ("sweep3d_s_like", "gem5-haswell", 0xd4c147cef0db8ffc, 0xbd1ca56b8df8dcc3),
+    ("sweep3d_s_like", "gem5-nehalem", 0x9c3fb59634d8eed1, 0xcc13707c3ca3d551),
+    ("sweep3d_s_like", "sniper", 0x9ac06f38cc450d2c, 0xe079f077a4b6068b),
+    ("sweep3d_s_like", "simics", 0xbf2d1f1b93113cf2, 0x4a32c4277e777d0f),
+    ("xz_s_like", "gem5-haswell", 0xefda1aceb2226062, 0x29243e4ed87f3241),
+    ("xz_s_like", "gem5-nehalem", 0x3f78039212e4b144, 0x92a169cefa2691b3),
+    ("xz_s_like", "sniper", 0x3f78039212e4b144, 0x92a169cefa2691b3),
+    ("xz_s_like", "simics", 0x253f3449a3d43eec, 0x370ea050b63a8f3a),
 ];
 
 #[rustfmt::skip]

@@ -785,6 +785,42 @@ fn request_ids_correlate_daemon_spans_in_exported_trace() {
 }
 
 #[test]
+fn a_served_validate_keeps_its_shard_thread_name() {
+    let dir = tmp("thread-name");
+    let tracer = Arc::new(Tracer::new(TraceMode::Full));
+    let daemon = Daemon::bind(
+        "127.0.0.1:0",
+        &dir,
+        ServeConfig::default(),
+        Some(Arc::clone(&tracer)),
+    )
+    .expect("binds");
+    let addr = daemon.local_addr().to_string();
+    let server = std::thread::spawn(move || daemon.run());
+
+    let mut client = Client::connect(&addr).expect("connects");
+    match client.submit("acme", spec("gcc_like")).expect("submits") {
+        Response::Done { .. } => {}
+        other => panic!("{other:?}"),
+    }
+    client.shutdown().expect("shutdown");
+    server.join().expect("daemon thread");
+
+    // The validate engine runs on the shard worker's thread; it must not
+    // rename that thread's track.
+    let data = tracer.collect();
+    let job_tracks: Vec<&str> = data
+        .tracks
+        .iter()
+        .filter(|t| t.events.iter().any(|e| e.name == "job"))
+        .map(|t| t.name.as_str())
+        .collect();
+    assert_eq!(job_tracks.len(), 1, "{job_tracks:?}");
+    assert!(job_tracks[0].starts_with("shard-"), "{job_tracks:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn startup_failures_are_typed_errors_not_panics() {
     // Store path exists but is a file.
     let dir = tmp("startup");

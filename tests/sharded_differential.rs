@@ -6,21 +6,19 @@
 //! {1, 2, 8}:
 //!
 //! * the stitched outcome (stats, cycles, runtime, per-thread icounts, VM
-//!   fast-path counters), the snapshot chain, the slice schedule and the
-//!   BBV fingerprint are identical across shard counts;
+//!   fast-path counters), the snapshot chain and the slice schedule are
+//!   identical across shard counts;
 //! * the final-slice replay summary equals a plain serial replay's, and a
 //!   session resumed from the *last* snapshot reaches the serial run's
 //!   exact final memory + register state (FNV digest over every mapped
 //!   page, every thread's registers, and the global counters);
 //! * with a coarse interval (no snapshots) the outcome equals
-//!   `simulate_pinball` exactly, fast-path counters included;
-//! * the BBV profile equals an independent serial collection.
+//!   `simulate_pinball` exactly, fast-path counters included.
 
 use elfie_isa::Fnv64;
 use elfie_pinball::{RegImage, RegionTrigger};
 use elfie_pinplay::{Logger, LoggerConfig, ReplayConfig, Replayer, SessionStep};
 use elfie_sim::{simulate_pinball, simulate_pinball_sharded, CoreParams, ShardConfig, Simulator};
-use elfie_simpoint::BbvCollector;
 use elfie_vm::{Machine, MachineConfig, NullObserver, Observer};
 use elfie_workloads::{suite_fp, suite_int, suite_speed_mt, InputScale, Workload};
 
@@ -78,12 +76,6 @@ fn check_workload(w: &Workload, sim: &Simulator) {
     assert!(ref_summary.completed, "{}: serial replay diverged", w.name);
     let ref_digest = machine_digest(&ref_m);
 
-    // Independent serial BBV collection at the fine slice size.
-    let mut bbv_session = replayer.session_with(&pb, BbvCollector::new(FINE), None, |_| {});
-    assert_eq!(bbv_session.run_until(None), SessionStep::Done);
-    let (_, mut bbv_m) = bbv_session.finish();
-    let ref_bbv = std::mem::replace(&mut bbv_m.obs, BbvCollector::new(1)).finish();
-
     for interval in [FINE, COARSE] {
         let outs: Vec<_> = [1usize, 2, 8]
             .iter()
@@ -129,11 +121,6 @@ fn check_workload(w: &Workload, sim: &Simulator) {
             );
             assert_eq!(o.outcome.fastpath, base.outcome.fastpath, "{tag}: fastpath");
             assert_eq!(o.snapshots, base.snapshots, "{tag}: snapshot chain");
-            assert_eq!(
-                o.bbv.fingerprint(),
-                base.bbv.fingerprint(),
-                "{tag}: BBV fingerprint"
-            );
             assert_eq!(o.slices.len(), base.slices.len(), "{tag}: slice count");
             for (a, b) in o.slices.iter().zip(&base.slices) {
                 assert_eq!(
@@ -148,12 +135,6 @@ fn check_workload(w: &Workload, sim: &Simulator) {
             assert!(
                 !base.snapshots.is_empty(),
                 "{}: fine interval must produce snapshots",
-                w.name
-            );
-            assert_eq!(
-                base.bbv.fingerprint(),
-                ref_bbv.fingerprint(),
-                "{}: BBV vs independent serial collection",
                 w.name
             );
         } else {
