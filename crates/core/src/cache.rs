@@ -1,8 +1,8 @@
 //! Content-addressed caching of expensive pipeline artifacts.
 //!
 //! The two dominant costs in validation are BBV profiling (a full guest
-//! run per workload) and fat-pinball capture (another full run per
-//! candidate region). Both are deterministic functions of their inputs,
+//! run per workload) and fat-pinball capture (a logging run per workload,
+//! plus one per alternate tried). Both are deterministic functions of their inputs,
 //! so [`PipelineCache`] stores them under stable content hashes: a profile
 //! under [`elfie_simpoint::ProfileKey`] (workload content, machine
 //! fingerprint, slice size, fuel) and a pinball under the workload content
@@ -307,7 +307,8 @@ impl PipelineCache {
     }
 
     /// Returns the cached pinball under `key`, or runs `compute`.
-    /// Failed captures are returned as-is and never cached.
+    /// Failed captures are returned as-is and never cached. This is the
+    /// one-key case of [`PipelineCache::pinballs`].
     ///
     /// # Errors
     /// Propagates the [`CaptureError`] from `compute` on a miss.
@@ -316,11 +317,51 @@ impl PipelineCache {
         key: u64,
         compute: impl FnOnce() -> Result<Pinball, CaptureError>,
     ) -> Result<Arc<Pinball>, CaptureError> {
+        self.pinballs(&[key], |_| vec![compute()])
+            .pop()
+            .expect("one result per key")
+    }
+
+    /// Looks up every key in turn — memory, then store — and computes all
+    /// the misses in one `compute_missing` call, which receives the
+    /// missing positions in `keys` (ascending) and returns one result per
+    /// position, in that order. Each key counts one hit or one miss, and
+    /// each computed pinball one store put when written through. Failed
+    /// captures are returned as-is and never cached. Results come back in
+    /// `keys` order.
+    ///
+    /// # Panics
+    /// Panics if `compute_missing` returns a different number of results
+    /// than it was given positions.
+    pub fn pinballs(
+        &self,
+        keys: &[u64],
+        compute_missing: impl FnOnce(&[usize]) -> Vec<Result<Pinball, CaptureError>>,
+    ) -> Vec<Result<Arc<Pinball>, CaptureError>> {
+        let mut results: Vec<Option<Result<Arc<Pinball>, CaptureError>>> =
+            keys.iter().map(|&key| self.lookup(key).map(Ok)).collect();
+        let missing: Vec<usize> = (0..keys.len()).filter(|&i| results[i].is_none()).collect();
+        if !missing.is_empty() {
+            let computed = compute_missing(&missing);
+            assert_eq!(computed.len(), missing.len(), "one result per missing key");
+            for (&i, result) in missing.iter().zip(computed) {
+                results[i] = Some(result.map(|pb| self.insert(keys[i], pb)));
+            }
+        }
+        results
+            .into_iter()
+            .map(|r| r.expect("looked up or computed"))
+            .collect()
+    }
+
+    /// One pinball lookup: memory, then store. Counts the hit, or the
+    /// miss when neither tier has `key`.
+    fn lookup(&self, key: u64) -> Option<Arc<Pinball>> {
         if let Some(hit) = self.pinballs.lock().unwrap().get(&key) {
             self.pinball_hits.fetch_add(1, Ordering::Relaxed);
             let hit = Arc::clone(hit);
             self.trace_event("pinball_hit", &[("key", key)]);
-            return Ok(hit);
+            return Some(hit);
         }
         if let Some(found) = self.store_pinball(key) {
             self.pinball_hits.fetch_add(1, Ordering::Relaxed);
@@ -328,11 +369,17 @@ impl PipelineCache {
             self.trace_event("pinball_store_hit", &[("key", key)]);
             let value = Arc::new(found);
             let mut mem = self.pinballs.lock().unwrap();
-            return Ok(Arc::clone(mem.entry(key).or_insert(value)));
+            return Some(Arc::clone(mem.entry(key).or_insert(value)));
         }
         self.pinball_misses.fetch_add(1, Ordering::Relaxed);
         self.trace_event("pinball_miss", &[("key", key)]);
-        let value = Arc::new(compute()?);
+        None
+    }
+
+    /// Stores a computed pinball: writes it through to the store, if
+    /// any, then keeps it in memory.
+    fn insert(&self, key: u64, pinball: Pinball) -> Arc<Pinball> {
+        let value = Arc::new(pinball);
         if let Some(store) = &self.store {
             if store.put_pinball(&self.pinball_ref(key), &value).is_ok() {
                 self.store_puts.fetch_add(1, Ordering::Relaxed);
@@ -340,7 +387,7 @@ impl PipelineCache {
             }
         }
         let mut mem = self.pinballs.lock().unwrap();
-        Ok(Arc::clone(mem.entry(key).or_insert(value)))
+        Arc::clone(mem.entry(key).or_insert(value))
     }
 
     /// Opens the pinball stored under `key` in the persistent tier
@@ -440,6 +487,52 @@ mod tests {
         assert_eq!(cache.pinball_count(), 0);
         // A later successful compute still runs.
         assert_eq!(cache.stats().pinball_misses, 1);
+    }
+
+    /// A small captured pinball named `name`.
+    fn pinball_named(name: &str) -> Pinball {
+        let w = elfie_workloads::gcc_like(0);
+        elfie_pinplay::Logger::new(elfie_pinplay::LoggerConfig::fat(
+            name,
+            elfie_pinball::RegionTrigger::GlobalIcount(100),
+            100,
+        ))
+        .capture(&w.program, |m| w.setup(m))
+        .expect("captures")
+    }
+
+    #[test]
+    fn pinballs_compute_every_miss_in_one_call() {
+        let cache = PipelineCache::new();
+        cache.pinball(2, || Ok(pinball_named("two"))).unwrap();
+        let mut calls = 0;
+        let got = cache.pinballs(&[1, 2, 3, 4], |missing| {
+            calls += 1;
+            assert_eq!(missing, &[0, 2, 3]);
+            vec![
+                Ok(pinball_named("one")),
+                Err(CaptureError::NoLiveThreads),
+                Ok(pinball_named("four")),
+            ]
+        });
+        assert_eq!(calls, 1);
+        let names: Vec<String> = got
+            .iter()
+            .map(|r| r.as_ref().map_or("err".into(), |pb| pb.meta.name.clone()))
+            .collect();
+        assert_eq!(names, ["one", "two", "err", "four"]);
+        let s = cache.stats();
+        assert_eq!((s.pinball_hits, s.pinball_misses), (1, 1 + 3));
+        assert_eq!(cache.pinball_count(), 3, "the failure is not cached");
+
+        // All hits now but the failed key: only it is computed again.
+        let again = cache.pinballs(&[4, 1, 3], |missing| {
+            assert_eq!(missing, &[2]);
+            vec![Ok(pinball_named("three"))]
+        });
+        assert!(again.iter().all(Result::is_ok));
+        let s = cache.stats();
+        assert_eq!((s.pinball_hits, s.pinball_misses), (3, 5));
     }
 
     #[test]

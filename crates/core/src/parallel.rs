@@ -1,31 +1,44 @@
 //! Parallel batch validation.
 //!
 //! Validation cost is dominated by independent guest runs: one BBV
-//! profiling run per workload, one whole-program measurement per workload,
-//! and one capture→convert→measure chain per cluster. [`BatchValidator`]
-//! fans those units across a scoped worker pool (`std::thread::scope` —
-//! the toolchain's stable scoped-threads API, so no external crate is
-//! needed) while keeping the semantics of the serial path:
+//! profiling run and one logging pass per workload, one whole-program
+//! measurement per workload, and one convert→measure chain per cluster.
+//! [`BatchValidator`] fans those units across a scoped worker pool
+//! (`std::thread::scope` — the toolchain's stable scoped-threads API, so
+//! no external crate is needed) in two phases:
+//!
+//! 1. per workload, a *select* task — profile, pick the regions, then
+//!    capture every cluster's representative in one logging pass
+//!    ([`elfie_pinplay::Logger::capture_all`]) — and a *measure_whole*
+//!    task, which needs no selection and so runs beside it;
+//! 2. per cluster, the chain: convert and measure the representative the
+//!    select task captured, falling back to alternates (captured one by
+//!    one) until a candidate completes.
+//!
+//! The semantics stay those of the serial path:
 //!
 //! * the *unit of parallelism is the cluster*, never the candidate — a
 //!   cluster's fallback-to-alternate chain is inherently sequential (an
 //!   alternate is only tried after the representative fails), so it stays
 //!   on one worker;
 //! * results are merged in deterministic workload/cluster order, and the
-//!   per-cluster work is the exact same function the serial path runs, so
+//!   per-unit work is the exact same function the serial path runs, so
 //!   a parallel [`crate::pipeline::ValidationReport`] is identical to a
 //!   serial one — including float-summation order (asserted by the
-//!   `parallel_validation` integration test);
+//!   `parallel_validation` integration test). The one-pass capture
+//!   yields the same pinballs as capturing each region alone, and the
+//!   cache sees the same lookups: one per representative, one per
+//!   alternate tried;
 //! * workers share one [`PipelineCache`], so repeated runs (second
 //!   trials, ablation sweeps) skip profiling and capture entirely.
 //!
 //! Work is distributed by an atomic task counter rather than pre-chunking,
-//! so a slow cluster does not stall the neighbours a static partition
+//! so a slow unit does not stall the neighbours a static partition
 //! would have assigned to the same worker.
 
 use crate::cache::PipelineCache;
 use crate::perf::{self, NativeMeasurement};
-use crate::pipeline::{self, ClusterOutcome, PipelineError, ValidationReport};
+use crate::pipeline::{self, ClusterOutcome, Head, PipelineError, ValidationReport};
 use crate::stats::{PipelineStats, Stage, StatsCollector};
 use elfie_simpoint::{PinPoints, PinPointsConfig};
 use elfie_trace::Tracer;
@@ -130,10 +143,11 @@ impl BatchValidator {
     }
 
     /// Validates a batch of workloads against one selection configuration,
-    /// fanning every independent unit — profiling runs, whole-program
-    /// measurements, cluster chains — across the worker pool. Reports come
-    /// back in workload order and are identical to running
-    /// [`crate::pipeline::validate_with_elfies`] on each workload in turn.
+    /// fanning every independent unit — profiling and logging passes,
+    /// whole-program measurements, cluster chains — across the worker
+    /// pool. Reports come back in workload order and are identical to
+    /// running [`crate::pipeline::validate_with_elfies`] on each workload
+    /// in turn.
     ///
     /// The returned [`PipelineStats`] covers this batch only (cache
     /// counters are windowed to the run, not the cache lifetime).
@@ -158,84 +172,78 @@ impl BatchValidator {
         let _batch_span =
             elfie_trace::maybe_span(self.tracer.as_ref(), "pipeline", "validate_batch");
 
-        // Phase 1: profile + select, one task per workload.
-        let selections: Vec<PinPoints> =
-            run_indexed_traced(workers, workloads.len(), self.tracer.as_ref(), |i| {
-                let _span = task_span(self.tracer.as_ref(), "select", &workloads[i].name);
-                pipeline::select_regions_cached(&workloads[i], cfg, fuel, &self.cache, &stats)
-            });
-
-        // Phase 2: one task per whole-program measurement plus one per
-        // cluster chain. The task list is in merge order, so phase output
-        // can be consumed sequentially regardless of completion order.
-        #[derive(Clone, Copy)]
-        enum Task {
-            Whole(usize),
-            Cluster(usize, usize),
-        }
+        // Phase 1: two tasks per workload. One profiles, selects and
+        // captures every cluster's representative in one logging pass;
+        // the other measures the whole program, which needs no selection.
         enum Done {
+            Selected(PinPoints, Vec<Option<Head>>),
             Whole(NativeMeasurement),
-            Cluster(ClusterOutcome),
         }
-        let mut tasks = Vec::new();
-        for (i, selection) in selections.iter().enumerate() {
-            tasks.push(Task::Whole(i));
-            for cluster in 0..selection.k {
-                tasks.push(Task::Cluster(i, cluster));
+        let done = run_indexed_traced(workers, 2 * workloads.len(), self.tracer.as_ref(), |t| {
+            let w = &workloads[t / 2];
+            if t % 2 == 0 {
+                let _span = task_span(self.tracer.as_ref(), "select", &w.name);
+                let points = pipeline::select_regions_cached(w, cfg, fuel, &self.cache, &stats);
+                let heads = pipeline::capture_heads_cached(w, &points, &self.cache, &stats);
+                Done::Selected(points, heads)
+            } else {
+                let _span = task_span(self.tracer.as_ref(), "measure_whole", &w.name);
+                Done::Whole(stats.time(Stage::Measure, || {
+                    let meas = perf::measure_program(w, seed, fuel);
+                    stats.record_vm(meas.fastpath, meas.vm_wall);
+                    meas
+                }))
+            }
+        });
+        let mut selections = Vec::with_capacity(workloads.len());
+        let mut wholes = Vec::with_capacity(workloads.len());
+        for d in done {
+            match d {
+                Done::Selected(points, heads) => selections.push((points, heads)),
+                Done::Whole(whole) => wholes.push(whole),
             }
         }
-        let done = run_indexed_traced(
-            workers,
-            tasks.len(),
-            self.tracer.as_ref(),
-            |t| match tasks[t] {
-                Task::Whole(i) => {
-                    let _span =
-                        task_span(self.tracer.as_ref(), "measure_whole", &workloads[i].name);
-                    Done::Whole(stats.time(Stage::Measure, || {
-                        let meas = perf::measure_program(&workloads[i], seed, fuel);
-                        stats.record_vm(meas.fastpath, meas.vm_wall);
-                        meas
-                    }))
-                }
-                Task::Cluster(i, cluster) => {
-                    let _span = match self.tracer.as_ref() {
-                        Some(tr) => tr.span_labeled(
-                            "task",
-                            "cluster",
-                            format!("{}#{cluster}", workloads[i].name),
-                        ),
-                        None => elfie_trace::Span::disabled(),
-                    };
-                    Done::Cluster(pipeline::validate_cluster(
-                        &workloads[i],
-                        &selections[i],
-                        cluster,
-                        seed,
-                        fuel,
-                        &self.cache,
-                        &stats,
-                    ))
-                }
-            },
-        );
+
+        // Phase 2: one task per cluster chain, in merge order, so phase
+        // output can be consumed sequentially regardless of completion
+        // order.
+        let tasks: Vec<(usize, usize)> = selections
+            .iter()
+            .enumerate()
+            .flat_map(|(i, (points, _))| (0..points.k).map(move |c| (i, c)))
+            .collect();
+        let outcomes = run_indexed_traced(workers, tasks.len(), self.tracer.as_ref(), |t| {
+            let (i, cluster) = tasks[t];
+            let _span = match self.tracer.as_ref() {
+                Some(tr) => tr.span_labeled(
+                    "task",
+                    "cluster",
+                    format!("{}#{cluster}", workloads[i].name),
+                ),
+                None => elfie_trace::Span::disabled(),
+            };
+            let (points, heads) = &selections[i];
+            pipeline::validate_cluster(
+                &workloads[i],
+                &points.candidates(cluster),
+                heads[cluster].clone(),
+                seed,
+                fuel,
+                &self.cache,
+                &stats,
+            )
+        });
 
         // Merge in task order: deterministic regardless of scheduling.
-        let mut reports = Vec::with_capacity(workloads.len());
-        let mut done = done.into_iter();
-        for selection in &selections {
-            let whole = match done.next() {
-                Some(Done::Whole(m)) => m,
-                _ => unreachable!("task list starts each workload with Whole"),
-            };
-            let outcomes: Vec<ClusterOutcome> = (0..selection.k)
-                .map(|_| match done.next() {
-                    Some(Done::Cluster(o)) => o,
-                    _ => unreachable!("one Cluster task per cluster"),
-                })
-                .collect();
-            reports.push(pipeline::assemble_report(whole, selection.k, outcomes));
-        }
+        let mut outcomes = outcomes.into_iter();
+        let reports = selections
+            .iter()
+            .zip(wholes)
+            .map(|((points, _), whole)| {
+                let chains: Vec<ClusterOutcome> = outcomes.by_ref().take(points.k).collect();
+                pipeline::assemble_report(whole, points.k, chains)
+            })
+            .collect();
 
         let cache_window = self.cache.stats().since(cache_before);
         Ok((reports, stats.finish(t0.elapsed(), workers, cache_window)))

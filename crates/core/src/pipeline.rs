@@ -19,6 +19,7 @@ use elfie_sysstate::SysState;
 use elfie_vm::MachineConfig;
 use elfie_workloads::Workload;
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors from the end-to-end pipeline.
 #[derive(Debug)]
@@ -74,23 +75,39 @@ pub fn select_regions(w: &Workload, cfg: &PinPointsConfig, fuel: u64) -> PinPoin
 }
 
 /// Captures a fat pinball for one selected region, including its warm-up
-/// span (the region descriptor records the split).
+/// span (the region descriptor records the split). This is the
+/// one-region case of [`capture_pinpoints`].
 pub fn capture_pinpoint(w: &Workload, point: &PinPoint) -> Result<Pinball, CaptureError> {
-    let start = point.start_icount.saturating_sub(point.warmup);
-    let warmup = point.start_icount - start;
-    let mut cfg = LoggerConfig::fat(
-        &w.name,
-        if start == 0 {
-            RegionTrigger::ProgramStart
-        } else {
-            RegionTrigger::GlobalIcount(start)
-        },
-        warmup + point.length,
-    );
-    cfg.warmup = warmup;
-    cfg.weight = point.weight;
-    cfg.slice_index = point.slice_index;
-    Logger::new(cfg).capture(&w.program, |m| w.setup(m))
+    capture_pinpoints(w, &[point])
+        .pop()
+        .expect("one result per point")
+}
+
+/// Captures fat pinballs for several selected regions of one workload in
+/// one logging pass ([`Logger::capture_all`]). Results come back in
+/// `points` order, each equal to [`capture_pinpoint`] of its point.
+pub fn capture_pinpoints(w: &Workload, points: &[&PinPoint]) -> Vec<Result<Pinball, CaptureError>> {
+    let cfgs: Vec<LoggerConfig> = points
+        .iter()
+        .map(|point| {
+            let start = point.start_icount.saturating_sub(point.warmup);
+            let warmup = point.start_icount - start;
+            let mut cfg = LoggerConfig::fat(
+                &w.name,
+                if start == 0 {
+                    RegionTrigger::ProgramStart
+                } else {
+                    RegionTrigger::GlobalIcount(start)
+                },
+                warmup + point.length,
+            );
+            cfg.warmup = warmup;
+            cfg.weight = point.weight;
+            cfg.slice_index = point.slice_index;
+            cfg
+        })
+        .collect();
+    Logger::capture_all(&cfgs, &w.program, |m| w.setup(m))
 }
 
 /// Captures a whole region and produces an ELFie with the standard recipe:
@@ -165,6 +182,39 @@ pub(crate) fn select_regions_cached(
     elfie_simpoint::pick_traced(&profile, cfg, stats.tracer())
 }
 
+/// A cluster's first candidate's pinball, or why it could not be had.
+pub(crate) type Head = Result<Arc<Pinball>, CaptureError>;
+
+/// Looks up the first candidate (the representative) of every cluster in
+/// `cache` and captures all the misses in one logging pass, charged to
+/// [`Stage::Capture`]. Entry `c` belongs to cluster `c`; it is `None`
+/// when the cluster has no candidates.
+pub(crate) fn capture_heads_cached(
+    w: &Workload,
+    points: &PinPoints,
+    cache: &PipelineCache,
+    stats: &StatsCollector,
+) -> Vec<Option<Head>> {
+    let firsts: Vec<Option<&PinPoint>> = (0..points.k)
+        .map(|c| points.candidates(c).first().copied())
+        .collect();
+    let present: Vec<&PinPoint> = firsts.iter().flatten().copied().collect();
+    let keys: Vec<u64> = present
+        .iter()
+        .map(|p| PipelineCache::pinball_key(w, p))
+        .collect();
+    let mut heads = cache
+        .pinballs(&keys, |missing| {
+            let points: Vec<&PinPoint> = missing.iter().map(|&i| present[i]).collect();
+            stats.time(Stage::Capture, || capture_pinpoints(w, &points))
+        })
+        .into_iter();
+    firsts
+        .iter()
+        .map(|first| first.map(|_| heads.next().expect("one result per head")))
+        .collect()
+}
+
 /// What one cluster's candidate chain produced: every record tried (in
 /// rank order) and, if some candidate worked, its `(weight, cpi)` sample.
 #[derive(Debug, Clone, PartialEq)]
@@ -173,15 +223,18 @@ pub(crate) struct ClusterOutcome {
     pub(crate) sample: Option<(f64, f64)>,
 }
 
-/// Runs one cluster's capture→convert→measure chain, falling back to
-/// alternates in rank order until a candidate completes. This is the unit
-/// of work the parallel engine schedules; the serial path runs the exact
-/// same function cluster by cluster, which is what makes the two paths'
-/// reports identical.
+/// Runs one cluster's capture→convert→measure chain over its
+/// `candidates` (in rank order, as [`PinPoints::candidates`] lists them),
+/// falling back to alternates until a candidate completes. `head` is the
+/// first candidate's pinball when it was already looked up (by
+/// [`capture_heads_cached`]); later candidates are captured one by one
+/// through `cache`. This is the unit of work the parallel engine
+/// schedules; the serial path runs the exact same function cluster by
+/// cluster, which is what makes the two paths' reports identical.
 pub(crate) fn validate_cluster(
     w: &Workload,
-    points: &PinPoints,
-    cluster: usize,
+    candidates: &[&PinPoint],
+    mut head: Option<Head>,
     seed: u64,
     fuel: u64,
     cache: &PipelineCache,
@@ -189,19 +242,21 @@ pub(crate) fn validate_cluster(
 ) -> ClusterOutcome {
     let mut regions = Vec::new();
     let mut sample = None;
-    for cand in points.candidates(cluster) {
+    for &cand in candidates {
         stats.region_attempted();
         let mut record = RegionResult {
-            cluster,
+            cluster: cand.cluster,
             rank: cand.rank,
             slice_index: cand.slice_index,
             weight: cand.weight,
             measurement: None,
         };
-        let key = PipelineCache::pinball_key(w, cand);
-        let result = cache
-            .pinball(key, || {
-                stats.time(Stage::Capture, || capture_pinpoint(w, cand))
+        let result = head
+            .take()
+            .unwrap_or_else(|| {
+                cache.pinball(PipelineCache::pinball_key(w, cand), || {
+                    stats.time(Stage::Capture, || capture_pinpoint(w, cand))
+                })
             })
             .map_err(PipelineError::from)
             .and_then(|pb| {

@@ -3,31 +3,35 @@
 //! serialisations, the consecutive-run grouping must partition the
 //! image without loss, and arbitrary interval snapshots must round-trip
 //! through their codec with `encoded_len` equal to the encoded size.
+//! The page arena must share an allocation exactly between equal pages.
 
 use elfie_pinball::{
-    CacheSnap, KernelSnap, MemoryImage, PageRecord, Pinball, PinballError, PinballMeta, RaceLog,
-    RegImage, RegionInfo, RegionTrigger, Snapshot, SnapshotMeta, SyncPoint, SyscallEffect,
+    CacheSnap, KernelSnap, MemoryImage, PageArena, PageRecord, Pinball, PinballError, PinballMeta,
+    RaceLog, RegImage, RegionInfo, RegionTrigger, Snapshot, SnapshotMeta, SyncPoint, SyscallEffect,
     ThreadRecord, ThreadSnap, ThreadStateSnap,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 const PAGE: usize = 4096;
 
+/// A page filled deterministically from `seed` (cheaper than a
+/// 4096-byte random vector, still covers content round-tripping).
+fn arb_page_bytes(seed: u64) -> [u8; PAGE] {
+    let mut data = [0u8; PAGE];
+    let mut x = seed | 1;
+    for chunk in data.chunks_mut(8) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        chunk.copy_from_slice(&x.to_le_bytes());
+    }
+    data
+}
+
 fn arb_page() -> impl Strategy<Value = PageRecord> {
-    (0u8..8, any::<u64>()).prop_map(|(perm, seed)| {
-        // Fill deterministically from the seed (cheaper than a 4096-byte
-        // random vector, still covers content round-tripping).
-        let mut data = vec![0u8; PAGE];
-        let mut x = seed | 1;
-        for chunk in data.chunks_mut(8) {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            chunk.copy_from_slice(&x.to_le_bytes());
-        }
-        PageRecord::from_slice(perm, &data).expect("page-sized buffer")
-    })
+    (0u8..8, any::<u64>()).prop_map(|(perm, seed)| PageRecord::new(perm, &arb_page_bytes(seed)))
 }
 
 fn arb_image() -> impl Strategy<Value = MemoryImage> {
@@ -296,6 +300,22 @@ proptest! {
             Err(PinballError::Wire(_)) => {}
             other => prop_assert!(false, "cut at {cut} gave {other:?}"),
         }
+    }
+
+    #[test]
+    fn arena_shares_exactly_equal_pages(
+        seeds in (0u64..4, 0u64..4),
+        at in 0usize..PAGE,
+        flip in 0u8..3,
+    ) {
+        // Few seeds and a flip that is often zero make equal pairs common.
+        let arena = PageArena::new();
+        let a = arb_page_bytes(seeds.0);
+        let mut b = arb_page_bytes(seeds.1);
+        b[at] ^= flip;
+        let (pa, pb) = (arena.intern(&a), arena.intern(&b));
+        prop_assert_eq!(Arc::ptr_eq(&pa, &pb), a == b);
+        prop_assert!(pa[..] == a[..] && pb[..] == b[..]);
     }
 
     #[test]

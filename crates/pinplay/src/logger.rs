@@ -7,6 +7,14 @@
 //! everything the region needs for constrained replay: system-call side
 //! effects, the order of atomic operations, and the set of pages touched.
 //!
+//! [`Logger::capture_all`] logs many regions of one program in one pass:
+//! it visits them in start order on one machine, and after each region
+//! resets the observer and stop conditions and fast-forwards on to the
+//! next trigger instead of booting again. A region it cannot reproduce
+//! exactly that way gets a machine of its own, so every pinball is
+//! byte-identical to the one [`Logger::capture`] of that region alone
+//! would produce.
+//!
 //! The paper's logger switches map directly:
 //!
 //! * `-log:whole_image` → [`LoggerConfig::log_whole_image`] — record *all*
@@ -218,7 +226,8 @@ impl Logger {
 
     /// Runs `prog` under instrumentation and captures the configured
     /// region. `setup` can pre-populate the machine (guest files, extra
-    /// mappings) before execution starts.
+    /// mappings) before execution starts. This is the one-region case of
+    /// [`Logger::capture_all`].
     ///
     /// # Errors
     ///
@@ -227,160 +236,241 @@ impl Logger {
     pub fn capture(
         &self,
         prog: &Program,
-        setup: impl FnOnce(&mut Machine<LogObserver>),
+        setup: impl Fn(&mut Machine<LogObserver>),
     ) -> Result<Pinball, CaptureError> {
-        let mut m = Machine::with_observer(self.cfg.machine.clone(), LogObserver::new());
-        m.load_program(prog);
-        setup(&mut m);
-
-        // Phase 1: fast-forward to the region trigger.
-        match self.cfg.trigger {
-            RegionTrigger::ProgramStart => {}
-            RegionTrigger::GlobalIcount(n) => {
-                m.stop_conditions.push(StopWhen::GlobalInsns(n));
-                let s = m.run(u64::MAX / 2);
-                if !matches!(s.reason, ExitReason::StopCondition(_)) {
-                    return Err(CaptureError::TriggerNotReached(format!("{:?}", s.reason)));
-                }
-                m.stop_conditions.clear();
-            }
-            RegionTrigger::PcCount { pc, count } => {
-                m.stop_conditions.push(StopWhen::PcCount { pc, count });
-                let s = m.run(u64::MAX / 2);
-                if !matches!(s.reason, ExitReason::StopCondition(_)) {
-                    return Err(CaptureError::TriggerNotReached(format!("{:?}", s.reason)));
-                }
-                m.stop_conditions.clear();
-            }
-        }
-
-        // Phase 2: snapshot at region start.
-        let live: Vec<(u32, RegFile, u64)> = m
-            .threads
-            .iter()
-            .filter(|t| !t.is_exited())
-            .map(|t| (t.tid, t.regs.clone(), t.icount))
-            .collect();
-        if live.is_empty() {
-            return Err(CaptureError::NoLiveThreads);
-        }
-        let start_pages: BTreeMap<u64, PageRecord> = m
-            .mem
-            .pages()
-            .map(|(addr, perm, data)| (addr, PageRecord::new(perm.bits(), data)))
-            .collect();
-        let brk = m.kernel.brk();
-        let brk_start = m.kernel.brk_start();
-        let cwd = m.kernel.cwd.clone();
-        let start_global = m.global_icount();
-        let base_icounts: BTreeMap<u32, u64> =
-            live.iter().map(|(tid, _, ic)| (*tid, *ic)).collect();
-
-        // Phase 3: log the region.
-        m.obs.active = true;
-        m.stop_conditions
-            .push(StopWhen::GlobalInsns(start_global + self.cfg.length));
-        let s = m.run(u64::MAX / 2);
-        match s.reason {
-            ExitReason::StopCondition(_) | ExitReason::AllExited(_) => {}
-            ExitReason::Fault { tid, fault } => {
-                return Err(CaptureError::ProgramFault(format!("tid {tid}: {fault}")));
-            }
-            other => return Err(CaptureError::ProgramFault(format!("{other:?}"))),
-        }
-        let region_global = s.insns;
-
-        // Phase 4: assemble the pinball.
-        let obs = &m.obs;
-        let mut thread_icounts: BTreeMap<u32, u64> = BTreeMap::new();
-        for t in &m.threads {
-            if let Some(b) = base_icounts.get(&t.tid) {
-                thread_icounts.insert(t.tid, t.icount - b);
-            } else if obs.spawned.contains(&t.tid) {
-                // Spawned inside the region: every retired instruction
-                // counts.
-                thread_icounts.insert(t.tid, t.icount);
-            }
-        }
-
-        let mut threads: Vec<ThreadRecord> = Vec::new();
-        for (tid, regs, _) in &live {
-            threads.push(ThreadRecord {
-                tid: *tid,
-                regs: RegImage::from(regs),
-                syscalls: obs.syscalls.get(tid).cloned().unwrap_or_default(),
-                spawned: false,
-            });
-        }
-        for child in &obs.spawned {
-            let regs = &m.threads[*child as usize].regs;
-            threads.push(ThreadRecord {
-                tid: *child,
-                regs: RegImage::from(regs),
-                syscalls: obs.syscalls.get(child).cloned().unwrap_or_default(),
-                spawned: true,
-            });
-        }
-        threads.sort_by_key(|t| t.tid);
-
-        // Page sets.
-        let minimal: BTreeSet<u64> = live
-            .iter()
-            .flat_map(|(_, regs, _)| [page_base(regs.rip), page_base(regs.rsp())])
-            .collect();
-        let base_set: BTreeSet<u64> = if self.cfg.log_whole_image {
-            start_pages.keys().copied().collect()
-        } else {
-            minimal
-                .into_iter()
-                .filter(|a| start_pages.contains_key(a))
-                .collect()
-        };
-        let zero_page = || elfie_pinball::PageArena::global().zero_page();
-        let mut image = MemoryImage::new();
-        let mut lazy: BTreeMap<u64, PageRecord> = BTreeMap::new();
-        for &addr in &base_set {
-            image.pages.insert(addr, start_pages[&addr].clone());
-        }
-        for &addr in &obs.touched_pages {
-            if base_set.contains(&addr) {
-                continue;
-            }
-            let record = start_pages
-                .get(&addr)
-                .cloned()
-                .unwrap_or_else(|| PageRecord::from_data(3, zero_page()));
-            if self.cfg.pages_early {
-                image.pages.insert(addr, record);
-            } else {
-                lazy.insert(addr, record);
-            }
-        }
-
-        Ok(Pinball {
-            meta: PinballMeta {
-                name: self.cfg.name.clone(),
-                fat: self.cfg.is_fat(),
-                arch: ARCH_ID.to_string(),
-                brk,
-                brk_start,
-                cwd,
-            },
-            region: RegionInfo {
-                name: format!("{}.{}", self.cfg.name, self.cfg.slice_index),
-                trigger: self.cfg.trigger,
-                length: region_global,
-                thread_icounts,
-                warmup: self.cfg.warmup,
-                weight: self.cfg.weight,
-                slice_index: self.cfg.slice_index,
-            },
-            image,
-            threads,
-            races: RaceLog {
-                order: obs.races.clone(),
-            },
-            lazy_pages: lazy,
-        })
+        Logger::capture_all(std::slice::from_ref(&self.cfg), prog, setup)
+            .pop()
+            .expect("one result per configuration")
     }
+
+    /// Captures every configured region of `prog`, returning one result
+    /// per configuration in the order given. Each result is exactly what
+    /// [`Logger::capture`] of that configuration alone returns.
+    ///
+    /// Regions are visited in increasing start order on one logging
+    /// machine, which fast-forwards from each region's end to the next
+    /// region's trigger instead of from program start. A region continues
+    /// on that machine only while doing so cannot change its pinball:
+    /// its trigger is a global instruction count at or after the
+    /// machine's, the machine has only ever had one thread (a split
+    /// `run()` moves the scheduler's quantum draws, which can only pick a
+    /// different thread when there is one to pick), it runs under the
+    /// same machine configuration, and no region on it failed. Any other
+    /// region — a warm-up reaching back into the previous region, a
+    /// `PcCount` trigger, a multi-threaded program — gets a machine of
+    /// its own.
+    pub fn capture_all(
+        cfgs: &[LoggerConfig],
+        prog: &Program,
+        setup: impl Fn(&mut Machine<LogObserver>),
+    ) -> Vec<Result<Pinball, CaptureError>> {
+        let boot = |cfg: &LoggerConfig| {
+            let mut m = Machine::with_observer(cfg.machine.clone(), LogObserver::new());
+            m.load_program(prog);
+            setup(&mut m);
+            m
+        };
+        let mut order: Vec<usize> = (0..cfgs.len()).collect();
+        order.sort_by_key(|&i| trigger_icount(cfgs[i].trigger).unwrap_or(u64::MAX));
+        let mut results: Vec<Option<Result<Pinball, CaptureError>>> =
+            cfgs.iter().map(|_| None).collect();
+        // The machine the next region may continue on: always one that
+        // has only ever had one thread and on which no region failed.
+        let mut shared: Option<Machine<LogObserver>> = None;
+        for i in order {
+            let cfg = &cfgs[i];
+            let result = match shared.take() {
+                Some(mut m) if continues(&m, cfg) => match log_region(&mut m, cfg) {
+                    Ok(pb) if m.threads.len() == 1 => {
+                        shared = Some(m);
+                        Ok(pb)
+                    }
+                    // A failure, or a thread spawned after an earlier
+                    // region split the run: only a machine of its own
+                    // reproduces the region.
+                    _ => log_region(&mut boot(cfg), cfg),
+                },
+                other => {
+                    shared = other;
+                    let mut m = boot(cfg);
+                    let result = log_region(&mut m, cfg);
+                    if shared.is_none() && result.is_ok() && m.threads.len() == 1 {
+                        shared = Some(m);
+                    }
+                    result
+                }
+            };
+            results[i] = Some(result);
+        }
+        results
+            .into_iter()
+            .map(|r| r.expect("every region visited"))
+            .collect()
+    }
+}
+
+/// The global instruction count a trigger fires at, when it is one.
+fn trigger_icount(trigger: RegionTrigger) -> Option<u64> {
+    match trigger {
+        RegionTrigger::ProgramStart => Some(0),
+        RegionTrigger::GlobalIcount(n) => Some(n),
+        RegionTrigger::PcCount { .. } => None,
+    }
+}
+
+/// True when `cfg`'s region can be logged on the single-threaded `m`,
+/// which earlier regions left where they ended, with the same outcome as
+/// on a fresh machine.
+fn continues(m: &Machine<LogObserver>, cfg: &LoggerConfig) -> bool {
+    trigger_icount(cfg.trigger).is_some_and(|n| n >= m.global_icount())
+        && m.config().fingerprint() == cfg.machine.fingerprint()
+}
+
+/// Logs `cfg`'s region on `m`: fast-forward to the trigger, snapshot,
+/// log, assemble. Leaves `m` with a fresh observer and no stop
+/// conditions, so a later region can continue on it.
+fn log_region(m: &mut Machine<LogObserver>, cfg: &LoggerConfig) -> Result<Pinball, CaptureError> {
+    // Phase 1: fast-forward to the region trigger. A machine an earlier
+    // region left exactly at the trigger is there already.
+    let ff = match cfg.trigger {
+        RegionTrigger::ProgramStart => None,
+        RegionTrigger::GlobalIcount(n) if n > 0 && n == m.global_icount() => None,
+        RegionTrigger::GlobalIcount(n) => Some(StopWhen::GlobalInsns(n)),
+        RegionTrigger::PcCount { pc, count } => Some(StopWhen::PcCount { pc, count }),
+    };
+    if let Some(stop) = ff {
+        m.stop_conditions.push(stop);
+        let s = m.run(u64::MAX / 2);
+        if !matches!(s.reason, ExitReason::StopCondition(_)) {
+            return Err(CaptureError::TriggerNotReached(format!("{:?}", s.reason)));
+        }
+        m.stop_conditions.clear();
+    }
+
+    // Phase 2: snapshot at region start.
+    let live: Vec<(u32, RegFile, u64)> = m
+        .threads
+        .iter()
+        .filter(|t| !t.is_exited())
+        .map(|t| (t.tid, t.regs.clone(), t.icount))
+        .collect();
+    if live.is_empty() {
+        return Err(CaptureError::NoLiveThreads);
+    }
+    let start_pages: BTreeMap<u64, PageRecord> = m
+        .mem
+        .pages()
+        .map(|(addr, perm, data)| (addr, PageRecord::new(perm.bits(), data)))
+        .collect();
+    let brk = m.kernel.brk();
+    let brk_start = m.kernel.brk_start();
+    let cwd = m.kernel.cwd.clone();
+    let start_global = m.global_icount();
+    let base_icounts: BTreeMap<u32, u64> = live.iter().map(|(tid, _, ic)| (*tid, *ic)).collect();
+
+    // Phase 3: log the region.
+    m.obs.active = true;
+    m.stop_conditions
+        .push(StopWhen::GlobalInsns(start_global + cfg.length));
+    let s = m.run(u64::MAX / 2);
+    match s.reason {
+        ExitReason::StopCondition(_) | ExitReason::AllExited(_) => {}
+        ExitReason::Fault { tid, fault } => {
+            return Err(CaptureError::ProgramFault(format!("tid {tid}: {fault}")));
+        }
+        other => return Err(CaptureError::ProgramFault(format!("{other:?}"))),
+    }
+    let region_global = s.insns;
+    let obs = std::mem::take(&mut m.obs);
+    m.stop_conditions.clear();
+
+    // Phase 4: assemble the pinball.
+    let mut thread_icounts: BTreeMap<u32, u64> = BTreeMap::new();
+    for t in &m.threads {
+        if let Some(b) = base_icounts.get(&t.tid) {
+            thread_icounts.insert(t.tid, t.icount - b);
+        } else if obs.spawned.contains(&t.tid) {
+            // Spawned inside the region: every retired instruction
+            // counts.
+            thread_icounts.insert(t.tid, t.icount);
+        }
+    }
+
+    let mut threads: Vec<ThreadRecord> = Vec::new();
+    for (tid, regs, _) in &live {
+        threads.push(ThreadRecord {
+            tid: *tid,
+            regs: RegImage::from(regs),
+            syscalls: obs.syscalls.get(tid).cloned().unwrap_or_default(),
+            spawned: false,
+        });
+    }
+    for child in &obs.spawned {
+        let regs = &m.threads[*child as usize].regs;
+        threads.push(ThreadRecord {
+            tid: *child,
+            regs: RegImage::from(regs),
+            syscalls: obs.syscalls.get(child).cloned().unwrap_or_default(),
+            spawned: true,
+        });
+    }
+    threads.sort_by_key(|t| t.tid);
+
+    // Page sets.
+    let minimal: BTreeSet<u64> = live
+        .iter()
+        .flat_map(|(_, regs, _)| [page_base(regs.rip), page_base(regs.rsp())])
+        .collect();
+    let base_set: BTreeSet<u64> = if cfg.log_whole_image {
+        start_pages.keys().copied().collect()
+    } else {
+        minimal
+            .into_iter()
+            .filter(|a| start_pages.contains_key(a))
+            .collect()
+    };
+    let zero_page = || elfie_pinball::PageArena::global().zero_page();
+    let mut image = MemoryImage::new();
+    let mut lazy: BTreeMap<u64, PageRecord> = BTreeMap::new();
+    for &addr in &base_set {
+        image.pages.insert(addr, start_pages[&addr].clone());
+    }
+    for &addr in &obs.touched_pages {
+        if base_set.contains(&addr) {
+            continue;
+        }
+        let record = start_pages
+            .get(&addr)
+            .cloned()
+            .unwrap_or_else(|| PageRecord::from_data(3, zero_page()));
+        if cfg.pages_early {
+            image.pages.insert(addr, record);
+        } else {
+            lazy.insert(addr, record);
+        }
+    }
+
+    Ok(Pinball {
+        meta: PinballMeta {
+            name: cfg.name.clone(),
+            fat: cfg.is_fat(),
+            arch: ARCH_ID.to_string(),
+            brk,
+            brk_start,
+            cwd,
+        },
+        region: RegionInfo {
+            name: format!("{}.{}", cfg.name, cfg.slice_index),
+            trigger: cfg.trigger,
+            length: region_global,
+            thread_icounts,
+            warmup: cfg.warmup,
+            weight: cfg.weight,
+            slice_index: cfg.slice_index,
+        },
+        image,
+        threads,
+        races: RaceLog { order: obs.races },
+        lazy_pages: lazy,
+    })
 }

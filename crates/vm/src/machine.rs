@@ -324,7 +324,10 @@ pub struct Machine<O: Observer = NullObserver> {
     sched_next: usize,
     exit_code: i32,
     interposer: Option<Box<dyn SyscallInterposer>>,
+    /// Hit counts of the `PcCount` entries of `pc_counted`, by index.
     pc_counters: Vec<u64>,
+    /// The stop list `pc_counters` was counted for.
+    pc_counted: Vec<StopWhen>,
     bbcache: BlockCache,
     cursors: Vec<BlockCursor>,
     seen_layout: u64,
@@ -354,6 +357,7 @@ impl<O: Observer> Machine<O> {
             exit_code: 0,
             interposer: None,
             pc_counters: Vec::new(),
+            pc_counted: Vec::new(),
             bbcache: BlockCache::new(),
             cursors: Vec::new(),
             seen_layout: 0,
@@ -867,8 +871,16 @@ impl<O: Observer> Machine<O> {
 
     /// Runs the machine until every thread exits, a fault occurs, a stop
     /// condition or observer stop triggers, or `fuel` instructions retire.
+    ///
+    /// `PcCount` hit counts carry across calls while
+    /// [`Machine::stop_conditions`] is unchanged, and restart from zero
+    /// when it changes.
     pub fn run(&mut self, fuel: u64) -> RunSummary {
-        self.pc_counters.resize(self.stop_conditions.len(), 0);
+        if self.pc_counted != self.stop_conditions {
+            self.pc_counted.clone_from(&self.stop_conditions);
+            self.pc_counters.clear();
+            self.pc_counters.resize(self.stop_conditions.len(), 0);
+        }
         let start_insns = self.global_icount;
         let start_cycles = self.cycle;
         let mut budget = fuel;
@@ -1142,6 +1154,45 @@ mod tests {
         });
         let s = m.run(10_000);
         assert_eq!(s.reason, ExitReason::StopCondition(0));
+        assert_eq!(m.threads[0].regs.read(elfie_isa::Reg::Rcx), 5);
+    }
+
+    const COUNT_LOOP: &str = "
+        .org 0x400000
+        start:
+            mov rcx, 0
+        loop:
+            add rcx, 1
+            jmp loop
+    ";
+
+    #[test]
+    fn a_replaced_pc_count_counts_from_zero() {
+        let mut m = machine(COUNT_LOOP);
+        m.stop_conditions = vec![StopWhen::PcCount {
+            pc: 0x40000a,
+            count: 5,
+        }];
+        assert_eq!(m.run(10_000).reason, ExitReason::StopCondition(0));
+        m.stop_conditions = vec![StopWhen::PcCount {
+            pc: 0x40000a,
+            count: 3,
+        }];
+        assert_eq!(m.run(10_000).reason, ExitReason::StopCondition(0));
+        assert_eq!(m.threads[0].regs.read(elfie_isa::Reg::Rcx), 5 + 3);
+    }
+
+    #[test]
+    fn an_unchanged_pc_count_carries_across_runs() {
+        let mut m = machine(COUNT_LOOP);
+        m.stop_conditions = vec![StopWhen::PcCount {
+            pc: 0x40000a,
+            count: 5,
+        }];
+        // mov, add, jmp, add: two hits counted before the fuel runs out.
+        assert_eq!(m.run(4).reason, ExitReason::FuelExhausted);
+        assert_eq!(m.threads[0].regs.read(elfie_isa::Reg::Rcx), 2);
+        assert_eq!(m.run(10_000).reason, ExitReason::StopCondition(0));
         assert_eq!(m.threads[0].regs.read(elfie_isa::Reg::Rcx), 5);
     }
 
