@@ -58,7 +58,7 @@ pub use asm::{assemble, AsmError, Assembler, Chunk, Program};
 pub use decode::{decode, DecodeError};
 pub use disasm::{disassemble, format_insn, listing, DisasmLine};
 pub use encode::{encode, encoded_len};
-pub use hash::{fnv64, Fnv64, U64BuildHasher, U64Hasher};
+pub use hash::{fnv64, xxh64, Fnv64, U64BuildHasher, U64Hasher};
 pub use insn::{AluOp, Cond, FpOp, Insn, MarkerKind, Mem, Scale, Seg};
 pub use reg::{Flags, Reg, RegFile, XSaveArea, Xmm, XSAVE_AREA_SIZE};
 

@@ -16,10 +16,13 @@
 //! words, folded and finalised into 64 bits. It reads every byte, a word
 //! at a time, so it costs a fraction of byte-serial FNV-64, and every
 //! step is a bijection of the lane state, so a change confined to one
-//! word always changes the key. The key never leaves the process:
-//! persisted checksums and store ids stay FNV-64. A hash bucket keeps
-//! every live payload with that key and compares contents on lookup, so
-//! a key collision costs a bucket entry, never a wrong page.
+//! word always changes the key. The key never leaves the process, and a
+//! hash bucket keeps every live payload with that key and compares
+//! contents on lookup, so a key collision costs a bucket entry, never a
+//! wrong page. Persisted content — store ids and the bundle and
+//! snapshot checksum trailers — is named by the published XXH64
+//! ([`elfie_isa::xxh64`]) instead, since a collision there would return
+//! wrong bytes.
 //!
 //! Entries are weak: when the last consumer drops a page, the next
 //! intern of those bytes re-creates it. A dead entry's `Weak` still pins

@@ -36,10 +36,14 @@ use wire::{Reader, WireError, Writer};
 /// Format version for the binary sections.
 pub const FORMAT_VERSION: u32 = 1;
 
-/// Format version for the single-buffer bundle. Version 2 appends a
-/// trailing FNV-1a checksum over the whole bundle body, so any flipped
-/// byte or truncation is detected instead of decoding to garbage.
-pub const BUNDLE_VERSION: u32 = 2;
+/// Format version for the single-buffer bundle. Every bundle ends in a
+/// checksum over the whole body, so a flipped byte or a truncation is
+/// detected instead of decoding to garbage: version 3 writes an XXH64
+/// trailer; version 2, still read, carries FNV-64.
+pub const BUNDLE_VERSION: u32 = 3;
+
+/// Oldest bundle version [`Pinball::from_bytes`] still reads.
+const OLDEST_BUNDLE_VERSION: u32 = 2;
 
 const TEXT_MAGIC: &[u8; 4] = b"PBTX";
 const REG_MAGIC: &[u8; 4] = b"PBRG";
@@ -699,7 +703,7 @@ impl MetaFile {
 
 impl Pinball {
     /// Serialises the whole pinball into one bundle buffer. The buffer
-    /// ends with an FNV-1a checksum over everything before it, so
+    /// ends with an XXH64 checksum over everything before it, so
     /// [`Pinball::from_bytes`] rejects any corruption.
     pub fn to_bytes(&self) -> Vec<u8> {
         let meta_json = MetaFile {
@@ -717,35 +721,25 @@ impl Pinball {
         }
         w.bytes(&self.races.to_wire());
         w.bytes(&lazy_to_wire(&self.lazy_pages));
-        let mut buf = w.into_bytes();
-        let sum = elfie_isa::fnv64(&buf);
-        buf.extend_from_slice(&sum.to_le_bytes());
-        buf
+        w.into_checksummed_bytes()
     }
 
-    /// Deserialises a bundle produced by [`Pinball::to_bytes`].
+    /// Deserialises a bundle produced by [`Pinball::to_bytes`], or by an
+    /// earlier build writing bundle version 2 (FNV-64 trailer).
     ///
     /// # Errors
     /// Returns [`PinballError`] on malformed input. Thanks to the bundle
-    /// checksum, truncating the buffer or flipping any byte yields a
-    /// [`WireError`] — never a silently-wrong pinball.
+    /// checksum, truncating the buffer or flipping a byte yields a
+    /// [`WireError`] rather than a silently-wrong pinball, unless the
+    /// change leaves the 64-bit checksum unchanged (probability about
+    /// 2⁻⁶⁴).
     pub fn from_bytes(buf: &[u8]) -> Result<Pinball, PinballError> {
-        // Validate the header against the full buffer first, so bad magic
-        // and bad version keep their precise errors; then peel off the
-        // trailing checksum and verify it before trusting any field.
-        Reader::with_header(buf, BUNDLE_MAGIC, BUNDLE_VERSION)?;
-        if buf.len() < 8 + 8 {
-            return Err(PinballError::Wire(WireError::Truncated {
-                need: 8 + 8,
-                have: buf.len(),
-            }));
-        }
-        let (body, tail) = buf.split_at(buf.len() - 8);
-        let sum = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
-        if elfie_isa::fnv64(body) != sum {
-            return Err(PinballError::Wire(WireError::Corrupt("bundle checksum")));
-        }
-        let mut r = Reader::with_header(body, BUNDLE_MAGIC, BUNDLE_VERSION)?;
+        let mut r = Reader::checksummed(
+            buf,
+            BUNDLE_MAGIC,
+            OLDEST_BUNDLE_VERSION..=BUNDLE_VERSION,
+            "bundle checksum",
+        )?;
         let meta_json = r.bytes()?;
         let mf = MetaFile::parse(&meta_json)?;
         let image = MemoryImage::from_wire(&r.bytes()?)?;

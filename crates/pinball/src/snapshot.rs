@@ -29,8 +29,14 @@ use std::collections::BTreeMap;
 
 /// Magic for the snapshot wire form.
 pub const SNAPSHOT_MAGIC: &[u8; 4] = b"PBSN";
-/// Version of the snapshot wire form.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// Version of the snapshot wire form. Version 2 ends a whole
+/// [`Snapshot::to_bytes`] buffer in an XXH64 trailer; version 1, still
+/// read, carries FNV-64. The state-only form has no trailer; its layout
+/// is the same in both.
+pub const SNAPSHOT_VERSION: u32 = 2;
+
+/// Oldest snapshot version the decoders still read.
+const OLDEST_SNAPSHOT_VERSION: u32 = 1;
 
 /// Where in the region (and in the replay-injection streams) a snapshot
 /// was taken. All counters are cumulative since region entry, so a worker
@@ -175,13 +181,17 @@ impl Snapshot {
         w.into_bytes()
     }
 
-    /// Decodes a [`Snapshot::state_to_bytes`] buffer. The delta map is
-    /// left empty for the caller (the store) to fill.
+    /// Decodes a [`Snapshot::state_to_bytes`] buffer of either version.
+    /// The delta map is left empty for the caller (the store) to fill.
     ///
     /// # Errors
     /// Returns [`WireError`] on malformed input.
     pub fn from_state_bytes(buf: &[u8]) -> Result<Snapshot, WireError> {
-        let mut r = Reader::with_header(buf, SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
+        let (mut r, _) = Reader::with_any_header(
+            buf,
+            SNAPSHOT_MAGIC,
+            OLDEST_SNAPSHOT_VERSION..=SNAPSHOT_VERSION,
+        )?;
         let s = Snapshot::read_state(&mut r)?;
         if !r.is_exhausted() {
             return Err(WireError::Corrupt("trailing snapshot state bytes"));
@@ -190,7 +200,7 @@ impl Snapshot {
     }
 
     /// Serialises the whole snapshot (state + delta pages) into one
-    /// buffer ending with an FNV-1a checksum, mirroring
+    /// buffer ending with an XXH64 checksum, mirroring
     /// [`crate::Pinball::to_bytes`].
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::with_header(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
@@ -201,10 +211,7 @@ impl Snapshot {
             w.u8(rec.perm);
             w.bytes(&rec.data[..]);
         }
-        let mut buf = w.into_bytes();
-        let sum = elfie_isa::fnv64(&buf);
-        buf.extend_from_slice(&sum.to_le_bytes());
-        buf
+        w.into_checksummed_bytes()
     }
 
     /// `self.to_bytes().len()`, computed without serialising (or
@@ -252,26 +259,21 @@ impl Snapshot {
         header + meta + threads + consumed + kernel + caches + dropped + delta + checksum
     }
 
-    /// Deserialises a [`Snapshot::to_bytes`] buffer.
+    /// Deserialises a [`Snapshot::to_bytes`] buffer, or one an earlier
+    /// build wrote as version 1 (FNV-64 trailer).
     ///
     /// # Errors
     /// Returns [`WireError`] on malformed input; the trailing checksum
-    /// turns any truncation or bit flip into an error rather than a
-    /// silently-wrong snapshot.
+    /// turns a truncation or bit flip into an error rather than a
+    /// silently-wrong snapshot (it escapes the 64-bit checksum with
+    /// probability about 2⁻⁶⁴).
     pub fn from_bytes(buf: &[u8]) -> Result<Snapshot, WireError> {
-        Reader::with_header(buf, SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
-        if buf.len() < 8 + 8 {
-            return Err(WireError::Truncated {
-                need: 8 + 8,
-                have: buf.len(),
-            });
-        }
-        let (body, tail) = buf.split_at(buf.len() - 8);
-        let sum = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
-        if elfie_isa::fnv64(body) != sum {
-            return Err(WireError::Corrupt("snapshot checksum"));
-        }
-        let mut r = Reader::with_header(body, SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
+        let mut r = Reader::checksummed(
+            buf,
+            SNAPSHOT_MAGIC,
+            OLDEST_SNAPSHOT_VERSION..=SNAPSHOT_VERSION,
+            "snapshot checksum",
+        )?;
         let mut s = Snapshot::read_state(&mut r)?;
         let n = r.u64()?;
         for _ in 0..n {

@@ -4,6 +4,7 @@
 //! a compact, versioned, little-endian format rather than a textual one.
 
 use std::fmt;
+use std::ops::RangeInclusive;
 
 /// Error produced while decoding a pinball wire buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,6 +90,16 @@ impl Writer {
         self.buf
     }
 
+    /// Consumes the writer, returning the buffer followed by a checksum
+    /// trailer: the little-endian XXH64 of everything before it. See
+    /// [`Reader::checksummed`].
+    pub fn into_checksummed_bytes(self) -> Vec<u8> {
+        let mut buf = self.buf;
+        let sum = elfie_isa::xxh64(&buf);
+        buf.extend_from_slice(&sum.to_le_bytes());
+        buf
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -120,16 +131,65 @@ impl<'a> Reader<'a> {
         magic: &[u8; 4],
         version: u32,
     ) -> Result<Reader<'a>, WireError> {
+        Ok(Reader::with_any_header(buf, magic, version..=version)?.0)
+    }
+
+    /// Like [`Reader::with_header`], but accepts any version in
+    /// `versions` and returns the one found alongside the reader, for
+    /// formats that still read their older versions.
+    pub fn with_any_header(
+        buf: &'a [u8],
+        magic: &[u8; 4],
+        versions: RangeInclusive<u32>,
+    ) -> Result<(Reader<'a>, u32), WireError> {
         let mut r = Reader::new(buf);
         let got = r.take(4)?;
         if got != magic {
             return Err(WireError::BadMagic);
         }
         let v = r.u32()?;
-        if v != version {
+        if !versions.contains(&v) {
             return Err(WireError::BadVersion(v));
         }
-        Ok(r)
+        Ok((r, v))
+    }
+
+    /// Opens a buffer that ends in an 8-byte checksum trailer: validates
+    /// the header (any version in `versions`), then the trailer, and
+    /// returns a reader over the body.
+    ///
+    /// The newest version's trailer is the XXH64
+    /// [`Writer::into_checksummed_bytes`] writes; every older accepted
+    /// version predates it and carries FNV-64. `what` names the checksum
+    /// in the [`WireError::Corrupt`] a mismatch returns.
+    ///
+    /// # Errors
+    /// Bad magic and bad version keep their precise errors; a buffer too
+    /// short for header and trailer is [`WireError::Truncated`].
+    pub fn checksummed(
+        buf: &'a [u8],
+        magic: &[u8; 4],
+        versions: RangeInclusive<u32>,
+        what: &'static str,
+    ) -> Result<Reader<'a>, WireError> {
+        let (_, version) = Reader::with_any_header(buf, magic, versions.clone())?;
+        let Some(body_len) = buf.len().checked_sub(8).filter(|&n| n >= 8) else {
+            return Err(WireError::Truncated {
+                need: 8 + 8,
+                have: buf.len(),
+            });
+        };
+        let (body, tail) = buf.split_at(body_len);
+        let sum = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
+        let hash = if version == *versions.end() {
+            elfie_isa::xxh64
+        } else {
+            elfie_isa::fnv64
+        };
+        if hash(body) != sum {
+            return Err(WireError::Corrupt(what));
+        }
+        Ok(Reader::with_any_header(body, magic, versions)?.0)
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
@@ -211,6 +271,47 @@ mod tests {
             Reader::with_header(&buf, b"PBAL", 4).unwrap_err(),
             WireError::BadVersion(3)
         );
+    }
+
+    #[test]
+    fn any_header_accepts_a_range_and_reports_the_version() {
+        let buf = Writer::with_header(b"PBAL", 2).into_bytes();
+        let (_, v) = Reader::with_any_header(&buf, b"PBAL", 2..=3).unwrap();
+        assert_eq!(v, 2);
+        assert_eq!(
+            Reader::with_any_header(&buf, b"PBAL", 3..=4).unwrap_err(),
+            WireError::BadVersion(2)
+        );
+    }
+
+    #[test]
+    fn checksummed_reads_old_fnv_and_new_xxh64_trailers() {
+        let mut w = Writer::with_header(b"TEST", 2);
+        w.u64(42);
+        let new = w.into_checksummed_bytes();
+        let mut r = Reader::checksummed(&new, b"TEST", 1..=2, "sum").unwrap();
+        assert_eq!(r.u64().unwrap(), 42);
+        assert!(r.is_exhausted());
+
+        let mut old = Writer::with_header(b"TEST", 1);
+        old.u64(42);
+        let mut old = old.into_bytes();
+        let sum = elfie_isa::fnv64(&old);
+        old.extend_from_slice(&sum.to_le_bytes());
+        let mut r = Reader::checksummed(&old, b"TEST", 1..=2, "sum").unwrap();
+        assert_eq!(r.u64().unwrap(), 42);
+
+        // A trailer of the wrong hash for its version is a mismatch.
+        let mut relabelled = new.clone();
+        relabelled[4] = 1;
+        assert_eq!(
+            Reader::checksummed(&relabelled, b"TEST", 1..=2, "sum").unwrap_err(),
+            WireError::Corrupt("sum")
+        );
+        assert!(matches!(
+            Reader::checksummed(&new[..12], b"TEST", 1..=2, "sum"),
+            Err(WireError::Truncated { .. })
+        ));
     }
 
     #[test]

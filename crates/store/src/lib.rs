@@ -20,6 +20,14 @@
 //! refs/<name>                human name -> manifest id
 //! ```
 //!
+//! Content hashes are XXH64 ([`elfie_isa::xxh64`]) in store format 2,
+//! the one written. Format 1 files, keyed by FNV-64, are still read: the
+//! version in each blob or manifest header picks the hash that checks
+//! it, and a format 1 manifest names format 1 blobs, so an old store
+//! reads, verifies and collects file by file. Dedup does not cross
+//! versions — the first new put of a page an old store holds writes a
+//! second blob, and [`Store::gc`] drops the old one once no ref uses it.
+//!
 //! A **manifest** describes one stored object: a pinball (a page-stripped
 //! skeleton blob plus a page table of `(addr, perm, blob)` entries) or a
 //! byte stream such as an ELFie image (an ordered chunk list). Manifests
@@ -48,14 +56,30 @@ use elfie_pinball::{MemoryImage, PageRecord, Pinball, PinballError, Snapshot, Sn
 use elfie_trace::Tracer;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::io::Read;
+use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const BLOB_MAGIC: &[u8; 4] = b"ESBL";
 const MANIFEST_MAGIC: &[u8; 4] = b"ESMF";
 
-/// Format version of blob files and manifests.
-pub const STORE_VERSION: u32 = 1;
+/// Format version of the blob files and manifests this build writes.
+/// Version 2 names them by XXH64; version 1, still read, by FNV-64.
+pub const STORE_VERSION: u32 = 2;
+
+/// Every format version a blob or manifest header may carry.
+const READ_VERSIONS: RangeInclusive<u32> = 1..=STORE_VERSION;
+
+/// The content hash that names and checks a store file whose header
+/// carries `version`: FNV-64 for format 1, XXH64 from format 2 on.
+fn content_hash(version: u32, bytes: &[u8]) -> u64 {
+    if version == 1 {
+        elfie_isa::fnv64(bytes)
+    } else {
+        elfie_isa::xxh64(bytes)
+    }
+}
 
 /// Chunk size for byte-stream objects, matching the page dedup unit.
 pub const CHUNK_SIZE: usize = 4096;
@@ -252,8 +276,13 @@ impl Manifest {
         w.into_bytes()
     }
 
-    fn from_bytes(buf: &[u8]) -> Result<Manifest, StoreError> {
-        let mut r = Reader::with_header(buf, MANIFEST_MAGIC, STORE_VERSION)?;
+    /// Decodes the manifest file stored as `id`, checking first that its
+    /// bytes hash to `id` under the hash their header version names.
+    fn from_bytes(buf: &[u8], id: ObjectId) -> Result<Manifest, StoreError> {
+        let (mut r, version) = Reader::with_any_header(buf, MANIFEST_MAGIC, READ_VERSIONS)?;
+        if content_hash(version, buf) != id.0 {
+            return Err(StoreError::Corrupt(format!("manifest {id} hash mismatch")));
+        }
         let kind = ObjectKind::from_tag(r.u8()?)
             .ok_or_else(|| StoreError::Corrupt("unknown object kind".into()))?;
         let name = r.string()?;
@@ -514,7 +543,7 @@ impl Store {
     /// Stores `data` as a blob, returning its content hash. Writing an
     /// already-present blob is a no-op (that *is* the dedup).
     fn put_blob(&self, data: &[u8]) -> Result<u64, StoreError> {
-        let hash = elfie_isa::fnv64(data);
+        let hash = content_hash(STORE_VERSION, data);
         let path = self.blob_path(hash);
         if path.exists() {
             return Ok(hash);
@@ -534,13 +563,7 @@ impl Store {
         let path = self.blob_path(hash);
         let raw = std::fs::read(&path)
             .map_err(|_| StoreError::NotFound(format!("blob {hash:016x} ({})", path.display())))?;
-        let data = decode_blob(&raw)?;
-        if elfie_isa::fnv64(&data) != hash {
-            return Err(StoreError::Corrupt(format!(
-                "blob {hash:016x} content hash mismatch"
-            )));
-        }
-        Ok(data)
+        decode_blob(&raw, hash)
     }
 
     fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
@@ -564,7 +587,7 @@ impl Store {
 
     fn put_manifest(&self, manifest: &Manifest) -> Result<ObjectId, StoreError> {
         let bytes = manifest.to_bytes();
-        let id = ObjectId(elfie_isa::fnv64(&bytes));
+        let id = ObjectId(content_hash(STORE_VERSION, &bytes));
         let path = self.object_path(id);
         if !path.exists() {
             self.write_atomic(&path, &bytes)?;
@@ -586,10 +609,7 @@ impl Store {
         );
         let bytes = std::fs::read(self.object_path(id))
             .map_err(|_| StoreError::Corrupt(format!("ref `{name}` points at missing {id}")))?;
-        if ObjectId(elfie_isa::fnv64(&bytes)) != id {
-            return Err(StoreError::Corrupt(format!("manifest {id} hash mismatch")));
-        }
-        Ok((id, Manifest::from_bytes(&bytes)?))
+        Ok((id, Manifest::from_bytes(&bytes, id)?))
     }
 
     /// Stores a pinball under `name`: each memory-image and lazy page
@@ -816,10 +836,7 @@ impl Store {
     fn manifest_by_id(&self, id: ObjectId) -> Result<Manifest, StoreError> {
         let bytes = std::fs::read(self.object_path(id))
             .map_err(|_| StoreError::NotFound(format!("manifest {id}")))?;
-        if ObjectId(elfie_isa::fnv64(&bytes)) != id {
-            return Err(StoreError::Corrupt(format!("manifest {id} hash mismatch")));
-        }
-        Manifest::from_bytes(&bytes)
+        Manifest::from_bytes(&bytes, id)
     }
 
     /// Stores an interval snapshot under `name`, chained to `parent` (the
@@ -1021,8 +1038,9 @@ impl Store {
 
     /// Checks every ref, manifest and blob in the store: manifest ids must
     /// match their content, every referenced blob must exist, and every
-    /// blob must decompress to bytes whose hash matches its name — so any
-    /// single flipped byte anywhere in the repository is detected.
+    /// blob must decompress to bytes whose hash matches its name — so a
+    /// flipped byte anywhere in the repository goes unnoticed only if it
+    /// leaves a 64-bit content hash unchanged (probability about 2⁻⁶⁴).
     ///
     /// # Errors
     /// Returns [`StoreError::Io`] only on filesystem failures; integrity
@@ -1033,14 +1051,10 @@ impl Store {
         let on_disk: BTreeSet<u64> = blobs.iter().map(|&(h, _, _)| h).collect();
         for (hash, path, _) in &blobs {
             report.blobs_checked += 1;
-            let check = || -> Result<(), StoreError> {
-                let data = decode_blob(&std::fs::read(path)?)?;
-                if elfie_isa::fnv64(&data) != *hash {
-                    return Err(StoreError::Corrupt("content hash mismatch".into()));
-                }
-                Ok(())
-            };
-            if let Err(e) = check() {
+            let check = std::fs::read(path)
+                .map_err(StoreError::from)
+                .and_then(|raw| decode_blob(&raw, *hash));
+            if let Err(e) = check {
                 report.errors.push(format!("blob {hash:016x}: {e}"));
             }
         }
@@ -1049,11 +1063,7 @@ impl Store {
         for (id, path) in manifest_files {
             report.objects_checked += 1;
             let check = || -> Result<(), StoreError> {
-                let bytes = std::fs::read(&path)?;
-                if ObjectId(elfie_isa::fnv64(&bytes)) != id {
-                    return Err(StoreError::Corrupt("manifest hash mismatch".into()));
-                }
-                let m = Manifest::from_bytes(&bytes)?;
+                let m = Manifest::from_bytes(&std::fs::read(&path)?, id)?;
                 for blob in m.blob_refs() {
                     if !on_disk.contains(&blob) {
                         return Err(StoreError::Corrupt(format!(
@@ -1149,7 +1159,7 @@ impl Store {
         for (_, path, size) in self.all_blob_files()? {
             s.blobs += 1;
             s.physical_bytes += size;
-            s.unique_bytes += blob_raw_len(&std::fs::read(&path)?)?;
+            s.unique_bytes += blob_raw_len(&path)?;
         }
         Ok(s)
     }
@@ -1193,9 +1203,11 @@ impl elfie_pinball::PageSource for LazyPinball {
     }
 }
 
-/// Decodes a blob file into its uncompressed payload.
-fn decode_blob(raw: &[u8]) -> Result<Vec<u8>, StoreError> {
-    let mut r = Reader::with_header(raw, BLOB_MAGIC, STORE_VERSION)?;
+/// Decodes the blob file stored as `hash` into its uncompressed payload,
+/// checking that the payload hashes to `hash` under the hash the file's
+/// header version names.
+fn decode_blob(raw: &[u8], hash: u64) -> Result<Vec<u8>, StoreError> {
+    let (mut r, version) = Reader::with_any_header(raw, BLOB_MAGIC, READ_VERSIONS)?;
     let tag = r.u8()?;
     let codec = Codec::from_tag(tag).ok_or(StoreError::Codec(CodecError::UnknownCodec(tag)))?;
     let raw_len = r.u64()? as usize;
@@ -1203,12 +1215,25 @@ fn decode_blob(raw: &[u8]) -> Result<Vec<u8>, StoreError> {
     if !r.is_exhausted() {
         return Err(StoreError::Corrupt("trailing blob bytes".into()));
     }
-    Ok(codec::decompress(codec, &payload, raw_len)?)
+    let data = codec::decompress(codec, &payload, raw_len)?;
+    if content_hash(version, &data) != hash {
+        return Err(StoreError::Corrupt(format!(
+            "blob {hash:016x} content hash mismatch"
+        )));
+    }
+    Ok(data)
 }
 
-/// Reads just the uncompressed length from a blob file header.
-fn blob_raw_len(raw: &[u8]) -> Result<u64, StoreError> {
-    let mut r = Reader::with_header(raw, BLOB_MAGIC, STORE_VERSION)?;
+/// Length of a blob file's header: magic, version, codec tag and the
+/// uncompressed length.
+const BLOB_HEADER_LEN: usize = 4 + 4 + 1 + 8;
+
+/// Reads just the uncompressed length from the blob file at `path`,
+/// without reading its payload.
+fn blob_raw_len(path: &Path) -> Result<u64, StoreError> {
+    let mut header = [0u8; BLOB_HEADER_LEN];
+    std::fs::File::open(path)?.read_exact(&mut header)?;
+    let (mut r, _) = Reader::with_any_header(&header, BLOB_MAGIC, READ_VERSIONS)?;
     let _codec = r.u8()?;
     Ok(r.u64()?)
 }

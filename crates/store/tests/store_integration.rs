@@ -1,14 +1,15 @@
 //! Integration tests for the content-addressed store: bit-identical
 //! round-trips (property-tested), corruption detection, and gc safety.
 
+use elfie_pinball::wire::WireError;
 use elfie_pinball::{
-    MemoryImage, PageRecord, Pinball, PinballMeta, RaceLog, RegImage, RegionInfo, RegionTrigger,
-    Snapshot, SnapshotMeta, ThreadRecord,
+    CacheSnap, KernelSnap, MemoryImage, PageRecord, PageSource, Pinball, PinballError, PinballMeta,
+    RaceLog, RegImage, RegionInfo, RegionTrigger, Snapshot, SnapshotMeta, ThreadRecord,
 };
-use elfie_store::{ObjectKind, Store};
+use elfie_store::{ObjectKind, Store, StoreError, StoreStats};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 const PAGE: usize = 4096;
 
@@ -305,5 +306,224 @@ fn all_pages_dirty_snapshot_overrides_every_boot_page() {
         assert_eq!(rec.data, s.delta[addr].data, "page {addr:#x} overridden");
         assert_ne!(rec.data, boot.pages[addr].data);
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The checked-in format 1 store (FNV-64 ids) an earlier build wrote,
+/// with a bundle version 2 pinball and a snapshot version 1 file beside
+/// it. `fixtures/v1/README.md` records how they were made.
+fn v1_fixture() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v1")
+}
+
+fn copy_dir(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        let dest = to.join(entry.file_name());
+        if entry.file_type().unwrap().is_dir() {
+            copy_dir(&entry.path(), &dest);
+        } else {
+            std::fs::copy(entry.path(), dest).unwrap();
+        }
+    }
+}
+
+/// Overwrites the format version word of the file at `path`.
+fn set_version(path: &Path, version: u32) {
+    let mut bytes = std::fs::read(path).unwrap();
+    bytes[4..8].copy_from_slice(&version.to_le_bytes());
+    std::fs::write(path, bytes).unwrap();
+}
+
+/// The fixture's snapshot chain: `slice` 1 and 2, one page each of
+/// constant `fills`, and kernel, syscall and cache state that varies
+/// with the slice.
+fn chain_snapshot(slice: u64, fills: &[(u64, u8)], dropped: &[u64]) -> Snapshot {
+    Snapshot {
+        meta: SnapshotMeta {
+            slice_index: slice,
+            interval: 1000,
+            global_icount: slice * 1000,
+            cycles: slice * 1500,
+            ..Default::default()
+        },
+        consumed_syscalls: BTreeMap::from([(0, slice)]),
+        kernel: KernelSnap {
+            brk_start: 0x60_0000,
+            brk: 0x60_0000 + slice * PAGE as u64,
+            cwd: "/work".into(),
+            stdout: format!("slice {slice}\n").into_bytes(),
+        },
+        caches: vec![CacheSnap {
+            tags: vec![u64::MAX, slice, 2],
+            hits: slice * 10,
+            misses: slice,
+        }],
+        delta: fills
+            .iter()
+            .map(|&(addr, fill)| (addr, PageRecord::new(0b011, &[fill; PAGE])))
+            .collect(),
+        dropped: dropped.to_vec(),
+        ..Default::default()
+    }
+}
+
+fn fixture_snapshots() -> (Snapshot, Snapshot) {
+    (
+        chain_snapshot(1, &[(0x40_0000, 7)], &[]),
+        chain_snapshot(2, &[(0x40_0000, 7), (0x40_2000, 9)], &[0x40_1000]),
+    )
+}
+
+fn fixture_elfie() -> Vec<u8> {
+    b"\x7fELF"
+        .iter()
+        .copied()
+        .chain((0..6_000u32).map(|i| (i % 251) as u8))
+        .collect()
+}
+
+#[test]
+fn format_1_store_reads_verifies_and_collects() {
+    let dir = tmp("v1-store");
+    copy_dir(&v1_fixture().join("store"), &dir);
+    let store = Store::open(&dir).unwrap();
+
+    // Every object reads back bit for bit.
+    let pb = make_pinball("pinball", &[0, 0, 1, 2, 0]);
+    assert_eq!(
+        store.get_pinball("pinball").unwrap().to_bytes(),
+        pb.to_bytes()
+    );
+    let lazy = store.get_pinball_lazy("pinball").unwrap();
+    let mut skeleton = pb.clone();
+    skeleton.image = MemoryImage::new();
+    skeleton.lazy_pages.clear();
+    assert_eq!(lazy.skeleton.to_bytes(), skeleton.to_bytes());
+    assert_eq!(
+        lazy.page_count(),
+        pb.image.pages.len() + pb.lazy_pages.len()
+    );
+    for (&addr, rec) in pb.image.pages.iter().chain(&pb.lazy_pages) {
+        assert_eq!(lazy.fetch_page(addr).as_ref(), Some(rec), "page {addr:#x}");
+    }
+    let (s1, s2) = fixture_snapshots();
+    let listed = store.list().unwrap();
+    let id1 = listed.iter().find(|e| e.name == "snap.1").unwrap().id;
+    assert_eq!(store.get_snapshot("snap.1").unwrap(), (s1, None));
+    assert_eq!(store.get_snapshot("snap.2").unwrap(), (s2, Some(id1)));
+    assert_eq!(store.get_elfie("image.elfie").unwrap(), fixture_elfie());
+
+    // verify is clean, and list and stats agree with each other and with
+    // the figures the writing build reported for this store.
+    let report = store.verify().unwrap();
+    assert!(report.is_ok(), "{report}");
+    assert_eq!(
+        (
+            report.blobs_checked,
+            report.objects_checked,
+            report.refs_checked
+        ),
+        (10, 4, 4)
+    );
+    let stats = store.stats().unwrap();
+    assert_eq!(
+        stats,
+        StoreStats {
+            objects: 4,
+            blobs: 10,
+            logical_bytes: 44_381,
+            unique_bytes: 27_997,
+            physical_bytes: 9_343,
+        }
+    );
+    assert_eq!(listed.len(), stats.objects);
+    assert_eq!(
+        listed.iter().map(|e| e.logical_bytes).sum::<u64>(),
+        stats.logical_bytes
+    );
+
+    // A new put writes format 2 beside the old objects. Dedup does not
+    // cross versions: the pinball's three distinct pages and its skeleton
+    // become four new blobs.
+    store.put_pinball("pinball.v2", &pb).unwrap();
+    assert_eq!(
+        store.get_pinball("pinball.v2").unwrap().to_bytes(),
+        pb.to_bytes()
+    );
+    assert!(store.verify().unwrap().is_ok());
+    assert_eq!(store.stats().unwrap().blobs, 14);
+
+    // Dropping the format 1 ref sweeps exactly its manifest and blobs;
+    // the format 2 copy stays whole.
+    assert!(store.remove("pinball").unwrap());
+    let gc = store.gc().unwrap();
+    assert_eq!((gc.manifests_removed, gc.blobs_removed), (1, 4));
+    assert_eq!(
+        store.get_pinball("pinball.v2").unwrap().to_bytes(),
+        pb.to_bytes()
+    );
+    let report = store.verify().unwrap();
+    assert!(report.is_ok(), "{report}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn old_bundle_and_snapshot_files_decode() {
+    let bundle = std::fs::read(v1_fixture().join("exchange2_like.pbal")).unwrap();
+    assert_eq!(bundle[4..8], 2u32.to_le_bytes(), "bundle version 2");
+    let pb = Pinball::from_bytes(&bundle).unwrap();
+    assert_eq!(
+        (pb.region.name.as_str(), pb.region.length),
+        ("exchange2_like.0", 3000)
+    );
+    let rewritten = pb.to_bytes();
+    assert_eq!(rewritten[4..8], elfie_pinball::BUNDLE_VERSION.to_le_bytes());
+    assert_eq!(
+        Pinball::from_bytes(&rewritten).unwrap().to_bytes(),
+        rewritten
+    );
+
+    let snap = std::fs::read(v1_fixture().join("snapshot.v1.bin")).unwrap();
+    assert_eq!(snap[4..8], 1u32.to_le_bytes(), "snapshot version 1");
+    assert_eq!(Snapshot::from_bytes(&snap).unwrap(), fixture_snapshots().1);
+}
+
+#[test]
+fn unknown_format_versions_still_fail() {
+    let mut bundle = std::fs::read(v1_fixture().join("exchange2_like.pbal")).unwrap();
+    bundle[4..8].copy_from_slice(&99u32.to_le_bytes());
+    assert!(matches!(
+        Pinball::from_bytes(&bundle),
+        Err(PinballError::Wire(WireError::BadVersion(99)))
+    ));
+    let mut snap = std::fs::read(v1_fixture().join("snapshot.v1.bin")).unwrap();
+    snap[4..8].copy_from_slice(&99u32.to_le_bytes());
+    assert_eq!(Snapshot::from_bytes(&snap), Err(WireError::BadVersion(99)));
+
+    let dir = tmp("v99-store");
+    copy_dir(&v1_fixture().join("store"), &dir);
+    let store = Store::open(&dir).unwrap();
+    let id = std::fs::read_to_string(dir.join("refs/pinball")).unwrap();
+    set_version(&dir.join(format!("objects/{}.mf", id.trim())), 99);
+    assert!(matches!(
+        store.get_pinball("pinball"),
+        Err(StoreError::Wire(WireError::BadVersion(99)))
+    ));
+    for shard in std::fs::read_dir(dir.join("blobs")).unwrap() {
+        for blob in std::fs::read_dir(shard.unwrap().path()).unwrap() {
+            set_version(&blob.unwrap().path(), 99);
+        }
+    }
+    assert!(matches!(
+        store.get_elfie("image.elfie"),
+        Err(StoreError::Wire(WireError::BadVersion(99)))
+    ));
+    assert!(matches!(
+        store.stats(),
+        Err(StoreError::Wire(WireError::BadVersion(99)))
+    ));
+    assert_eq!(store.verify().unwrap().errors.len(), 10 + 1 + 1);
     std::fs::remove_dir_all(&dir).ok();
 }
