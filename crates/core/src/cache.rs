@@ -18,16 +18,22 @@
 //! With [`PipelineCache::persistent`] the in-memory tier is backed by a
 //! content-addressed [`elfie_store::Store`] on disk: artifacts computed in
 //! one process are reloaded by the next, so `elfie validate --store DIR`
-//! warm-starts across runs. Lookups go memory → store → compute; store
-//! hits count as cache hits (plus a separate `store_hits` counter), and a
-//! corrupt or unreadable store entry silently degrades to a recompute.
+//! warm-starts across runs. Both artifact kinds take one path, memory →
+//! store → compute → write-through; a kind supplies only how it loads
+//! from and saves to the store. A pinball is stored as a pinball (pages
+//! deduplicated by the store); a profile as a raw `ESPF` stream, whose
+//! codec lives in this module. Store hits count as cache hits (plus a
+//! separate `store_hits` counter), and a missing, corrupt or unreadable
+//! store entry silently degrades to a recompute.
 
 use elfie_pinball::Pinball;
 use elfie_pinplay::CaptureError;
 use elfie_simpoint::{BbvProfile, PinPoint, ProfileKey};
+use elfie_store::{Store, StoreError};
 use elfie_vm::MachineConfig;
 use elfie_workloads::Workload;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,22 +42,102 @@ use std::sync::{Arc, Mutex};
 /// Shared store for BBV profiles and captured pinballs.
 #[derive(Debug, Default)]
 pub struct PipelineCache {
-    profiles: Mutex<HashMap<u64, Arc<BbvProfile>>>,
-    pinballs: Mutex<HashMap<u64, Arc<Pinball>>>,
-    store: Option<elfie_store::Store>,
+    profiles: Tier<BbvProfile>,
+    pinballs: Tier<Pinball>,
+    store: Option<Store>,
     /// Persistent-tier ref prefix (`{tenant}--`), empty for the default
     /// namespace. Memory-tier keys are *not* prefixed: one cache instance
     /// serves one namespace, so they cannot collide.
     namespace: String,
-    profile_hits: AtomicU64,
-    profile_misses: AtomicU64,
-    pinball_hits: AtomicU64,
-    pinball_misses: AtomicU64,
     store_hits: AtomicU64,
     store_puts: AtomicU64,
     /// Set once via [`PipelineCache::attach_tracer`]; lock-free to read,
     /// so untraced caches pay one pointer load per lookup.
     tracer: std::sync::OnceLock<Arc<elfie_trace::Tracer>>,
+}
+
+/// The memory tier and lookup counters of one artifact kind.
+#[derive(Debug)]
+struct Tier<T> {
+    mem: Mutex<HashMap<u64, Arc<T>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl<T> Default for Tier<T> {
+    fn default() -> Tier<T> {
+        Tier {
+            mem: Mutex::default(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+}
+
+impl<T> Tier<T> {
+    fn get(&self, key: u64) -> Option<Arc<T>> {
+        self.mem
+            .lock()
+            .expect("no lookup panics holding the lock")
+            .get(&key)
+            .cloned()
+    }
+
+    /// Keeps `value` under `key`, unless a racing insert got there first:
+    /// then both callers get that one.
+    fn keep(&self, key: u64, value: Arc<T>) -> Arc<T> {
+        Arc::clone(
+            self.mem
+                .lock()
+                .expect("no lookup panics holding the lock")
+                .entry(key)
+                .or_insert(value),
+        )
+    }
+}
+
+/// One kind of cached artifact: its store ref prefix, its trace
+/// instants, and how it loads from and saves to the persistent store.
+trait Artifact: Sized {
+    /// Store ref prefix, after the namespace.
+    const PREFIX: &'static str;
+    /// Trace instants for a memory hit, a store hit and a miss.
+    const EVENTS: [&'static str; 3];
+
+    /// The artifact stored under `name`; any store failure is `None`.
+    fn load(store: &Store, name: &str) -> Option<Self>;
+
+    /// Writes the artifact under `name`. Returns the encoded size when
+    /// the kind reports it in its `store_put` instant.
+    fn save(&self, store: &Store, name: &str) -> Result<Option<u64>, StoreError>;
+}
+
+impl Artifact for BbvProfile {
+    const PREFIX: &'static str = "profile-";
+    const EVENTS: [&'static str; 3] = ["profile_hit", "profile_store_hit", "profile_miss"];
+
+    fn load(store: &Store, name: &str) -> Option<BbvProfile> {
+        espf::from_bytes(&store.get_raw(name).ok()?).ok()
+    }
+
+    fn save(&self, store: &Store, name: &str) -> Result<Option<u64>, StoreError> {
+        let bytes = espf::to_bytes(self);
+        store.put_raw(name, &bytes)?;
+        Ok(Some(bytes.len() as u64))
+    }
+}
+
+impl Artifact for Pinball {
+    const PREFIX: &'static str = "pinball-";
+    const EVENTS: [&'static str; 3] = ["pinball_hit", "pinball_store_hit", "pinball_miss"];
+
+    fn load(store: &Store, name: &str) -> Option<Pinball> {
+        store.get_pinball(name).ok()
+    }
+
+    fn save(&self, store: &Store, name: &str) -> Result<Option<u64>, StoreError> {
+        store.put_pinball(name, self).map(|_| None)
+    }
 }
 
 /// A point-in-time snapshot of the cache counters.
@@ -91,18 +177,6 @@ impl CacheStats {
     /// Total pinball lookups.
     pub fn pinball_lookups(&self) -> u64 {
         self.pinball_hits.saturating_add(self.pinball_misses)
-    }
-
-    /// Fraction of profile lookups served from cache, `[0, 1]` (0 when
-    /// there were none).
-    pub fn profile_hit_rate(&self) -> f64 {
-        elfie_vm::hit_rate(self.profile_hits, self.profile_misses)
-    }
-
-    /// Fraction of pinball lookups served from cache, `[0, 1]` (0 when
-    /// there were none).
-    pub fn pinball_hit_rate(&self) -> f64 {
-        elfie_vm::hit_rate(self.pinball_hits, self.pinball_misses)
     }
 
     /// Overall hit fraction across both artifact kinds, `[0, 1]`.
@@ -153,12 +227,12 @@ impl PipelineCache {
     ///
     /// # Errors
     /// Returns [`elfie_store::StoreError`] if the store cannot be opened.
-    pub fn persistent(dir: impl AsRef<Path>) -> Result<PipelineCache, elfie_store::StoreError> {
-        Ok(PipelineCache::new().with_store(elfie_store::Store::open(dir)?))
+    pub fn persistent(dir: impl AsRef<Path>) -> Result<PipelineCache, StoreError> {
+        Ok(PipelineCache::new().with_store(Store::open(dir)?))
     }
 
     /// Attaches a persistent store to this cache.
-    pub fn with_store(mut self, store: elfie_store::Store) -> PipelineCache {
+    pub fn with_store(mut self, store: Store) -> PipelineCache {
         self.store = Some(store);
         self
     }
@@ -182,17 +256,6 @@ impl PipelineCache {
         self
     }
 
-    /// The tenant this cache's persistent tier is scoped to (empty for
-    /// the default namespace).
-    pub fn namespace(&self) -> &str {
-        self.namespace.strip_suffix("--").unwrap_or(&self.namespace)
-    }
-
-    /// The persistent store backing this cache, if any.
-    pub fn store(&self) -> Option<&elfie_store::Store> {
-        self.store.as_ref()
-    }
-
     /// Attributes every hit/miss/put to `tracer` from now on: instants
     /// (`profile_hit`, `pinball_store_hit`, `store_put`, …) on the thread
     /// that performed the lookup, plus `cache_hits` / `cache_misses` /
@@ -204,50 +267,11 @@ impl PipelineCache {
     fn trace_event(&self, name: &'static str, args: &[(&'static str, u64)]) {
         if let Some(tracer) = self.tracer.get() {
             tracer.instant("cache", name, args);
-            tracer.counter("cache", "cache_hits", self.hits_now());
-            tracer.counter("cache", "cache_misses", self.misses_now());
-            tracer.counter(
-                "cache",
-                "store_puts",
-                self.store_puts.load(Ordering::Relaxed),
-            );
+            let s = self.stats();
+            tracer.counter("cache", "cache_hits", s.hits());
+            tracer.counter("cache", "cache_misses", s.misses());
+            tracer.counter("cache", "store_puts", s.store_puts);
         }
-    }
-
-    fn hits_now(&self) -> u64 {
-        self.profile_hits
-            .load(Ordering::Relaxed)
-            .saturating_add(self.pinball_hits.load(Ordering::Relaxed))
-    }
-
-    fn misses_now(&self) -> u64 {
-        self.profile_misses
-            .load(Ordering::Relaxed)
-            .saturating_add(self.pinball_misses.load(Ordering::Relaxed))
-    }
-
-    fn profile_ref(&self, key: u64) -> String {
-        format!("{}profile-{key:016x}", self.namespace)
-    }
-
-    fn pinball_ref(&self, key: u64) -> String {
-        format!("{}pinball-{key:016x}", self.namespace)
-    }
-
-    /// Tries the persistent tier for a profile. Any store failure —
-    /// missing, corrupt, unreadable — degrades to `None` (recompute).
-    fn store_profile(&self, key: u64) -> Option<BbvProfile> {
-        let store = self.store.as_ref()?;
-        let bytes = store.get_raw(&self.profile_ref(key)).ok()?;
-        elfie_store::profiles::from_bytes(&bytes).ok()
-    }
-
-    /// Tries the persistent tier for a pinball.
-    fn store_pinball(&self, key: u64) -> Option<Pinball> {
-        self.store
-            .as_ref()?
-            .get_pinball(&self.pinball_ref(key))
-            .ok()
     }
 
     /// The cache key of a profiling run.
@@ -278,32 +302,12 @@ impl PipelineCache {
     /// the same key may both compute; profiling is deterministic, so both
     /// produce the same value and either insert wins.
     pub fn profile(&self, key: u64, compute: impl FnOnce() -> BbvProfile) -> Arc<BbvProfile> {
-        if let Some(hit) = self.profiles.lock().unwrap().get(&key) {
-            self.profile_hits.fetch_add(1, Ordering::Relaxed);
-            let hit = Arc::clone(hit);
-            self.trace_event("profile_hit", &[("key", key)]);
-            return hit;
-        }
-        if let Some(found) = self.store_profile(key) {
-            self.profile_hits.fetch_add(1, Ordering::Relaxed);
-            self.store_hits.fetch_add(1, Ordering::Relaxed);
-            self.trace_event("profile_store_hit", &[("key", key)]);
-            let value = Arc::new(found);
-            let mut mem = self.profiles.lock().unwrap();
-            return Arc::clone(mem.entry(key).or_insert(value));
-        }
-        self.profile_misses.fetch_add(1, Ordering::Relaxed);
-        self.trace_event("profile_miss", &[("key", key)]);
-        let value = Arc::new(compute());
-        if let Some(store) = &self.store {
-            let bytes = elfie_store::profiles::to_bytes(&value);
-            if store.put_raw(&self.profile_ref(key), &bytes).is_ok() {
-                self.store_puts.fetch_add(1, Ordering::Relaxed);
-                self.trace_event("store_put", &[("key", key), ("bytes", bytes.len() as u64)]);
-            }
-        }
-        let mut mem = self.profiles.lock().unwrap();
-        Arc::clone(mem.entry(key).or_insert(value))
+        self.fetch(&self.profiles, &[key], |_| {
+            vec![Ok::<_, Infallible>(compute())]
+        })
+        .pop()
+        .expect("one result per key")
+        .unwrap_or_else(|never| match never {})
     }
 
     /// Returns the cached pinball under `key`, or runs `compute`.
@@ -338,14 +342,28 @@ impl PipelineCache {
         keys: &[u64],
         compute_missing: impl FnOnce(&[usize]) -> Vec<Result<Pinball, CaptureError>>,
     ) -> Vec<Result<Arc<Pinball>, CaptureError>> {
-        let mut results: Vec<Option<Result<Arc<Pinball>, CaptureError>>> =
-            keys.iter().map(|&key| self.lookup(key).map(Ok)).collect();
+        self.fetch(&self.pinballs, keys, compute_missing)
+    }
+
+    /// The one lookup path of every artifact kind, as documented on
+    /// [`PipelineCache::pinballs`]. No lock is held across
+    /// `compute_missing`, and only `Ok` results are kept.
+    fn fetch<T: Artifact, E>(
+        &self,
+        tier: &Tier<T>,
+        keys: &[u64],
+        compute_missing: impl FnOnce(&[usize]) -> Vec<Result<T, E>>,
+    ) -> Vec<Result<Arc<T>, E>> {
+        let mut results: Vec<Option<Result<Arc<T>, E>>> = keys
+            .iter()
+            .map(|&key| self.lookup(tier, key).map(Ok))
+            .collect();
         let missing: Vec<usize> = (0..keys.len()).filter(|&i| results[i].is_none()).collect();
         if !missing.is_empty() {
             let computed = compute_missing(&missing);
             assert_eq!(computed.len(), missing.len(), "one result per missing key");
             for (&i, result) in missing.iter().zip(computed) {
-                results[i] = Some(result.map(|pb| self.insert(keys[i], pb)));
+                results[i] = Some(result.map(|value| self.insert(tier, keys[i], value)));
             }
         }
         results
@@ -354,97 +372,177 @@ impl PipelineCache {
             .collect()
     }
 
-    /// One pinball lookup: memory, then store. Counts the hit, or the
-    /// miss when neither tier has `key`.
-    fn lookup(&self, key: u64) -> Option<Arc<Pinball>> {
-        if let Some(hit) = self.pinballs.lock().unwrap().get(&key) {
-            self.pinball_hits.fetch_add(1, Ordering::Relaxed);
-            let hit = Arc::clone(hit);
-            self.trace_event("pinball_hit", &[("key", key)]);
-            return Some(hit);
+    fn store_ref<T: Artifact>(&self, key: u64) -> String {
+        format!("{}{}{key:016x}", self.namespace, T::PREFIX)
+    }
+
+    /// One lookup: memory, then store. Counts the hit, or the miss when
+    /// neither tier has `key`.
+    fn lookup<T: Artifact>(&self, tier: &Tier<T>, key: u64) -> Option<Arc<T>> {
+        let [hit, store_hit, miss] = T::EVENTS;
+        if let Some(found) = tier.get(key) {
+            tier.hits.fetch_add(1, Ordering::Relaxed);
+            self.trace_event(hit, &[("key", key)]);
+            return Some(found);
         }
-        if let Some(found) = self.store_pinball(key) {
-            self.pinball_hits.fetch_add(1, Ordering::Relaxed);
+        let stored = self
+            .store
+            .as_ref()
+            .and_then(|store| T::load(store, &self.store_ref::<T>(key)));
+        if let Some(found) = stored {
+            tier.hits.fetch_add(1, Ordering::Relaxed);
             self.store_hits.fetch_add(1, Ordering::Relaxed);
-            self.trace_event("pinball_store_hit", &[("key", key)]);
-            let value = Arc::new(found);
-            let mut mem = self.pinballs.lock().unwrap();
-            return Some(Arc::clone(mem.entry(key).or_insert(value)));
+            self.trace_event(store_hit, &[("key", key)]);
+            return Some(tier.keep(key, Arc::new(found)));
         }
-        self.pinball_misses.fetch_add(1, Ordering::Relaxed);
-        self.trace_event("pinball_miss", &[("key", key)]);
+        tier.misses.fetch_add(1, Ordering::Relaxed);
+        self.trace_event(miss, &[("key", key)]);
         None
     }
 
-    /// Stores a computed pinball: writes it through to the store, if
+    /// Keeps a computed artifact: writes it through to the store, if
     /// any, then keeps it in memory.
-    fn insert(&self, key: u64, pinball: Pinball) -> Arc<Pinball> {
-        let value = Arc::new(pinball);
+    fn insert<T: Artifact>(&self, tier: &Tier<T>, key: u64, value: T) -> Arc<T> {
         if let Some(store) = &self.store {
-            if store.put_pinball(&self.pinball_ref(key), &value).is_ok() {
+            if let Ok(size) = value.save(store, &self.store_ref::<T>(key)) {
                 self.store_puts.fetch_add(1, Ordering::Relaxed);
-                self.trace_event("store_put", &[("key", key)]);
+                match size {
+                    Some(bytes) => self.trace_event("store_put", &[("key", key), ("bytes", bytes)]),
+                    None => self.trace_event("store_put", &[("key", key)]),
+                }
             }
         }
-        let mut mem = self.pinballs.lock().unwrap();
-        Arc::clone(mem.entry(key).or_insert(value))
-    }
-
-    /// Opens the pinball stored under `key` in the persistent tier
-    /// *lazily*: the returned handle carries only the skeleton (metadata,
-    /// registers, logs), and page payloads stream in from the store on
-    /// first touch — hand the handle to
-    /// `Replayer::replay_full_with_source` as the fault [`PageSource`].
-    /// Returns `None` when no store is attached or it has no such
-    /// pinball. A hit counts as a pinball + store hit but deliberately
-    /// skips the in-memory tier: the point is *not* holding the pages.
-    ///
-    /// [`PageSource`]: elfie_pinball::PageSource
-    pub fn lazy_pinball(&self, key: u64) -> Option<elfie_store::LazyPinball> {
-        let lazy = self
-            .store
-            .as_ref()?
-            .get_pinball_lazy(&self.pinball_ref(key))
-            .ok()?;
-        self.pinball_hits.fetch_add(1, Ordering::Relaxed);
-        self.store_hits.fetch_add(1, Ordering::Relaxed);
-        self.trace_event("pinball_lazy_hit", &[("key", key)]);
-        Some(lazy)
-    }
-
-    /// Number of stored profiles.
-    pub fn profile_count(&self) -> usize {
-        self.profiles.lock().unwrap().len()
-    }
-
-    /// Number of stored pinballs.
-    pub fn pinball_count(&self) -> usize {
-        self.pinballs.lock().unwrap().len()
+        tier.keep(key, Arc::new(value))
     }
 
     /// Snapshot of the hit/miss counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            profile_hits: self.profile_hits.load(Ordering::Relaxed),
-            profile_misses: self.profile_misses.load(Ordering::Relaxed),
-            pinball_hits: self.pinball_hits.load(Ordering::Relaxed),
-            pinball_misses: self.pinball_misses.load(Ordering::Relaxed),
+            profile_hits: self.profiles.hits.load(Ordering::Relaxed),
+            profile_misses: self.profiles.misses.load(Ordering::Relaxed),
+            pinball_hits: self.pinballs.hits.load(Ordering::Relaxed),
+            pinball_misses: self.pinballs.misses.load(Ordering::Relaxed),
             store_hits: self.store_hits.load(Ordering::Relaxed),
             store_puts: self.store_puts.load(Ordering::Relaxed),
         }
     }
+}
 
-    /// Drops every in-memory artifact and resets the counters. The
-    /// persistent store, if any, is untouched.
-    pub fn clear(&self) {
-        self.profiles.lock().unwrap().clear();
-        self.pinballs.lock().unwrap().clear();
-        self.profile_hits.store(0, Ordering::Relaxed);
-        self.profile_misses.store(0, Ordering::Relaxed);
-        self.pinball_hits.store(0, Ordering::Relaxed);
-        self.pinball_misses.store(0, Ordering::Relaxed);
-        self.store_hits.store(0, Ordering::Relaxed);
-        self.store_puts.store(0, Ordering::Relaxed);
+/// The persisted profile format: one `ESPF` version 1 stream per
+/// profile, stored raw.
+mod espf {
+    use elfie_pinball::wire::{Reader, WireError, Writer};
+    use elfie_simpoint::{Bbv, BbvProfile};
+
+    const PROFILE_MAGIC: &[u8; 4] = b"ESPF";
+    const PROFILE_VERSION: u32 = 1;
+
+    /// Serialises a BBV profile into a self-describing wire buffer.
+    pub(super) fn to_bytes(profile: &BbvProfile) -> Vec<u8> {
+        let mut w = Writer::with_header(PROFILE_MAGIC, PROFILE_VERSION);
+        w.u64(profile.slice_size);
+        w.u64(profile.total_insns);
+        w.u64(profile.slices.len() as u64);
+        for slice in &profile.slices {
+            w.u64(slice.len() as u64);
+            for (&pc, &count) in slice {
+                w.u64(pc);
+                w.u64(count);
+            }
+        }
+        w.into_bytes()
+    }
+
+    /// Inverse of [`to_bytes`].
+    ///
+    /// # Errors
+    /// Returns [`WireError`] if the buffer is truncated, has trailing bytes,
+    /// or carries an unknown magic/version.
+    pub(super) fn from_bytes(buf: &[u8]) -> Result<BbvProfile, WireError> {
+        let mut r = Reader::with_header(buf, PROFILE_MAGIC, PROFILE_VERSION)?;
+        let slice_size = r.u64()?;
+        let total_insns = r.u64()?;
+        let n_slices = r.u64()?;
+        let mut slices = Vec::with_capacity(n_slices.min(1 << 20) as usize);
+        for _ in 0..n_slices {
+            let n = r.u64()?;
+            let mut slice = Bbv::new();
+            for _ in 0..n {
+                let pc = r.u64()?;
+                let count = r.u64()?;
+                slice.insert(pc, count);
+            }
+            slices.push(slice);
+        }
+        if !r.is_exhausted() {
+            return Err(WireError::Corrupt("trailing profile bytes"));
+        }
+        Ok(BbvProfile {
+            slice_size,
+            slices,
+            total_insns,
+        })
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        fn sample() -> BbvProfile {
+            let mut a = Bbv::new();
+            a.insert(0x1000, 17);
+            a.insert(0x1040, 3);
+            let mut b = Bbv::new();
+            b.insert(0x2000, 99);
+            BbvProfile {
+                slice_size: 10_000,
+                slices: vec![a, b, Bbv::new()],
+                total_insns: 23_456,
+            }
+        }
+
+        #[test]
+        fn roundtrip_preserves_everything() {
+            let p = sample();
+            let back = from_bytes(&to_bytes(&p)).unwrap();
+            assert_eq!(back.slice_size, p.slice_size);
+            assert_eq!(back.total_insns, p.total_insns);
+            assert_eq!(back.slices, p.slices);
+            assert_eq!(back.fingerprint(), p.fingerprint());
+        }
+
+        #[test]
+        fn truncation_and_trailing_bytes_rejected() {
+            let mut bytes = to_bytes(&sample());
+            assert!(from_bytes(&bytes[..bytes.len() - 1]).is_err());
+            bytes.push(0);
+            assert!(matches!(
+                from_bytes(&bytes),
+                Err(WireError::Corrupt("trailing profile bytes"))
+            ));
+        }
+
+        /// The persisted `ESPF` v1 encoding of [`sample`], byte for byte: a
+        /// warm `--store` directory depends on it.
+        #[test]
+        fn encoding_matches_the_pinned_bytes() {
+            #[rustfmt::skip]
+            const PINNED: &[u8] = &[
+                b'E', b'S', b'P', b'F', 1, 0, 0, 0,
+                0x10, 0x27, 0, 0, 0, 0, 0, 0, // slice_size 10000
+                0xa0, 0x5b, 0, 0, 0, 0, 0, 0, // total_insns 23456
+                3, 0, 0, 0, 0, 0, 0, 0, // 3 slices
+                2, 0, 0, 0, 0, 0, 0, 0, // slice 0: 2 blocks
+                0x00, 0x10, 0, 0, 0, 0, 0, 0, 17, 0, 0, 0, 0, 0, 0, 0,
+                0x40, 0x10, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0,
+                1, 0, 0, 0, 0, 0, 0, 0, // slice 1: 1 block
+                0x00, 0x20, 0, 0, 0, 0, 0, 0, 99, 0, 0, 0, 0, 0, 0, 0,
+                0, 0, 0, 0, 0, 0, 0, 0, // slice 2: empty
+            ];
+            assert_eq!(to_bytes(&sample()), PINNED);
+            let back = from_bytes(PINNED).unwrap();
+            assert_eq!(back.slices, sample().slices);
+        }
     }
 }
 
@@ -475,8 +573,10 @@ mod tests {
         let cache = PipelineCache::new();
         cache.profile(1, || profile_with(1));
         cache.profile(2, || profile_with(2));
-        assert_eq!(cache.profile_count(), 2);
-        assert_eq!(cache.stats().profile_misses, 2);
+        assert_eq!(cache.profile(1, || panic!("cached")).total_insns, 1);
+        assert_eq!(cache.profile(2, || panic!("cached")).total_insns, 2);
+        let s = cache.stats();
+        assert_eq!((s.profile_hits, s.profile_misses), (2, 2));
     }
 
     #[test]
@@ -484,9 +584,11 @@ mod tests {
         let cache = PipelineCache::new();
         let r = cache.pinball(3, || Err(CaptureError::NoLiveThreads));
         assert!(r.is_err());
-        assert_eq!(cache.pinball_count(), 0);
-        // A later successful compute still runs.
         assert_eq!(cache.stats().pinball_misses, 1);
+        // A later successful compute still runs.
+        let pb = cache.pinball(3, || Ok(pinball_named("three"))).unwrap();
+        assert_eq!(pb.meta.name, "three");
+        assert_eq!(cache.stats().pinball_misses, 2);
     }
 
     /// A small captured pinball named `name`.
@@ -523,9 +625,9 @@ mod tests {
         assert_eq!(names, ["one", "two", "err", "four"]);
         let s = cache.stats();
         assert_eq!((s.pinball_hits, s.pinball_misses), (1, 1 + 3));
-        assert_eq!(cache.pinball_count(), 3, "the failure is not cached");
 
-        // All hits now but the failed key: only it is computed again.
+        // All hits now but the failed key, which was not cached: only it
+        // is computed again.
         let again = cache.pinballs(&[4, 1, 3], |missing| {
             assert_eq!(missing, &[2]);
             vec![Ok(pinball_named("three"))]
@@ -533,16 +635,6 @@ mod tests {
         assert!(again.iter().all(Result::is_ok));
         let s = cache.stats();
         assert_eq!((s.pinball_hits, s.pinball_misses), (3, 5));
-    }
-
-    #[test]
-    fn clear_resets_contents_and_counters() {
-        let cache = PipelineCache::new();
-        cache.profile(1, || profile_with(1));
-        cache.profile(1, || profile_with(1));
-        cache.clear();
-        assert_eq!(cache.profile_count(), 0);
-        assert_eq!(cache.stats(), CacheStats::default());
     }
 
     #[test]
@@ -569,40 +661,54 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Flips one byte in the middle of every blob file under `dir`, and
+    /// returns how many it flipped.
+    fn corrupt_every_blob(dir: &Path) -> usize {
+        let mut flipped = 0;
+        for shard in std::fs::read_dir(dir.join("blobs")).unwrap() {
+            for blob in std::fs::read_dir(shard.unwrap().path()).unwrap() {
+                let path = blob.unwrap().path();
+                let mut bytes = std::fs::read(&path).unwrap();
+                let mid = bytes.len() / 2;
+                bytes[mid] ^= 0x5a;
+                std::fs::write(&path, bytes).unwrap();
+                flipped += 1;
+            }
+        }
+        flipped
+    }
+
     #[test]
-    fn lazy_pinball_streams_pages_from_the_persistent_tier() {
-        use elfie_pinball::PageSource;
-        let dir = std::env::temp_dir().join(format!("elfie-cache-lazy-{}", std::process::id()));
+    fn corrupt_store_entries_degrade_to_a_recompute() {
+        let dir = std::env::temp_dir().join(format!("elfie-cache-corrupt-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
+        let profile = || BbvProfile {
+            slice_size: 100,
+            slices: vec![[(0x1000, 60), (0x1040, 40)].into(), [(0x2000, 100)].into()],
+            total_insns: 200,
+        };
 
-        let cache = PipelineCache::persistent(&dir).unwrap();
-        assert!(cache.lazy_pinball(9).is_none(), "nothing stored yet");
+        // Write a profile and a pinball through a persistent cache, then
+        // flip a byte in each of their blob files.
+        let cold = PipelineCache::persistent(&dir).unwrap();
+        let p0 = cold.profile(1, profile);
+        let pb0 = cold.pinball(2, || Ok(pinball_named("pb"))).unwrap();
+        assert_eq!(cold.stats().store_puts, 2);
+        assert!(corrupt_every_blob(&dir) >= 2);
 
-        // Capture a real fat pinball and write it through the cache.
-        let w = elfie_workloads::gcc_like(0);
-        let logger = elfie_pinplay::Logger::new(elfie_pinplay::LoggerConfig::fat(
-            "lazy",
-            elfie_pinball::RegionTrigger::GlobalIcount(1_000),
-            2_000,
-        ));
-        let pb = cache
-            .pinball(9, || logger.capture(&w.program, |m| w.setup(m)))
-            .expect("captures");
-
-        let lazy = cache.lazy_pinball(9).expect("stored and lazily openable");
+        // A fresh cache over the same store recomputes both.
+        let warm = PipelineCache::persistent(&dir).unwrap();
+        let p1 = warm.profile(1, profile);
+        let pb1 = warm.pinball(2, || Ok(pinball_named("pb"))).unwrap();
+        let s = warm.stats();
+        assert_eq!((s.profile_hits, s.profile_misses), (0, 1));
+        assert_eq!((s.pinball_hits, s.pinball_misses), (0, 1));
+        assert_eq!(s.store_hits, 0);
         assert_eq!(
-            lazy.page_count(),
-            pb.image.pages.len() + pb.lazy_pages.len()
+            (p1.slice_size, &p1.slices, p1.total_insns),
+            (p0.slice_size, &p0.slices, p0.total_insns)
         );
-        assert!(
-            lazy.skeleton.image.pages.is_empty(),
-            "skeleton has no pages"
-        );
-        let (&addr, page) = pb.image.pages.iter().next().expect("fat image");
-        let fetched = lazy.fetch_page(addr).expect("page streams in");
-        assert_eq!(fetched.data[..], page.data[..]);
-        assert_eq!(fetched.perm, page.perm);
-        assert!(lazy.fetch_page(0xdead_f000).is_none());
+        assert_eq!(pb1.to_bytes(), pb0.to_bytes());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -613,7 +719,6 @@ mod tests {
 
         // Tenant A computes and writes through under its namespace.
         let a = PipelineCache::persistent(&dir).unwrap().with_namespace("a");
-        assert_eq!(a.namespace(), "a");
         a.profile(5, || profile_with(11));
         assert_eq!((a.stats().store_puts, a.stats().store_hits), (1, 0));
 
@@ -632,9 +737,23 @@ mod tests {
         // The default (empty) namespace keeps historical ref names: it
         // sees neither tenant and writes plain `profile-…` refs.
         let plain = PipelineCache::persistent(&dir).unwrap();
-        assert_eq!(plain.namespace(), "");
         let p = plain.profile(5, || profile_with(33));
         assert_eq!(p.total_insns, 33);
+        let refs: Vec<String> = elfie_store::Store::open(&dir)
+            .unwrap()
+            .list()
+            .unwrap()
+            .into_iter()
+            .map(|r| r.name)
+            .collect();
+        assert_eq!(
+            refs,
+            [
+                "a--profile-0000000000000005",
+                "b--profile-0000000000000005",
+                "profile-0000000000000005"
+            ]
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

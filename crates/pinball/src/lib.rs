@@ -84,21 +84,6 @@ pub struct RegionInfo {
     pub slice_index: u64,
 }
 
-impl RegionInfo {
-    /// A minimal descriptor for a whole-program capture.
-    pub fn whole_program(name: &str) -> RegionInfo {
-        RegionInfo {
-            name: name.to_string(),
-            trigger: RegionTrigger::ProgramStart,
-            length: u64::MAX,
-            thread_icounts: BTreeMap::new(),
-            warmup: 0,
-            weight: 1.0,
-            slice_index: 0,
-        }
-    }
-}
-
 /// Pinball-level metadata.
 #[derive(Debug, Clone)]
 pub struct PinballMeta {
@@ -149,16 +134,6 @@ impl PageRecord {
     /// Wraps an existing arena handle.
     pub fn from_data(perm: u8, data: PageData) -> PageRecord {
         PageRecord { perm, data }
-    }
-
-    /// True if the page was writable when captured.
-    pub fn is_writable(&self) -> bool {
-        self.perm & 2 != 0
-    }
-
-    /// True if the page was executable when captured.
-    pub fn is_executable(&self) -> bool {
-        self.perm & 4 != 0
     }
 }
 

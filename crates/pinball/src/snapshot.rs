@@ -24,7 +24,7 @@
 //! replay loop), keeping `elfie-pinball` free of a VM dependency.
 
 use crate::wire::{Reader, WireError, Writer};
-use crate::{MemoryImage, PageRecord, RegImage, PAGE_BYTES};
+use crate::{MemoryImage, PageRecord, RegImage};
 use std::collections::BTreeMap;
 
 /// Magic for the snapshot wire form.
@@ -151,11 +151,6 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Total payload bytes in the delta (page data only, not headers).
-    pub fn delta_bytes(&self) -> u64 {
-        self.delta.len() as u64 * PAGE_BYTES as u64
-    }
-
     /// Reconstructs the full page table at the snapshot point from the
     /// boot image: boot pages minus [`Snapshot::dropped`], overridden by
     /// [`Snapshot::delta`]. This is the memory a resumed machine maps,
@@ -461,6 +456,7 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PAGE_BYTES;
 
     fn sample() -> Snapshot {
         let mut delta = BTreeMap::new();

@@ -588,11 +588,6 @@ impl<'a, O: Observer> ReplaySession<'a, O> {
         self.m.global_icount()
     }
 
-    /// True once [`ReplaySession::run_until`] returned [`SessionStep::Done`].
-    pub fn is_finished(&self) -> bool {
-        self.finished
-    }
-
     /// Runs the replay until the machine-global instruction count reaches
     /// `boundary` (checked at the top of each scheduling sweep — the
     /// session may overshoot by up to one sweep, deterministically) or the

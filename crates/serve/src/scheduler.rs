@@ -790,9 +790,9 @@ fn execute(
 }
 
 /// Captures (or fetches from the tenant's cache) the fat pinball of the
-/// region `spec` names. The synthetic [`PinPoint`] pins down the exact
-/// coordinates, so the cache key matches across record/replay/simulate
-/// jobs on the same region.
+/// region `spec` names. The cache key and the capture both come from one
+/// synthetic [`PinPoint`], so the key describes the pinball it maps to and
+/// matches across record/replay/simulate jobs on the same region.
 fn captured_region(
     cache: &Arc<PipelineCache>,
     w: &Workload,
@@ -801,22 +801,15 @@ fn captured_region(
     let point = elfie::simpoint::PinPoint {
         cluster: 0,
         rank: 0,
-        slice_index: spec.start / spec.length.max(1),
+        slice_index: 0,
         weight: 1.0,
         start_icount: spec.start,
         length: spec.length,
         warmup: 0,
     };
-    let key = PipelineCache::pinball_key(w, &point);
     cache
-        .pinball(key, || {
-            let trigger = if spec.start == 0 {
-                RegionTrigger::ProgramStart
-            } else {
-                RegionTrigger::GlobalIcount(spec.start)
-            };
-            Logger::new(LoggerConfig::fat(&w.name, trigger, spec.length))
-                .capture(&w.program, |m| w.setup(m))
+        .pinball(PipelineCache::pinball_key(w, &point), || {
+            elfie::pipeline::capture_pinpoint(w, &point)
         })
         .map_err(|e| format!("capture failed: {e}"))
 }
@@ -938,5 +931,38 @@ mod tests {
         assert_eq!(sched.stats().failed, 1);
         sched.drain();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_served_region_is_cached_under_the_region_it_captures() {
+        let cache = Arc::new(PipelineCache::new());
+        let w = elfie::workloads::find_workload("gcc_like", InputScale::Test).expect("known");
+        let spec = JobSpec {
+            start: 20_000,
+            length: 6_000,
+            ..JobSpec::default()
+        };
+        let pb = captured_region(&cache, &w, &spec).expect("captures");
+        let region = &pb.region;
+        let start = match region.trigger {
+            RegionTrigger::GlobalIcount(n) => n,
+            _ => 0,
+        } + region.warmup;
+        let own = elfie::simpoint::PinPoint {
+            cluster: 0,
+            rank: 0,
+            slice_index: region.slice_index,
+            weight: region.weight,
+            start_icount: start,
+            length: region.length - region.warmup,
+            warmup: region.warmup,
+        };
+        let again = cache
+            .pinball(PipelineCache::pinball_key(&w, &own), || {
+                panic!("the capture must be cached under its own region, {own:?}")
+            })
+            .expect("cached");
+        assert!(Arc::ptr_eq(&pb, &again));
+        assert_eq!(region.name, "gcc_like.0");
     }
 }

@@ -36,6 +36,11 @@
 //! the repository, and [`Store::gc`] is a straightforward mark-and-sweep
 //! from the refs.
 //!
+//! The store knows pinballs, ELFies, snapshots and raw byte streams, and
+//! depends on nothing above `elfie-pinball`: in particular not on the VM.
+//! Higher layers encode their own artifacts as raw streams, as the
+//! pipeline cache does with BBV profiles.
+//!
 //! ```
 //! use elfie_store::Store;
 //! # let dir = std::env::temp_dir().join(format!("store-doc-{}", std::process::id()));
@@ -48,7 +53,6 @@
 //! ```
 
 pub mod codec;
-pub mod profiles;
 
 use codec::{Codec, CodecError};
 use elfie_pinball::wire::{Reader, WireError, Writer};
@@ -147,7 +151,8 @@ pub enum ObjectKind {
     Pinball,
     /// An ELFie image: ordered chunk list.
     Elfie,
-    /// An uninterpreted byte stream (cached artifacts, profiles).
+    /// An uninterpreted byte stream, such as an encoded artifact the
+    /// pipeline cache stores.
     Raw,
     /// An interval snapshot: state blob + delta page table, chained to an
     /// optional parent manifest (the previous snapshot in the interval

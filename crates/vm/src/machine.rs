@@ -370,11 +370,6 @@ impl<O: Observer> Machine<O> {
         self.interposer = Some(ip);
     }
 
-    /// Removes the interposer.
-    pub fn clear_interposer(&mut self) {
-        self.interposer = None;
-    }
-
     /// The machine configuration.
     pub fn config(&self) -> &MachineConfig {
         &self.cfg

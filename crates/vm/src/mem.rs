@@ -373,11 +373,6 @@ impl Memory {
         self.index.len()
     }
 
-    /// Total mapped bytes.
-    pub fn mapped_bytes(&self) -> u64 {
-        self.index.len() as u64 * PAGE_SIZE
-    }
-
     /// True if the page containing `addr` is mapped.
     pub fn is_mapped(&self, addr: u64) -> bool {
         self.index.contains_key(&page_base(addr))
@@ -877,11 +872,6 @@ impl Memory {
         self.page_bytes_mut(slot).copy_from_slice(bytes);
         self.note_write(slot);
         Ok(())
-    }
-
-    /// Returns the lowest mapped address at or above `addr`, if any.
-    pub fn next_mapped(&self, addr: u64) -> Option<u64> {
-        self.index.range(page_base(addr)..).next().map(|(&a, _)| a)
     }
 
     /// Finds a gap of `len` bytes starting the search at `hint`, for
