@@ -788,7 +788,7 @@ pub fn cmd_disasm(args: &Args) -> Result<String, CliError> {
         "{name} at {:#x} ({} bytes):\n{}",
         sec.addr,
         sec.data.len(),
-        elfie::isa::listing(&sec.data, sec.addr)
+        elfie::isa::listing(sec.data, sec.addr)
     ))
 }
 

@@ -713,6 +713,43 @@ mod tests {
     }
 
     #[test]
+    fn a_recompute_repairs_corrupt_store_blobs() {
+        let dir = std::env::temp_dir().join(format!("elfie-cache-repair-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let profile = || profile_with(7);
+
+        // The corrupt-store scenario: write through, flip every blob.
+        let cold = PipelineCache::persistent(&dir).unwrap();
+        cold.profile(1, profile);
+        cold.pinball(2, || Ok(pinball_named("pb"))).unwrap();
+        assert!(corrupt_every_blob(&dir) >= 2);
+
+        // One cache recomputes each artifact once; its write-through
+        // rewrites the corrupt blobs instead of deduplicating against them.
+        let repair = PipelineCache::persistent(&dir).unwrap();
+        repair.profile(1, profile);
+        repair.pinball(2, || Ok(pinball_named("pb"))).unwrap();
+        let s = repair.stats();
+        assert_eq!(
+            (s.profile_misses, s.pinball_misses, s.store_hits),
+            (1, 1, 0)
+        );
+
+        // The next cache over the same store finds both intact.
+        let warm = PipelineCache::persistent(&dir).unwrap();
+        let p = warm.profile(1, || panic!("must come from the store"));
+        assert_eq!(p.total_insns, 7);
+        warm.pinball(2, || panic!("must come from the store"))
+            .unwrap();
+        let s = warm.stats();
+        assert_eq!(
+            (s.profile_misses, s.pinball_misses, s.store_hits),
+            (0, 0, 2)
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn tenant_namespaces_isolate_one_shared_store() {
         let dir = std::env::temp_dir().join(format!("elfie-cache-tenant-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();

@@ -3,6 +3,7 @@
 
 use crate::format::*;
 use elfie_isa::{page_align_up, PAGE_SIZE};
+use std::sync::Arc;
 
 /// A section to be placed in the output file.
 #[derive(Debug, Clone)]
@@ -11,8 +12,9 @@ pub struct SectionSpec {
     pub name: String,
     /// Virtual address.
     pub addr: u64,
-    /// Contents.
-    pub data: Vec<u8>,
+    /// Contents, shared so one buffer can back several sections (an
+    /// ELFie's non-allocatable original and its `.shadow` copy).
+    pub data: Arc<Vec<u8>>,
     /// Writable at run time.
     pub write: bool,
     /// Executable.
@@ -24,12 +26,19 @@ pub struct SectionSpec {
 }
 
 impl SectionSpec {
-    /// A loadable program section.
-    pub fn progbits(name: &str, addr: u64, data: Vec<u8>, write: bool, exec: bool) -> SectionSpec {
+    /// A loadable program section over `data` (a `Vec<u8>`, or an
+    /// `Arc<Vec<u8>>` another section also uses).
+    pub fn progbits(
+        name: &str,
+        addr: u64,
+        data: impl Into<Arc<Vec<u8>>>,
+        write: bool,
+        exec: bool,
+    ) -> SectionSpec {
         SectionSpec {
             name: name.to_string(),
             addr,
-            data,
+            data: data.into(),
             write,
             exec,
             alloc: true,
@@ -94,7 +103,9 @@ impl ElfBuilder {
         self
     }
 
-    /// Serialises the image.
+    /// Serialises the image. Every offset is computed first; the header,
+    /// program headers, section data, tables and section headers are then
+    /// written once, in file order, into a buffer of exact size.
     pub fn build(self) -> Vec<u8> {
         let nsections = self.sections.len();
         let loadable: Vec<usize> = (0..nsections)
@@ -121,7 +132,7 @@ impl ElfBuilder {
         let shstrtab_name = push_name(&mut shstrtab, ".shstrtab");
 
         let mut strtab = vec![0u8];
-        let mut symtab = Vec::new();
+        let mut symtab = Vec::with_capacity(self.symbols.len() * SYM_SIZE);
         for (name, value) in &self.symbols {
             let st_name = strtab.len() as u32;
             strtab.extend_from_slice(name.as_bytes());
@@ -139,43 +150,77 @@ impl ElfBuilder {
         // | symtab | strtab | shstrtab | shdrs.
         let mut offset = (EHDR_SIZE + phnum * PHDR_SIZE) as u64;
         let mut sec_offsets = vec![0u64; nsections];
-        let mut body = Vec::new();
-        let body_base = offset;
         for (i, s) in self.sections.iter().enumerate() {
-            if s.data.is_empty() {
-                sec_offsets[i] = offset;
-                continue;
-            }
-            if s.alloc {
+            if s.alloc && !s.data.is_empty() {
                 // Keep p_offset ≡ p_vaddr (mod page) as real loaders
                 // require for mmap-ability.
                 let want = s.addr % PAGE_SIZE;
                 let cur = offset % PAGE_SIZE;
-                let pad = (want + PAGE_SIZE - cur) % PAGE_SIZE;
-                body.extend(std::iter::repeat(0u8).take(pad as usize));
-                offset += pad;
+                offset += (want + PAGE_SIZE - cur) % PAGE_SIZE;
             }
             sec_offsets[i] = offset;
-            body.extend_from_slice(&s.data);
             offset += s.data.len() as u64;
         }
         let symtab_off = offset;
-        body.extend_from_slice(&symtab);
-        offset += symtab.len() as u64;
-        let strtab_off = offset;
-        body.extend_from_slice(&strtab);
-        offset += strtab.len() as u64;
-        let shstrtab_off = offset;
-        body.extend_from_slice(&shstrtab);
-        offset += shstrtab.len() as u64;
-        let shoff = offset;
-
+        let strtab_off = symtab_off + symtab.len() as u64;
+        let shstrtab_off = strtab_off + strtab.len() as u64;
+        let shoff = shstrtab_off + shstrtab.len() as u64;
         // Section header table: NULL + sections + symtab + strtab + shstrtab.
         let shnum = nsections + 4;
         let shstrndx = shnum - 1;
         let strtab_index = nsections + 2;
-        let mut shdrs = Vec::with_capacity(shnum);
-        shdrs.extend_from_slice(
+
+        let total = shoff as usize + shnum * SHDR_SIZE;
+        let mut out = Vec::with_capacity(total);
+        out.extend_from_slice(
+            &Ehdr {
+                e_type: self.etype.unwrap_or(ET_EXEC),
+                e_machine: EM_ELFIE,
+                e_entry: self.entry,
+                e_phoff: if phnum > 0 { EHDR_SIZE as u64 } else { 0 },
+                e_shoff: shoff,
+                e_phnum: phnum as u16,
+                e_shnum: shnum as u16,
+                e_shstrndx: shstrndx as u16,
+            }
+            .to_bytes(),
+        );
+
+        // Program headers (one PT_LOAD per loadable section).
+        for &i in &loadable {
+            let s = &self.sections[i];
+            let mut flags = PF_R;
+            if s.write {
+                flags |= PF_W;
+            }
+            if s.exec {
+                flags |= PF_X;
+            }
+            out.extend_from_slice(
+                &Phdr {
+                    p_type: PT_LOAD,
+                    p_flags: flags,
+                    p_offset: sec_offsets[i],
+                    p_vaddr: s.addr,
+                    p_filesz: s.data.len() as u64,
+                    p_memsz: page_align_up(s.data.len() as u64),
+                    p_align: PAGE_SIZE,
+                }
+                .to_bytes(),
+            );
+        }
+
+        for (s, &off) in self.sections.iter().zip(&sec_offsets) {
+            out.resize(off as usize, 0);
+            out.extend_from_slice(&s.data);
+        }
+        debug_assert_eq!(out.len() as u64, symtab_off);
+        out.extend_from_slice(&symtab);
+        out.extend_from_slice(&strtab);
+        out.extend_from_slice(&shstrtab);
+        debug_assert_eq!(out.len() as u64, shoff);
+
+        out.extend_from_slice(
             &Shdr {
                 sh_name: 0,
                 sh_type: SHT_NULL,
@@ -199,7 +244,7 @@ impl ElfBuilder {
             if s.exec {
                 flags |= SHF_EXECINSTR;
             }
-            shdrs.extend_from_slice(
+            out.extend_from_slice(
                 &Shdr {
                     sh_name: name_offsets[i],
                     sh_type: SHT_PROGBITS,
@@ -213,89 +258,40 @@ impl ElfBuilder {
                 .to_bytes(),
             );
         }
-        shdrs.extend_from_slice(
-            &Shdr {
-                sh_name: symtab_name,
-                sh_type: SHT_SYMTAB,
-                sh_flags: 0,
-                sh_addr: 0,
-                sh_offset: symtab_off,
-                sh_size: symtab.len() as u64,
-                sh_link: strtab_index as u32,
-                sh_entsize: SYM_SIZE as u64,
-            }
-            .to_bytes(),
-        );
-        shdrs.extend_from_slice(
-            &Shdr {
-                sh_name: strtab_name,
-                sh_type: SHT_STRTAB,
-                sh_flags: 0,
-                sh_addr: 0,
-                sh_offset: strtab_off,
-                sh_size: strtab.len() as u64,
-                sh_link: 0,
-                sh_entsize: 0,
-            }
-            .to_bytes(),
-        );
-        shdrs.extend_from_slice(
-            &Shdr {
-                sh_name: shstrtab_name,
-                sh_type: SHT_STRTAB,
-                sh_flags: 0,
-                sh_addr: 0,
-                sh_offset: shstrtab_off,
-                sh_size: shstrtab.len() as u64,
-                sh_link: 0,
-                sh_entsize: 0,
-            }
-            .to_bytes(),
-        );
-
-        // Program headers (one PT_LOAD per loadable section).
-        let mut phdrs = Vec::with_capacity(phnum);
-        for &i in &loadable {
-            let s = &self.sections[i];
-            let mut flags = PF_R;
-            if s.write {
-                flags |= PF_W;
-            }
-            if s.exec {
-                flags |= PF_X;
-            }
-            phdrs.extend_from_slice(
-                &Phdr {
-                    p_type: PT_LOAD,
-                    p_flags: flags,
-                    p_offset: sec_offsets[i],
-                    p_vaddr: s.addr,
-                    p_filesz: s.data.len() as u64,
-                    p_memsz: page_align_up(s.data.len() as u64),
-                    p_align: PAGE_SIZE,
+        for (sh_name, sh_type, sh_offset, sh_size, sh_link, sh_entsize) in [
+            (
+                symtab_name,
+                SHT_SYMTAB,
+                symtab_off,
+                symtab.len(),
+                strtab_index as u32,
+                SYM_SIZE as u64,
+            ),
+            (strtab_name, SHT_STRTAB, strtab_off, strtab.len(), 0, 0),
+            (
+                shstrtab_name,
+                SHT_STRTAB,
+                shstrtab_off,
+                shstrtab.len(),
+                0,
+                0,
+            ),
+        ] {
+            out.extend_from_slice(
+                &Shdr {
+                    sh_name,
+                    sh_type,
+                    sh_flags: 0,
+                    sh_addr: 0,
+                    sh_offset,
+                    sh_size: sh_size as u64,
+                    sh_link,
+                    sh_entsize,
                 }
                 .to_bytes(),
             );
         }
-
-        let ehdr = Ehdr {
-            e_type: self.etype.unwrap_or(ET_EXEC),
-            e_machine: EM_ELFIE,
-            e_entry: self.entry,
-            e_phoff: if phnum > 0 { EHDR_SIZE as u64 } else { 0 },
-            e_shoff: shoff,
-            e_phnum: phnum as u16,
-            e_shnum: shnum as u16,
-            e_shstrndx: shstrndx as u16,
-        };
-
-        let mut out = Vec::with_capacity(offset as usize + shdrs.len());
-        out.extend_from_slice(&ehdr.to_bytes());
-        out.extend_from_slice(&phdrs);
-        debug_assert_eq!(out.len() as u64, body_base);
-        out.extend_from_slice(&body);
-        debug_assert_eq!(out.len() as u64, shoff);
-        out.extend_from_slice(&shdrs);
+        debug_assert_eq!(out.len(), total);
         out
     }
 }

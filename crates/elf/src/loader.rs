@@ -142,7 +142,7 @@ pub fn load<O: Observer>(
 /// Like [`load`], for an already-parsed [`ElfFile`].
 pub fn load_parsed<O: Observer>(
     machine: &mut Machine<O>,
-    file: &ElfFile,
+    file: &ElfFile<'_>,
     cfg: &LoaderConfig,
 ) -> Result<LoadedImage, LoadError> {
     if file.etype != ET_EXEC {

@@ -1,18 +1,19 @@
 //! The ELF reader: parses images produced by [`crate::builder::ElfBuilder`]
 //! (or any little-endian ELF64 within the supported subset) back into
-//! structured form.
+//! structured form. Section and segment contents borrow the image bytes
+//! instead of copying them.
 
 use crate::format::*;
 
 /// A parsed section.
 #[derive(Debug, Clone)]
-pub struct Section {
+pub struct Section<'a> {
     /// Section name.
     pub name: String,
     /// Virtual address.
     pub addr: u64,
-    /// Contents.
-    pub data: Vec<u8>,
+    /// Contents, borrowed from the image.
+    pub data: &'a [u8],
     /// Writable flag.
     pub write: bool,
     /// Executable flag.
@@ -23,20 +24,20 @@ pub struct Section {
 
 /// A parsed loadable segment.
 #[derive(Debug, Clone)]
-pub struct Segment {
+pub struct Segment<'a> {
     /// Virtual load address.
     pub vaddr: u64,
     /// File offset.
     pub offset: u64,
     /// Access flags (`PF_*`).
     pub flags: u32,
-    /// Contents (filesz bytes).
-    pub data: Vec<u8>,
+    /// Contents (filesz bytes), borrowed from the image.
+    pub data: &'a [u8],
     /// Memory size (≥ data.len(); remainder zero-filled at load).
     pub memsz: u64,
 }
 
-impl Segment {
+impl Segment<'_> {
     /// True if the segment is writable.
     pub fn is_write(&self) -> bool {
         self.flags & PF_W != 0
@@ -48,9 +49,9 @@ impl Segment {
     }
 }
 
-/// A fully parsed ELF image.
+/// A fully parsed ELF image, borrowing the bytes it was parsed from.
 #[derive(Debug, Clone)]
-pub struct ElfFile {
+pub struct ElfFile<'a> {
     /// Object type (`ET_EXEC`/`ET_REL`).
     pub etype: u16,
     /// Machine id.
@@ -58,9 +59,9 @@ pub struct ElfFile {
     /// Entry point.
     pub entry: u64,
     /// All sections (except the NULL section and the table sections).
-    pub sections: Vec<Section>,
+    pub sections: Vec<Section<'a>>,
     /// Loadable segments.
-    pub segments: Vec<Segment>,
+    pub segments: Vec<Segment<'a>>,
     /// Symbols (name → value).
     pub symbols: Vec<(String, u64)>,
 }
@@ -76,12 +77,12 @@ fn cstr_at(table: &[u8], off: usize) -> Result<String, ElfParseError> {
     Ok(String::from_utf8_lossy(&rest[..end]).into_owned())
 }
 
-impl ElfFile {
+impl<'a> ElfFile<'a> {
     /// Parses an ELF64 image.
     ///
     /// # Errors
     /// Returns [`ElfParseError`] on truncated or inconsistent images.
-    pub fn parse(bytes: &[u8]) -> Result<ElfFile, ElfParseError> {
+    pub fn parse(bytes: &'a [u8]) -> Result<ElfFile<'a>, ElfParseError> {
         let ehdr = Ehdr::from_bytes(bytes)?;
 
         // Program headers.
@@ -98,8 +99,7 @@ impl ElfFile {
             }
             let data = bytes
                 .get(p.p_offset as usize..(p.p_offset + p.p_filesz) as usize)
-                .ok_or(ElfParseError::Corrupt("segment data range"))?
-                .to_vec();
+                .ok_or(ElfParseError::Corrupt("segment data range"))?;
             segments.push(Segment {
                 vaddr: p.p_vaddr,
                 offset: p.p_offset,
@@ -134,8 +134,7 @@ impl ElfFile {
                 SHT_PROGBITS => {
                     let data = bytes
                         .get(sh.sh_offset as usize..(sh.sh_offset + sh.sh_size) as usize)
-                        .ok_or(ElfParseError::Corrupt("section data range"))?
-                        .to_vec();
+                        .ok_or(ElfParseError::Corrupt("section data range"))?;
                     sections.push(Section {
                         name,
                         addr: sh.sh_addr,
@@ -182,7 +181,7 @@ impl ElfFile {
     }
 
     /// Finds a section by name.
-    pub fn section(&self, name: &str) -> Option<&Section> {
+    pub fn section(&self, name: &str) -> Option<&Section<'a>> {
         self.sections.iter().find(|s| s.name == name)
     }
 

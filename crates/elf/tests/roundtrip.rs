@@ -190,7 +190,7 @@ fn build_parse_build_is_stable() {
     let f = ElfFile::parse(&first).expect("parses");
     let mut again = ElfBuilder::new().entry(f.entry);
     for s in &f.sections {
-        let mut spec = SectionSpec::progbits(&s.name, s.addr, s.data.clone(), s.write, s.exec);
+        let mut spec = SectionSpec::progbits(&s.name, s.addr, s.data.to_vec(), s.write, s.exec);
         if !s.alloc {
             spec = spec.non_alloc();
         }

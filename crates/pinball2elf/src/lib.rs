@@ -34,6 +34,7 @@ use elfie_pinball::{PageRun, Pinball};
 use elfie_sysstate::SysState;
 use startup::RemapRun;
 use std::fmt;
+use std::sync::Arc;
 
 pub use startup::{TAG_ON_EXIT, TAG_ON_START, TAG_ON_THREAD_START};
 
@@ -328,12 +329,12 @@ pub fn convert(pinball: &Pinball, opts: &ConvertOptions) -> Result<Elfie, Conver
             } else {
                 ".data"
             };
-            let bytes = run.concat();
+            let bytes = Arc::new(run.concat());
             builder = builder.section(
                 SectionSpec::progbits(
                     &section_name(prefix, run.start),
                     run.start,
-                    bytes.clone(),
+                    Arc::clone(&bytes),
                     write,
                     exec,
                 )

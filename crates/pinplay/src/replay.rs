@@ -757,25 +757,22 @@ impl<'a, O: Observer> ReplaySession<'a, O> {
     /// [`SessionStep::Paused`] (or before the first run).
     ///
     /// Clean pages are detected in O(1) each: a frame still `Shared` with
-    /// the boot image's arena payload cannot have been written. Privatised
-    /// (`Owned`) frames are byte-compared — a page written and then
-    /// restored to its boot contents stays out of the delta, which keeps
-    /// chains minimal.
+    /// the boot image's arena payload cannot have been written. Every
+    /// other frame — privatised (`Owned`), or `Shared` with another
+    /// payload such as the zero page a re-mapped page starts from — is
+    /// byte-compared: a page whose contents equal its boot contents stays
+    /// out of the delta, which keeps chains minimal.
     pub fn capture(&self, slice_index: u64, interval: u64) -> Snapshot {
         let image = &self.pinball.image.pages;
         let mut delta = BTreeMap::new();
         let mut mapped = std::collections::BTreeSet::new();
         for (addr, perm, bytes, shared) in self.m.mem.pages_with_sharing() {
             mapped.insert(addr);
-            let clean = match (image.get(&addr), shared) {
-                (Some(boot), Some(payload)) => {
-                    Arc::ptr_eq(payload, &boot.data) && perm == Perm::from_bits(boot.perm)
-                }
-                (Some(boot), None) => {
-                    perm == Perm::from_bits(boot.perm) && bytes[..] == boot.data[..]
-                }
-                (None, _) => false,
-            };
+            let clean = image.get(&addr).is_some_and(|boot| {
+                perm == Perm::from_bits(boot.perm)
+                    && (shared.is_some_and(|payload| Arc::ptr_eq(payload, &boot.data))
+                        || bytes[..] == boot.data[..])
+            });
             if !clean {
                 delta.insert(addr, PageRecord::new(perm.bits(), bytes));
             }

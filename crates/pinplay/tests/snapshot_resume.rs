@@ -338,3 +338,57 @@ fn snapshot_delta_shrinks_with_position_independent_of_interval() {
     direct.meta.interval = 0; // meta differences only affect meta bytes
     assert_ne!(a.to_bytes(), direct.to_bytes());
 }
+
+#[test]
+fn a_zero_boot_page_remapped_by_mmap_stays_out_of_the_delta() {
+    // The region unmaps a zero page of the boot image and maps it again:
+    // the fresh mapping reads as zeros, like the boot page, so it is
+    // clean even though its frame is not the boot image's payload.
+    let prog = assemble(
+        r#"
+        .org 0x400000
+        start:
+            mov rax, 11          ; munmap
+            mov rdi, 0x30000000
+            mov rsi, 0x1000
+            syscall
+            mov rax, 9           ; mmap the same page again
+            mov rdi, 0x30000000
+            mov rsi, 0x1000
+            mov rdx, 3
+            mov r10, 0x22
+            mov r8, 0xffffffffffffffff
+            mov r9, 0
+            syscall
+            mov r12, rax
+            mov rcx, 200
+        spin:
+            sub rcx, 1
+            cmp rcx, 0
+            jne spin
+            mov rax, 231
+            mov rdi, 0
+            syscall
+        "#,
+    )
+    .expect("assembles");
+    let pb = Logger::new(LoggerConfig::fat("remap", RegionTrigger::ProgramStart, 500))
+        .capture(&prog, map_array)
+        .expect("captures");
+    assert!(
+        pb.image.pages.contains_key(&0x3000_0000),
+        "a zero boot page"
+    );
+    let replayer = Replayer::new(ReplayConfig::default());
+    let mut s = replayer.session_with(&pb, elfie_vm::NullObserver, None, |_| {});
+    assert_eq!(s.run_until(Some(100)), SessionStep::Paused);
+    let snap = s.capture(1, 100);
+    assert!(
+        !snap.dropped.contains(&0x3000_0000),
+        "the page is mapped again"
+    );
+    assert!(
+        !snap.delta.contains_key(&0x3000_0000),
+        "the re-mapped zero page is clean"
+    );
+}

@@ -563,12 +563,30 @@ impl Store {
     }
 
     /// Reads and decompresses the blob stored under `hash`, verifying the
-    /// content hash on the way out.
+    /// content hash on the way out. A blob that fails to decode or to
+    /// match its hash is removed, so the next [`Store::put_blob`] of
+    /// those bytes rewrites it instead of deduplicating against it. A blob
+    /// of a format version this build cannot read is left alone.
     fn get_blob(&self, hash: u64) -> Result<Vec<u8>, StoreError> {
         let path = self.blob_path(hash);
         let raw = std::fs::read(&path)
             .map_err(|_| StoreError::NotFound(format!("blob {hash:016x} ({})", path.display())))?;
-        decode_blob(&raw, hash)
+        decode_blob(&raw, hash).map_err(|e| {
+            if !matches!(e, StoreError::Wire(WireError::BadVersion(_))) {
+                std::fs::remove_file(&path).ok();
+            }
+            e
+        })
+    }
+
+    /// Reads every blob `m` references, which removes each corrupt one
+    /// (see [`Store::get_blob`]). Called after a read of `m` failed, so
+    /// the recompute that follows rewrites every corrupt blob, not just
+    /// the first one the read hit.
+    fn drop_corrupt_blobs(&self, m: &Manifest) {
+        for blob in m.blob_refs() {
+            self.get_blob(blob).ok();
+        }
     }
 
     fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
@@ -691,20 +709,26 @@ impl Store {
         let (skel_hash, _) = m.skeleton.ok_or_else(|| {
             StoreError::Corrupt(format!("pinball manifest `{name}` lacks a skeleton"))
         })?;
-        let mut pinball = Pinball::from_bytes(&self.get_blob(skel_hash)?)?;
-        for (refs, table) in [
-            (&m.image_pages, &mut pinball.image.pages),
-            (&m.lazy_pages, &mut pinball.lazy_pages),
-        ] {
-            for p in refs {
-                let data = self.get_blob(p.blob)?;
-                let rec = PageRecord::from_slice(p.perm, &data).ok_or_else(|| {
-                    StoreError::Corrupt(format!("page blob {:016x} is not page-sized", p.blob))
-                })?;
-                table.insert(p.addr, rec);
+        let read = || {
+            let mut pinball = Pinball::from_bytes(&self.get_blob(skel_hash)?)?;
+            for (refs, table) in [
+                (&m.image_pages, &mut pinball.image.pages),
+                (&m.lazy_pages, &mut pinball.lazy_pages),
+            ] {
+                for p in refs {
+                    let data = self.get_blob(p.blob)?;
+                    let rec = PageRecord::from_slice(p.perm, &data).ok_or_else(|| {
+                        StoreError::Corrupt(format!("page blob {:016x} is not page-sized", p.blob))
+                    })?;
+                    table.insert(p.addr, rec);
+                }
             }
-        }
-        Ok(pinball)
+            Ok(pinball)
+        };
+        read().map_err(|e| {
+            self.drop_corrupt_blobs(&m);
+            e
+        })
     }
 
     /// Opens the pinball stored under `name` *lazily*: only the skeleton
@@ -784,19 +808,25 @@ impl Store {
                 "`{name}` is a pinball, not a byte stream"
             )));
         }
-        let mut out = Vec::with_capacity(m.logical as usize);
-        for c in &m.chunks {
-            let data = self.get_blob(c.blob)?;
-            if data.len() as u64 != c.len {
-                return Err(StoreError::Corrupt(format!(
-                    "chunk of `{name}` has length {} but manifest says {}",
-                    data.len(),
-                    c.len
-                )));
+        let read = || {
+            let mut out = Vec::with_capacity(m.logical as usize);
+            for c in &m.chunks {
+                let data = self.get_blob(c.blob)?;
+                if data.len() as u64 != c.len {
+                    return Err(StoreError::Corrupt(format!(
+                        "chunk of `{name}` has length {} but manifest says {}",
+                        data.len(),
+                        c.len
+                    )));
+                }
+                out.extend_from_slice(&data);
             }
-            out.extend_from_slice(&data);
-        }
-        Ok((m.kind, out))
+            Ok((m.kind, out))
+        };
+        read().map_err(|e| {
+            self.drop_corrupt_blobs(&m);
+            e
+        })
     }
 
     /// Stores an ELFie image (or any file) under `name`, chunked and

@@ -12,7 +12,7 @@ use crate::obs::Observer;
 use crate::thread::Thread;
 use elfie_isa::{
     decode, AluOp, Cond, DecodeError, Flags, FpOp, Insn, MarkerKind, Mem, Seg, XSaveArea,
-    XSAVE_AREA_SIZE,
+    PAGE_SIZE, XSAVE_AREA_SIZE,
 };
 use std::fmt;
 
@@ -464,14 +464,23 @@ pub fn exec<O: Observer>(
             if bytes > 0 {
                 obs.on_mem_read(t.tid, src, bytes);
                 obs.on_mem_write(t.tid, dst, bytes);
-                // Copy in page-sized chunks to bound the scratch buffer.
+                // Copy in page-sized chunks to bound the scratch buffer. A
+                // chunk covering a whole source and destination page is
+                // handed to `copy_page`, which aliases a shared source
+                // instead of copying it.
                 let mut off = 0u64;
-                let mut buf = [0u8; 4096];
+                let mut buf = [0u8; PAGE_SIZE as usize];
                 while off < bytes {
-                    let n = (bytes - off).min(4096) as usize;
-                    try_mem!(t, rip, mem.read_bytes(src + off, &mut buf[..n]));
-                    try_mem!(t, rip, mem.write_bytes(dst + off, &buf[..n]));
-                    off += n as u64;
+                    let n = (bytes - off).min(PAGE_SIZE);
+                    let (s, d) = (src + off, dst + off);
+                    if n == PAGE_SIZE && s % PAGE_SIZE == 0 && d % PAGE_SIZE == 0 {
+                        try_mem!(t, rip, mem.copy_page(s, d));
+                    } else {
+                        let buf = &mut buf[..n as usize];
+                        try_mem!(t, rip, mem.read_bytes(s, buf));
+                        try_mem!(t, rip, mem.write_bytes(d, buf));
+                    }
+                    off += n;
                 }
             }
             t.regs.write(elfie_isa::Reg::Rsi, src.wrapping_add(bytes));

@@ -36,12 +36,18 @@
 //! frame on first write. Reads and fetches never care which variant they
 //! hit, so execution over shared frames is bit-identical to execution
 //! over deep copies; [`MaterializeStats`] counts what sharing saved.
+//!
+//! Fresh anonymous pages ([`Memory::map_page`]: `mmap`, `brk`, stacks)
+//! map one process-wide all-zero payload and allocate on their first
+//! write, and a whole-page guest copy ([`Memory::copy_page`], the page
+//! chunks of `rep movs`) aliases a shared source payload instead of
+//! copying it, so a page is copied only when the guest writes to it.
 
 use elfie_isa::{page_base, PAGE_SIZE};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// An immutable, reference-counted page payload, shareable across
 /// machines and threads (the same shape `elfie-pinball`'s arena hands
@@ -151,6 +157,13 @@ impl fmt::Display for MemError {
 
 impl std::error::Error for MemError {}
 
+/// The all-zero payload every fresh anonymous page maps until its first
+/// write.
+fn zero_page() -> &'static PageData {
+    static ZERO: OnceLock<PageData> = OnceLock::new();
+    ZERO.get_or_init(|| Arc::new([0u8; PAGE_SIZE as usize]))
+}
+
 /// Backing storage of one mapped page. The discriminant is the
 /// copy-on-write "shared bit": `Shared` frames are immutable arena
 /// payloads and are privatised to `Owned` on the first mutable access.
@@ -178,9 +191,12 @@ pub struct MaterializeStats {
     /// Pages ever mapped into this address space.
     pub pages_mapped: u64,
     /// Pages mapped zero-copy from shared payloads
-    /// ([`Memory::map_shared_page`]).
+    /// ([`Memory::map_shared_page`]) or aliased by a whole-page copy
+    /// ([`Memory::copy_page`]). Fresh zero pages are demand-zero, not
+    /// shared payloads, and are not counted.
     pub shared_pages: u64,
-    /// Shared frames privatised by a first write.
+    /// Shared frames privatised by a first write. The first write to a
+    /// fresh zero page is an allocation, not a break, and is not counted.
     pub cow_breaks: u64,
     /// Pages injected on a fault rather than at load (lazy materialization;
     /// counted by the replayer via [`Memory::record_lazy_fault`]).
@@ -221,16 +237,7 @@ struct Page {
 }
 
 impl Page {
-    fn new(base: u64, perm: Perm) -> Page {
-        Page {
-            frame: Frame::Owned(Box::new([0u8; PAGE_SIZE as usize])),
-            base,
-            perm,
-            watched: false,
-        }
-    }
-
-    fn new_shared(base: u64, perm: Perm, data: PageData) -> Page {
+    fn new(base: u64, perm: Perm, data: PageData) -> Page {
         Page {
             frame: Frame::Shared(data),
             base,
@@ -403,20 +410,37 @@ impl Memory {
     /// point: a `Shared` frame is privatised (copied once, counted) here,
     /// so every writer — checked, unchecked, install — sees an `Owned`
     /// frame. After the first write the tag check is a predicted-not-taken
-    /// branch, which keeps the PR 3 write fast path intact.
+    /// branch, which keeps the write fast path intact.
     #[inline]
     fn page_bytes_mut(&mut self, slot: u32) -> &mut [u8; PAGE_SIZE as usize] {
-        let page = self.slots[slot as usize].as_mut().expect("live slot");
-        if let Frame::Shared(shared) = &page.frame {
-            page.frame = Frame::Owned(Box::new(**shared));
-            self.mat.cow_breaks += 1;
-            self.mat.owned_bytes += PAGE_SIZE;
-            self.mat.peak_owned_bytes = self.mat.peak_owned_bytes.max(self.mat.owned_bytes);
+        if matches!(self.page(slot).frame, Frame::Shared(_)) {
+            self.privatise(slot);
         }
-        match &mut page.frame {
+        match &mut self.page_mut(slot).frame {
             Frame::Owned(b) => b,
             Frame::Shared(_) => unreachable!("frame was just privatised"),
         }
+    }
+
+    /// Replaces the `Shared` frame in `slot` with a private copy: a
+    /// zeroed allocation for the zero page, a counted CoW break for any
+    /// other payload. Kept out of line so the write fast path stays small.
+    #[cold]
+    #[inline(never)]
+    fn privatise(&mut self, slot: u32) {
+        let page = self.slots[slot as usize].as_mut().expect("live slot");
+        let Frame::Shared(shared) = &page.frame else {
+            return;
+        };
+        let owned = if Arc::ptr_eq(shared, zero_page()) {
+            Box::new([0u8; PAGE_SIZE as usize])
+        } else {
+            self.mat.cow_breaks += 1;
+            Box::new(**shared)
+        };
+        page.frame = Frame::Owned(owned);
+        self.mat.owned_bytes += PAGE_SIZE;
+        self.mat.peak_owned_bytes = self.mat.peak_owned_bytes.max(self.mat.owned_bytes);
     }
 
     /// Materialization counters for this address space.
@@ -428,12 +452,6 @@ impl Memory {
     /// replay harnesses that materialise pages lazily).
     pub fn record_lazy_fault(&mut self) {
         self.mat.lazy_faults += 1;
-    }
-
-    /// Accounts for a freshly created `Owned` frame.
-    fn note_owned_alloc(&mut self) {
-        self.mat.owned_bytes += PAGE_SIZE;
-        self.mat.peak_owned_bytes = self.mat.peak_owned_bytes.max(self.mat.owned_bytes);
     }
 
     /// Flushes the software TLB (all three access kinds).
@@ -561,17 +579,21 @@ impl Memory {
 
     /// Maps the page containing `addr` with permission `perm`.
     /// Re-mapping an existing page keeps its contents and updates the
-    /// permission.
+    /// permission. A fresh page maps the shared zero payload and
+    /// allocates on its first write.
     pub fn map_page(&mut self, addr: u64, perm: Perm) {
+        self.map_page_quietly(addr, perm);
+        self.bump_layout();
+    }
+
+    /// [`Memory::map_page`] without the layout bump, for range callers
+    /// that bump once.
+    fn map_page_quietly(&mut self, addr: u64, perm: Perm) {
         let base = page_base(addr);
         match self.index.get(&base).copied() {
             Some(slot) => self.page_mut(slot).perm = perm,
-            None => {
-                self.insert_page(base, Page::new(base, perm));
-                self.note_owned_alloc();
-            }
+            None => self.insert_page(base, Page::new(base, perm, Arc::clone(zero_page()))),
         }
-        self.bump_layout();
     }
 
     /// Maps the page containing `addr` zero-copy over an immutable shared
@@ -591,7 +613,7 @@ impl Memory {
                 page.perm = perm;
                 self.note_write(slot);
             }
-            None => self.insert_page(base, Page::new_shared(base, perm, data)),
+            None => self.insert_page(base, Page::new(base, perm, data)),
         }
         self.mat.shared_pages += 1;
         self.bump_layout();
@@ -610,37 +632,49 @@ impl Memory {
         }
         let mut p = page_base(start);
         while p < end {
-            self.map_page(p, perm);
+            self.map_page_quietly(p, perm);
             p += PAGE_SIZE;
         }
+        self.bump_layout();
         Ok(())
+    }
+
+    /// Removes the page at `base` from the address space and returns it,
+    /// without bumping the layout.
+    fn remove_page(&mut self, base: u64) -> Option<Page> {
+        let slot = self.index.remove(&base)?;
+        let page = self.slots[slot as usize].take().expect("live slot");
+        self.free.push(slot);
+        if matches!(page.frame, Frame::Owned(_)) {
+            self.mat.owned_bytes -= PAGE_SIZE;
+        }
+        Some(page)
     }
 
     /// Unmaps the page containing `addr` (no-op if not mapped). Returns the
     /// page contents if it was mapped, so callers can relocate pages (the
     /// ELFie startup stack-remap does this).
     pub fn unmap_page(&mut self, addr: u64) -> Option<Box<[u8; PAGE_SIZE as usize]>> {
-        let base = page_base(addr);
-        let slot = self.index.remove(&base)?;
-        let page = self.slots[slot as usize].take().expect("live slot");
-        self.free.push(slot);
+        let page = self.remove_page(page_base(addr))?;
         self.bump_layout();
         Some(match page.frame {
-            Frame::Owned(b) => {
-                self.mat.owned_bytes -= PAGE_SIZE;
-                b
-            }
+            Frame::Owned(b) => b,
             // Relocating a never-written shared page pays its copy here.
             Frame::Shared(a) => Box::new(*a),
         })
     }
 
-    /// Unmaps every page overlapping `[start, end)`.
+    /// Unmaps every page overlapping `[start, end)`, dropping their
+    /// frames.
     pub fn unmap_range(&mut self, start: u64, end: u64) {
         let mut p = page_base(start);
+        let mut changed = false;
         while p < end {
-            self.unmap_page(p);
+            changed |= self.remove_page(p).is_some();
             p += PAGE_SIZE;
+        }
+        if changed {
+            self.bump_layout();
         }
     }
 
@@ -871,6 +905,42 @@ impl Memory {
             })?;
         self.page_bytes_mut(slot).copy_from_slice(bytes);
         self.note_write(slot);
+        Ok(())
+    }
+
+    /// Copies the whole page at `src` onto the whole page at `dst` (both
+    /// page-aligned), checking read permission on `src` and then write
+    /// permission on `dst`, exactly like a page-sized [`Memory::read_bytes`]
+    /// followed by [`Memory::write_bytes`]. A `Shared` source payload is
+    /// aliased copy-on-write instead of copied; an `Owned` source is
+    /// byte-copied. The write is recorded for self-modifying-code
+    /// tracking either way.
+    ///
+    /// # Errors
+    /// Returns the [`MemError`] of the first failing access.
+    pub fn copy_page(&mut self, src: u64, dst: u64) -> Result<(), MemError> {
+        debug_assert!(src % PAGE_SIZE == 0 && dst % PAGE_SIZE == 0);
+        let s = self.resolve(src, Access::Read)?;
+        let d = self.resolve(dst, Access::Write)?;
+        if s != d {
+            match &self.page(s).frame {
+                Frame::Shared(data) => {
+                    let data = Arc::clone(data);
+                    if !Arc::ptr_eq(&data, zero_page()) {
+                        self.mat.shared_pages += 1;
+                    }
+                    if matches!(self.page(d).frame, Frame::Owned(_)) {
+                        self.mat.owned_bytes -= PAGE_SIZE;
+                    }
+                    self.page_mut(d).frame = Frame::Shared(data);
+                }
+                Frame::Owned(from) => {
+                    let bytes = **from;
+                    self.page_bytes_mut(d).copy_from_slice(&bytes);
+                }
+            }
+        }
+        self.note_write(d);
         Ok(())
     }
 
@@ -1170,15 +1240,64 @@ mod tests {
 
     #[test]
     fn owned_bytes_track_map_and_unmap() {
+        // Fresh pages share the zero payload: mapping allocates nothing,
+        // the first write allocates one page.
         let mut m = Memory::new();
         m.map_range(0x1000, 0x3000, Perm::RW).unwrap();
         let s = m.materialize_stats();
-        assert_eq!(s.owned_bytes, 2 * PAGE_SIZE);
+        assert_eq!(s.owned_bytes, 0);
         assert_eq!(s.pages_mapped, 2);
-        m.unmap_page(0x1000);
+        assert_eq!(m.read_u64(0x1ff8).unwrap(), 0);
+        m.write_u8(0x1000, 1).unwrap();
         let s = m.materialize_stats();
         assert_eq!(s.owned_bytes, PAGE_SIZE);
-        assert_eq!(s.peak_owned_bytes, 2 * PAGE_SIZE, "peak sticks");
+        assert_eq!(
+            (s.shared_pages, s.cow_breaks),
+            (0, 0),
+            "a zero page is demand-zero, not a shared payload"
+        );
+        m.unmap_range(0x1000, 0x3000);
+        let s = m.materialize_stats();
+        assert_eq!(s.owned_bytes, 0);
+        assert_eq!(s.peak_owned_bytes, PAGE_SIZE, "peak sticks");
+    }
+
+    #[test]
+    fn ranges_bump_the_layout_once() {
+        let mut m = Memory::new();
+        let e0 = m.layout_epoch();
+        m.map_range(0x1000, 0x9000, Perm::RW).unwrap();
+        assert_eq!(m.layout_epoch(), e0 + 1);
+        m.unmap_range(0x1000, 0x9000);
+        assert_eq!(m.layout_epoch(), e0 + 2);
+        m.unmap_range(0x1000, 0x9000);
+        assert_eq!(
+            m.layout_epoch(),
+            e0 + 2,
+            "unmapping nothing changes nothing"
+        );
+        assert_eq!(m.page_count(), 0);
+    }
+
+    #[test]
+    fn copy_page_aliases_shared_and_copies_owned_sources() {
+        let mut m = Memory::new();
+        let data = shared(0x42);
+        m.map_shared_page(0x1000, Perm::R, Arc::clone(&data));
+        m.map_range(0x2000, 0x4000, Perm::RW).unwrap();
+        m.write_u8(0x2000, 9).unwrap(); // an owned destination
+        m.copy_page(0x1000, 0x2000).unwrap();
+        assert_eq!(Arc::strong_count(&data), 3, "aliased, not copied");
+        let s = m.materialize_stats();
+        assert_eq!((s.shared_pages, s.owned_bytes), (2, 0));
+
+        m.write_u8(0x2001, 7).unwrap();
+        m.copy_page(0x2000, 0x3000).unwrap();
+        assert_eq!(m.read_u8(0x3001).unwrap(), 7);
+        assert_eq!(m.read_u8(0x3002).unwrap(), 0x42);
+        m.copy_page(0x2000, 0x2000).unwrap();
+        assert_eq!(m.read_u8(0x2001).unwrap(), 7, "a self-copy keeps the page");
+        assert_eq!(m.materialize_stats().owned_bytes, 2 * PAGE_SIZE);
     }
 
     #[test]
