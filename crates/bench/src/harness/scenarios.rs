@@ -20,6 +20,7 @@ use super::{fleet, serve};
 use elfie::pinplay::BootMode;
 use elfie::prelude::*;
 use elfie::vm::NullObserver;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A named scenario entry: its baseline key and the measuring function.
@@ -181,7 +182,6 @@ pub fn mem_materialize(knobs: &BenchKnobs) -> ScenarioResult {
 /// **trace_overhead** — the PR 5 headline: a disabled tracer must leave
 /// the VM fast path alone, and full-mode tracing must actually record.
 pub fn trace_overhead(knobs: &BenchKnobs) -> ScenarioResult {
-    use std::sync::Arc;
     let iters = knobs.profile.pick(120_000u64, 200_000);
     let prog = counted_loop(iters);
     let timed = |tracer: Option<Arc<Tracer>>| {
@@ -232,6 +232,7 @@ pub fn store_dedup(knobs: &BenchKnobs) -> ScenarioResult {
     std::fs::remove_dir_all(&dir).ok();
     let store = Store::open(&dir).expect("opens store");
     let starts = [20_000u64, 60_000, 100_000];
+    let mut names = Vec::new();
     for &start in &starts {
         let cfg = LoggerConfig::fat(
             &format!("{}@{start}", w.name),
@@ -244,10 +245,28 @@ pub fn store_dedup(knobs: &BenchKnobs) -> ScenarioResult {
         store
             .put_pinball(&pb.region.name, &pb)
             .expect("stores pinball");
+        names.push(pb.region.name);
     }
     let stats = store.stats().expect("stats");
     assert_eq!(stats.objects, starts.len());
     assert!(store.verify().expect("verifies").is_ok());
+    // Blob files one eager get of each region reads: a get reads each
+    // distinct blob once, however many pages share it.
+    let tracer = Arc::new(Tracer::new(TraceMode::Full));
+    let reader = store.clone().with_tracer(Arc::clone(&tracer));
+    for name in &names {
+        reader.get_pinball(name).expect("reads pinball");
+    }
+    let get_blob_reads: u64 = tracer
+        .collect()
+        .tracks
+        .iter()
+        .flat_map(|t| &t.events)
+        .filter(|e| e.cat == "store" && e.name == "get_pinball")
+        .flat_map(|e| e.args.entries())
+        .filter(|(key, _)| *key == "blobs_read")
+        .map(|&(_, n)| n)
+        .sum();
     std::fs::remove_dir_all(&dir).ok();
 
     ScenarioResult {
@@ -267,6 +286,7 @@ pub fn store_dedup(knobs: &BenchKnobs) -> ScenarioResult {
             Metric::higher("total_ratio", stats.total_ratio(), "x", 0.02).uncalibrated(),
             Metric::lower("physical_bytes", stats.physical_bytes as f64, "bytes", 0.02)
                 .uncalibrated(),
+            Metric::lower("get_blob_reads", get_blob_reads as f64, "blobs", 0.02).uncalibrated(),
         ],
     }
 }

@@ -36,6 +36,16 @@
 //! the repository, and [`Store::gc`] is a straightforward mark-and-sweep
 //! from the refs.
 //!
+//! A pinball or snapshot call costs one blob file per *distinct* blob of
+//! its object, not one per page: a fat pinball's pages mostly share a few
+//! payloads (zero pages, untouched static data). A get reads, decodes,
+//! hash-checks and interns each distinct blob once, and every later
+//! reference shares the interned payload. A put hashes and stores each
+//! distinct page allocation once. Byte streams are read and written one
+//! chunk at a time. A [`LazyPinball`] remembers the payloads it read by weak reference
+//! only, so a fault on a page whose payload is still alive reads nothing,
+//! and the handle keeps no payload alive by itself.
+//!
 //! The store knows pinballs, ELFies, snapshots and raw byte streams, and
 //! depends on nothing above `elfie-pinball`: in particular not on the VM.
 //! Higher layers encode their own artifacts as raw streams, as the
@@ -56,14 +66,17 @@ pub mod codec;
 
 use codec::{Codec, CodecError};
 use elfie_pinball::wire::{Reader, WireError, Writer};
-use elfie_pinball::{MemoryImage, PageRecord, Pinball, PinballError, Snapshot, SnapshotMeta};
+use elfie_pinball::{
+    MemoryImage, PageArena, PageData, PageRecord, Pinball, PinballError, Snapshot, SnapshotMeta,
+    PAGE_BYTES,
+};
 use elfie_trace::Tracer;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::io::Read;
 use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, Weak};
 
 const BLOB_MAGIC: &[u8; 4] = b"ESBL";
 const MANIFEST_MAGIC: &[u8; 4] = b"ESMF";
@@ -215,6 +228,46 @@ struct PageRef {
 struct ChunkRef {
     blob: u64,
     len: u64,
+}
+
+/// One store call's page payloads already stored: each payload
+/// allocation ([`Arc::as_ptr`]) maps to its blob hash. The pinball or
+/// snapshot being stored holds every allocation for the whole call, so no
+/// address is reused while the map lives.
+type PagePuts = HashMap<*const [u8; PAGE_BYTES], u64>;
+
+/// One store call's page blobs already read: each distinct blob is read,
+/// decoded, hash-checked and interned once, and every later reference
+/// shares the interned payload.
+#[derive(Default)]
+struct PageReads {
+    pages: HashMap<u64, PageData>,
+    /// Blob files read so far.
+    files: u64,
+}
+
+impl PageReads {
+    /// Reads the pages `refs` names into `table`.
+    fn read_into(
+        &mut self,
+        store: &Store,
+        refs: &[PageRef],
+        table: &mut BTreeMap<u64, PageRecord>,
+    ) -> Result<(), StoreError> {
+        for p in refs {
+            let data = match self.pages.get(&p.blob) {
+                Some(data) => Arc::clone(data),
+                None => {
+                    let data = store.get_page(p.blob)?;
+                    self.files += 1;
+                    self.pages.insert(p.blob, Arc::clone(&data));
+                    data
+                }
+            };
+            table.insert(p.addr, PageRecord::from_data(p.perm, data));
+        }
+        Ok(())
+    }
 }
 
 /// The decoded form of a manifest.
@@ -507,10 +560,21 @@ impl Store {
     }
 
     /// Puts store I/O on a timeline: `store/put_*` and `store/get_*`
-    /// spans per object (args: logical bytes, blob counts) and sampled
-    /// `store/lazy_fetch` instants when a [`LazyPinball`] streams a page
-    /// in. Clones — including the one inside a `LazyPinball` — inherit
-    /// the tracer.
+    /// spans per object and sampled `store/lazy_fetch` instants when a
+    /// [`LazyPinball`] reads a page blob (a fault served by a payload
+    /// still alive emits none). Clones — including the one inside a
+    /// `LazyPinball` — inherit the tracer. Span args:
+    ///
+    /// - `put_pinball`: `logical_bytes`, `pages`, and `blobs`, the
+    ///   distinct `put_blob` calls (the skeleton included);
+    /// - `put_snapshot`: `logical_bytes`, `delta_pages` and `blobs` (the
+    ///   state blob included);
+    /// - `put_stream`: `bytes` and `blobs`, the chunk blobs stored;
+    /// - `get_pinball` and `get_snapshot`: `pages` and `blobs_read`, the
+    ///   blob files read (the skeleton or state blob included), one per
+    ///   distinct blob;
+    /// - `get_stream`: `pages`, its chunks, and `blobs_read`, the chunk
+    ///   blobs read, one per chunk.
     pub fn with_tracer(mut self, tracer: Arc<Tracer>) -> Store {
         self.tracer = Some(tracer);
         self
@@ -562,6 +626,20 @@ impl Store {
         Ok(hash)
     }
 
+    /// Stores the page payload `data` through `stored`, this call's map
+    /// from payload allocation to blob hash: an allocation already stored
+    /// costs a map lookup, not a hash and an `exists` check. Equal bytes
+    /// in two allocations cost a second, deduplicated `put_blob`.
+    fn put_page(&self, stored: &mut PagePuts, data: &PageData) -> Result<u64, StoreError> {
+        let key = Arc::as_ptr(data);
+        if let Some(&hash) = stored.get(&key) {
+            return Ok(hash);
+        }
+        let hash = self.put_blob(&data[..])?;
+        stored.insert(key, hash);
+        Ok(hash)
+    }
+
     /// Reads and decompresses the blob stored under `hash`, verifying the
     /// content hash on the way out. A blob that fails to decode or to
     /// match its hash is removed, so the next [`Store::put_blob`] of
@@ -579,12 +657,20 @@ impl Store {
         })
     }
 
-    /// Reads every blob `m` references, which removes each corrupt one
-    /// (see [`Store::get_blob`]). Called after a read of `m` failed, so
-    /// the recompute that follows rewrites every corrupt blob, not just
-    /// the first one the read hit.
+    /// Reads the page blob stored under `hash` and interns its payload
+    /// in the global [`PageArena`].
+    fn get_page(&self, hash: u64) -> Result<PageData, StoreError> {
+        PageArena::global()
+            .intern_slice(&self.get_blob(hash)?)
+            .ok_or_else(|| StoreError::Corrupt(format!("page blob {hash:016x} is not page-sized")))
+    }
+
+    /// Reads each distinct blob `m` references once, which removes each
+    /// corrupt one (see [`Store::get_blob`]). Called after a read of `m`
+    /// failed, so the recompute that follows rewrites every corrupt blob,
+    /// not just the first one the read hit.
     fn drop_corrupt_blobs(&self, m: &Manifest) {
-        for blob in m.blob_refs() {
+        for blob in m.blob_refs().collect::<HashSet<_>>() {
             self.get_blob(blob).ok();
         }
     }
@@ -649,6 +735,7 @@ impl Store {
         let mut image_pages = Vec::with_capacity(pinball.image.pages.len());
         let mut lazy_pages = Vec::with_capacity(pinball.lazy_pages.len());
         let mut logical = 0u64;
+        let mut stored = PagePuts::new();
         for (table, out) in [
             (&pinball.image.pages, &mut image_pages),
             (&pinball.lazy_pages, &mut lazy_pages),
@@ -658,7 +745,7 @@ impl Store {
                 out.push(PageRef {
                     addr,
                     perm: page.perm,
-                    blob: self.put_blob(&page.data[..])?,
+                    blob: self.put_page(&mut stored, &page.data)?,
                 });
             }
         }
@@ -676,6 +763,7 @@ impl Store {
         let skeleton_blob = self.put_blob(&skeleton)?;
         span.arg("logical_bytes", logical);
         span.arg("pages", (image_pages.len() + lazy_pages.len()) as u64);
+        span.arg("blobs", stored.len() as u64 + 1);
         self.put_manifest(&Manifest {
             kind: ObjectKind::Pinball,
             name: name.to_string(),
@@ -695,7 +783,7 @@ impl Store {
     /// Returns [`StoreError::NotFound`] for unknown names and
     /// [`StoreError::Corrupt`] on integrity violations.
     pub fn get_pinball(&self, name: &str) -> Result<Pinball, StoreError> {
-        let _span = match &self.tracer {
+        let mut span = match &self.tracer {
             Some(t) => t.span_labeled("store", "get_pinball", name),
             None => elfie_trace::Span::disabled(),
         };
@@ -709,26 +797,20 @@ impl Store {
         let (skel_hash, _) = m.skeleton.ok_or_else(|| {
             StoreError::Corrupt(format!("pinball manifest `{name}` lacks a skeleton"))
         })?;
-        let read = || {
+        let mut reads = PageReads::default();
+        let mut read = || -> Result<Pinball, StoreError> {
             let mut pinball = Pinball::from_bytes(&self.get_blob(skel_hash)?)?;
-            for (refs, table) in [
-                (&m.image_pages, &mut pinball.image.pages),
-                (&m.lazy_pages, &mut pinball.lazy_pages),
-            ] {
-                for p in refs {
-                    let data = self.get_blob(p.blob)?;
-                    let rec = PageRecord::from_slice(p.perm, &data).ok_or_else(|| {
-                        StoreError::Corrupt(format!("page blob {:016x} is not page-sized", p.blob))
-                    })?;
-                    table.insert(p.addr, rec);
-                }
-            }
+            reads.read_into(self, &m.image_pages, &mut pinball.image.pages)?;
+            reads.read_into(self, &m.lazy_pages, &mut pinball.lazy_pages)?;
             Ok(pinball)
         };
-        read().map_err(|e| {
+        let pinball = read().map_err(|e| {
             self.drop_corrupt_blobs(&m);
             e
-        })
+        })?;
+        span.arg("pages", (m.image_pages.len() + m.lazy_pages.len()) as u64);
+        span.arg("blobs_read", reads.files + 1);
+        Ok(pinball)
     }
 
     /// Opens the pinball stored under `name` *lazily*: only the skeleton
@@ -761,6 +843,7 @@ impl Store {
         Ok(LazyPinball {
             skeleton,
             pages,
+            fetched: Arc::default(),
             store: self.clone(),
         })
     }
@@ -784,6 +867,7 @@ impl Store {
                 len: chunk.len() as u64,
             });
         }
+        span.arg("blobs", chunks.len() as u64);
         self.put_manifest(&Manifest {
             kind,
             name: name.to_string(),
@@ -798,7 +882,7 @@ impl Store {
 
     /// Loads a byte stream stored by [`Store::put_elfie`]/[`Store::put_raw`].
     fn get_stream(&self, name: &str) -> Result<(ObjectKind, Vec<u8>), StoreError> {
-        let _span = match &self.tracer {
+        let mut span = match &self.tracer {
             Some(t) => t.span_labeled("store", "get_stream", name),
             None => elfie_trace::Span::disabled(),
         };
@@ -823,10 +907,13 @@ impl Store {
             }
             Ok((m.kind, out))
         };
-        read().map_err(|e| {
+        let stream = read().map_err(|e| {
             self.drop_corrupt_blobs(&m);
             e
-        })
+        })?;
+        span.arg("pages", m.chunks.len() as u64);
+        span.arg("blobs_read", m.chunks.len() as u64);
+        Ok(stream)
     }
 
     /// Stores an ELFie image (or any file) under `name`, chunked and
@@ -894,12 +981,13 @@ impl Store {
         };
         let mut image_pages = Vec::with_capacity(snapshot.delta.len());
         let mut logical = 0u64;
+        let mut stored = PagePuts::new();
         for (&addr, page) in &snapshot.delta {
             logical += page.data.len() as u64;
             image_pages.push(PageRef {
                 addr,
                 perm: page.perm,
-                blob: self.put_blob(&page.data[..])?,
+                blob: self.put_page(&mut stored, &page.data)?,
             });
         }
         let state = snapshot.state_to_bytes();
@@ -908,6 +996,7 @@ impl Store {
         let state_blob = self.put_blob(&state)?;
         span.arg("logical_bytes", logical);
         span.arg("delta_pages", image_pages.len() as u64);
+        span.arg("blobs", stored.len() as u64 + 1);
         self.put_manifest(&Manifest {
             kind: ObjectKind::Snapshot,
             name: name.to_string(),
@@ -928,7 +1017,7 @@ impl Store {
     /// Returns [`StoreError::NotFound`] for unknown names and
     /// [`StoreError::Corrupt`] on integrity violations.
     pub fn get_snapshot(&self, name: &str) -> Result<(Snapshot, Option<ObjectId>), StoreError> {
-        let _span = match &self.tracer {
+        let mut span = match &self.tracer {
             Some(t) => t.span_labeled("store", "get_snapshot", name),
             None => elfie_trace::Span::disabled(),
         };
@@ -943,13 +1032,10 @@ impl Store {
             StoreError::Corrupt(format!("snapshot manifest `{name}` lacks a state blob"))
         })?;
         let mut snapshot = Snapshot::from_state_bytes(&self.get_blob(state_hash)?)?;
-        for p in &m.image_pages {
-            let data = self.get_blob(p.blob)?;
-            let rec = PageRecord::from_slice(p.perm, &data).ok_or_else(|| {
-                StoreError::Corrupt(format!("page blob {:016x} is not page-sized", p.blob))
-            })?;
-            snapshot.delta.insert(p.addr, rec);
-        }
+        let mut reads = PageReads::default();
+        reads.read_into(self, &m.image_pages, &mut snapshot.delta)?;
+        span.arg("pages", m.image_pages.len() as u64);
+        span.arg("blobs_read", reads.files + 1);
         Ok((snapshot, m.parent))
     }
 
@@ -1030,7 +1116,9 @@ impl Store {
         Ok(names)
     }
 
-    fn all_blob_files(&self) -> Result<Vec<(u64, PathBuf, u64)>, StoreError> {
+    /// Every blob file in the store with its hash, sorted by hash. Lists
+    /// names only: a caller that needs a file's size stats it itself.
+    fn all_blob_files(&self) -> Result<Vec<(u64, PathBuf)>, StoreError> {
         let mut out = Vec::new();
         let blobs = self.root.join("blobs");
         for shard in std::fs::read_dir(&blobs)? {
@@ -1047,7 +1135,7 @@ impl Store {
                 let Ok(hash) = u64::from_str_radix(hex, 16) else {
                     continue;
                 };
-                out.push((hash, entry.path(), entry.metadata()?.len()));
+                out.push((hash, entry.path()));
             }
         }
         out.sort();
@@ -1083,8 +1171,8 @@ impl Store {
     pub fn verify(&self) -> Result<VerifyReport, StoreError> {
         let mut report = VerifyReport::default();
         let blobs = self.all_blob_files()?;
-        let on_disk: BTreeSet<u64> = blobs.iter().map(|&(h, _, _)| h).collect();
-        for (hash, path, _) in &blobs {
+        let on_disk: BTreeSet<u64> = blobs.iter().map(|&(h, _)| h).collect();
+        for (hash, path) in &blobs {
             report.blobs_checked += 1;
             let check = std::fs::read(path)
                 .map_err(StoreError::from)
@@ -1162,16 +1250,14 @@ impl Store {
         let mut report = GcReport::default();
         for (id, path) in self.all_manifest_files()? {
             if !live_manifests.contains(&id) {
-                report.bytes_freed += std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-                std::fs::remove_file(&path)?;
+                report.bytes_freed += remove_sized(&path)?;
                 report.manifests_removed += 1;
             }
         }
-        for (hash, path, size) in self.all_blob_files()? {
+        for (hash, path) in self.all_blob_files()? {
             if !live_blobs.contains(&hash) {
-                std::fs::remove_file(&path)?;
+                report.bytes_freed += remove_sized(&path)?;
                 report.blobs_removed += 1;
-                report.bytes_freed += size;
             }
         }
         Ok(report)
@@ -1191,9 +1277,9 @@ impl Store {
             s.objects += 1;
             s.logical_bytes += m.logical;
         }
-        for (_, path, size) in self.all_blob_files()? {
+        for (_, path) in self.all_blob_files()? {
             s.blobs += 1;
-            s.physical_bytes += size;
+            s.physical_bytes += std::fs::metadata(&path)?.len();
             s.unique_bytes += blob_raw_len(&path)?;
         }
         Ok(s)
@@ -1204,16 +1290,21 @@ impl Store {
 /// memory, page payloads stream in from the store on demand.
 ///
 /// Hand the handle's [`skeleton`](LazyPinball::skeleton) to the replayer
-/// and the handle itself as its [`elfie_pinball::PageSource`]; every unmapped-page fault
-/// then pulls exactly one blob off disk (interned through the shared
-/// [`elfie_pinball::PageArena`], so concurrent workers faulting the same
-/// page share one allocation).
+/// and the handle itself as its [`elfie_pinball::PageSource`]; an
+/// unmapped-page fault then pulls at most one blob off disk, interned
+/// through the shared [`PageArena`] so concurrent workers faulting the
+/// same page share one allocation. A fault on a page whose blob an earlier
+/// fault read, and whose payload is still alive, reads nothing: the
+/// handle and its clones share a map from blob hash to a weak reference
+/// to the payload. The map never keeps a payload alive by itself, so the
+/// handle's memory, like its I/O, follows the pages the replay touches.
 #[derive(Debug, Clone)]
 pub struct LazyPinball {
     /// The page-stripped pinball: empty memory image, everything else
     /// intact. Boot the replay machine from this.
     pub skeleton: Pinball,
     pages: BTreeMap<u64, PageRef>,
+    fetched: Arc<Mutex<HashMap<u64, Weak<[u8; PAGE_BYTES]>>>>,
     store: Store,
 }
 
@@ -1221,6 +1312,10 @@ impl LazyPinball {
     /// Number of pages available to fault in.
     pub fn page_count(&self) -> usize {
         self.pages.len()
+    }
+
+    fn fetched(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Weak<[u8; PAGE_BYTES]>>> {
+        self.fetched.lock().expect("lazy fetch map lock")
     }
 }
 
@@ -1230,11 +1325,19 @@ impl elfie_pinball::PageSource for LazyPinball {
     /// replayer then reports the same fault an eager load would have).
     fn fetch_page(&self, base: u64) -> Option<PageRecord> {
         let p = self.pages.get(&base)?;
-        let data = self.store.get_blob(p.blob).ok()?;
-        if let Some(tracer) = &self.store.tracer {
-            tracer.instant("store", "lazy_fetch", &[("page", base)]);
-        }
-        PageRecord::from_slice(p.perm, &data)
+        let alive = self.fetched().get(&p.blob).and_then(Weak::upgrade);
+        let data = match alive {
+            Some(data) => data,
+            None => {
+                let data = self.store.get_page(p.blob).ok()?;
+                self.fetched().insert(p.blob, Arc::downgrade(&data));
+                if let Some(tracer) = &self.store.tracer {
+                    tracer.instant("store", "lazy_fetch", &[("page", base)]);
+                }
+                data
+            }
+        };
+        Some(PageRecord::from_data(p.perm, data))
     }
 }
 
@@ -1257,6 +1360,13 @@ fn decode_blob(raw: &[u8], hash: u64) -> Result<Vec<u8>, StoreError> {
         )));
     }
     Ok(data)
+}
+
+/// Removes the file at `path`, returning the bytes it held.
+fn remove_sized(path: &Path) -> Result<u64, StoreError> {
+    let size = std::fs::metadata(path)?.len();
+    std::fs::remove_file(path)?;
+    Ok(size)
 }
 
 /// Length of a blob file's header: magic, version, codec tag and the
@@ -1390,9 +1500,30 @@ mod tests {
         store.put_raw("x", &[1u8; 1000]).unwrap();
         store.put_raw("x", &[2u8; 1000]).unwrap();
         assert_eq!(store.get_raw("x").unwrap(), vec![2u8; 1000]);
+        let sizes = |store: &Store| -> BTreeMap<PathBuf, u64> {
+            let manifests = store.all_manifest_files().unwrap().into_iter();
+            let blobs = store.all_blob_files().unwrap().into_iter();
+            manifests
+                .map(|(_, path)| path)
+                .chain(blobs.map(|(_, path)| path))
+                .map(|path| (path.clone(), std::fs::metadata(&path).unwrap().len()))
+                .collect()
+        };
+        let before = sizes(&store);
         let report = store.gc().unwrap();
         assert_eq!(report.manifests_removed, 1, "old manifest swept");
         assert_eq!(report.blobs_removed, 1, "old blob swept");
+        let after = sizes(&store);
+        let removed: u64 = before
+            .iter()
+            .filter(|(path, _)| !after.contains_key(*path))
+            .map(|(_, size)| size)
+            .sum();
+        assert!(removed > 0);
+        assert_eq!(
+            report.bytes_freed, removed,
+            "freed bytes are the swept files"
+        );
         assert_eq!(store.get_raw("x").unwrap(), vec![2u8; 1000]);
         assert!(store.verify().unwrap().is_ok());
         std::fs::remove_dir_all(&dir).ok();

@@ -3,13 +3,16 @@
 
 use elfie_pinball::wire::WireError;
 use elfie_pinball::{
-    CacheSnap, KernelSnap, MemoryImage, PageRecord, PageSource, Pinball, PinballError, PinballMeta,
-    RaceLog, RegImage, RegionInfo, RegionTrigger, Snapshot, SnapshotMeta, ThreadRecord,
+    CacheSnap, KernelSnap, MemoryImage, PageData, PageRecord, PageSource, Pinball, PinballError,
+    PinballMeta, RaceLog, RegImage, RegionInfo, RegionTrigger, Snapshot, SnapshotMeta,
+    ThreadRecord,
 };
 use elfie_store::{ObjectKind, Store, StoreError, StoreStats};
+use elfie_trace::{TraceMode, Tracer};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 const PAGE: usize = 4096;
 
@@ -525,5 +528,144 @@ fn unknown_format_versions_still_fail() {
         Err(StoreError::Wire(WireError::BadVersion(99)))
     ));
     assert_eq!(store.verify().unwrap().errors.len(), 10 + 1 + 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn object_ids_of_fixed_inputs_are_pinned() {
+    // Object ids are hashes of the manifest bytes, which name every blob
+    // by its content hash: a change to the manifest layout, the blob
+    // naming or the page order moves these literals.
+    let dir = tmp("format-pin");
+    let store = Store::open(&dir).unwrap();
+    let pb = make_pinball("pin", &[0, 0, 1, 2, 0, 1]);
+    let (s1, s2) = fixture_snapshots();
+    let id1 = store.put_snapshot("snap.1", &s1, None).unwrap();
+    let ids = [
+        store.put_pinball("pin", &pb).unwrap(),
+        id1,
+        store.put_snapshot("snap.2", &s2, Some(id1)).unwrap(),
+        store.put_elfie("image.elfie", &fixture_elfie()).unwrap(),
+    ];
+    assert_eq!(
+        ids.map(|id| id.to_string()),
+        [
+            "6cefae93b1a835ce",
+            "d689403400dcd612",
+            "710da56a9989a548",
+            "ae8bfe2b0f7a7581"
+        ]
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The args of every `store/<name>` event `tracer` recorded, in order.
+fn store_events(tracer: &Tracer, name: &str) -> Vec<BTreeMap<&'static str, u64>> {
+    let data = tracer.collect();
+    let mut events: Vec<_> = data
+        .tracks
+        .iter()
+        .flat_map(|t| &t.events)
+        .filter(|e| e.cat == "store" && e.name == name)
+        .collect();
+    events.sort_by_key(|e| e.ts_ns);
+    events
+        .iter()
+        .map(|e| e.args.entries().iter().copied().collect())
+        .collect()
+}
+
+/// The path of the blob holding the page payload `rec`.
+fn page_blob_path(dir: &Path, rec: &PageRecord) -> PathBuf {
+    let hex = format!("{:016x}", elfie_isa::xxh64(&rec.data[..]));
+    dir.join("blobs").join(&hex[..2]).join(hex + ".blob")
+}
+
+#[test]
+fn a_get_reads_each_distinct_blob_once() {
+    let dir = tmp("distinct-reads");
+    let tracer = Arc::new(Tracer::new(TraceMode::Full));
+    let store = Store::open(&dir).unwrap().with_tracer(Arc::clone(&tracer));
+    let seeds: Vec<u64> = (0..1200).map(|i| [0, 0xa1, 0xa2][i % 3]).collect();
+    let pb = make_pinball("many", &seeds);
+    store.put_pinball("many", &pb).unwrap();
+    let back = store.get_pinball("many").unwrap();
+    assert_eq!(back.to_bytes(), pb.to_bytes(), "bit-identical bundle");
+
+    // Equal pages share one allocation: three payloads in all.
+    let mut payloads: Vec<&PageData> = Vec::new();
+    for p in back.image.pages.values().chain(back.lazy_pages.values()) {
+        match payloads.iter().find(|d| ***d == p.data) {
+            Some(d) => assert!(Arc::ptr_eq(d, &p.data), "a repeated page is shared"),
+            None => payloads.push(&p.data),
+        }
+    }
+    assert_eq!(payloads.len(), 3);
+
+    // Three page blobs and the skeleton, read once each.
+    let gets = store_events(&tracer, "get_pinball");
+    assert_eq!(gets.len(), 1);
+    assert_eq!(gets[0]["pages"], 1201);
+    assert_eq!(gets[0]["blobs_read"], 4);
+    assert_eq!(store_events(&tracer, "put_pinball")[0]["blobs"], 4);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_corrupt_shared_blob_still_fails_the_get_and_is_repaired_by_a_put() {
+    let dir = tmp("corrupt-shared");
+    let store = Store::open(&dir).unwrap();
+    let seeds: Vec<u64> = (0..1000)
+        .map(|i| if i % 10 == 0 { 0x51 } else { 0xb0b0 })
+        .collect();
+    let pb = make_pinball("shared", &seeds);
+    store.put_pinball("shared", &pb).unwrap();
+
+    // Give the blob most pages name the bytes of another, valid blob.
+    let shared = page_blob_path(&dir, &page(0xb0b0, 0));
+    let other = page_blob_path(&dir, &page(0x51, 0));
+    std::fs::copy(&other, &shared).unwrap();
+    assert!(matches!(
+        store.get_pinball("shared"),
+        Err(StoreError::Corrupt(_))
+    ));
+    assert!(!shared.exists(), "the corrupt blob is removed");
+    assert!(other.exists(), "the sound blob stays");
+
+    store.put_pinball("shared", &pb).unwrap();
+    assert_eq!(
+        store.get_pinball("shared").unwrap().to_bytes(),
+        pb.to_bytes()
+    );
+    assert!(store.verify().unwrap().is_ok());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_lazy_handle_reads_a_live_payload_once() {
+    let dir = tmp("lazy-memo");
+    let tracer = Arc::new(Tracer::new(TraceMode::Full));
+    let store = Store::open(&dir).unwrap().with_tracer(Arc::clone(&tracer));
+    // Two addresses backed by one blob, whose payload nothing else in
+    // the process holds once the source pinball is dropped.
+    let mut pb = make_pinball("lazy", &[0x1a2b_3c4d, 0x1a2b_3c4d]);
+    pb.lazy_pages.clear();
+    let addrs: Vec<u64> = pb.image.pages.keys().copied().collect();
+    store.put_pinball("lazy", &pb).unwrap();
+    drop(pb);
+    let lazy = store.get_pinball_lazy("lazy").unwrap();
+    let fetches = || store_events(&tracer, "lazy_fetch").len();
+
+    let first = lazy.fetch_page(addrs[0]).unwrap();
+    let second = lazy.clone().fetch_page(addrs[1]).unwrap();
+    assert_eq!(fetches(), 1, "a live payload is not read again");
+    assert!(Arc::ptr_eq(&first.data, &second.data));
+
+    // The handle holds its payloads weakly: once every returned page is
+    // gone, the next fault reads the blob again.
+    drop((first, second));
+    let again = lazy.fetch_page(addrs[1]).unwrap();
+    assert_eq!(fetches(), 2);
+    assert_eq!(again.data, page(0x1a2b_3c4d, 0).data);
     std::fs::remove_dir_all(&dir).ok();
 }
