@@ -419,10 +419,12 @@ pub fn sharded_simulate(knobs: &BenchKnobs) -> ScenarioResult {
         t0.elapsed()
     };
     let mut stitch_ns = u64::MAX;
+    let mut profile_ns = u64::MAX;
     let mut sharded = || {
         let t0 = Instant::now();
         let o = simulate_pinball_sharded(&pb, &sim, &cfg);
         stitch_ns = stitch_ns.min(o.stitch_wall_ns);
+        profile_ns = profile_ns.min(o.profile_wall_ns);
         t0.elapsed()
     };
     let minima = interleaved_min(knobs.runs, &mut [&mut serial, &mut sharded]);
@@ -439,7 +441,8 @@ pub fn sharded_simulate(knobs: &BenchKnobs) -> ScenarioResult {
     }
     // Snapshot overhead: the fast-path profiling pass that places the
     // snapshots, relative to the detailed serial simulation it replaces.
-    let overhead = out.profile_wall_ns as f64 / minima[0].as_nanos().max(1) as f64;
+    // Both sides are minima over the same interleaved runs.
+    let overhead = profile_ns as f64 / minima[0].as_nanos().max(1) as f64;
 
     ScenarioResult {
         name: "sharded_simulate".to_string(),

@@ -17,7 +17,7 @@
 //!   typed `busy` responses, never by queueing unboundedly.
 
 use super::doc::{Metric, ScenarioResult};
-use super::{interleaved_min, ms, BenchKnobs};
+use super::{ms, BenchKnobs};
 use elfie::prelude::*;
 use elfie_serve::{Client, Daemon, JobKind, JobSpec, Response, ServeConfig};
 use elfie_trace::percentile_ns;
@@ -48,7 +48,6 @@ impl ServeBenchConfig {
             daemon: ServeConfig {
                 shards: 4,
                 queue_depth: 64,
-                telemetry: true,
             },
             tenants: &["acme", "zephyr"],
         }
@@ -273,59 +272,6 @@ pub fn run_serve(
     })
 }
 
-/// One ping flood against `addr`: `pings` sequential round-trips on a
-/// fresh connection, returning the wall clock.
-fn ping_flood(addr: &str, pings: usize) -> Duration {
-    let mut client = Client::connect(addr).expect("flood connect");
-    let t = Instant::now();
-    for _ in 0..pings {
-        client.ping().expect("pong");
-    }
-    t.elapsed()
-}
-
-/// The ≤2% telemetry guard: two otherwise identical daemons — one with
-/// the metrics layer on, one with it off — take interleaved ping floods
-/// (the cheapest verb, so per-request bookkeeping is the largest
-/// possible fraction of the work), and the noise-free minima are
-/// compared. Returns the relative overhead in percent, clamped at 0.
-fn telemetry_overhead_pct(dir: &std::path::Path, runs: usize) -> Result<f64, String> {
-    const PINGS: usize = 400;
-    let mut addrs = Vec::new();
-    let mut servers = Vec::new();
-    for telemetry in [true, false] {
-        let sub = dir.join(if telemetry { "on" } else { "off" });
-        let daemon = Daemon::bind(
-            "127.0.0.1:0",
-            &sub,
-            ServeConfig {
-                shards: 1,
-                queue_depth: 4,
-                telemetry,
-            },
-            None,
-        )
-        .map_err(|e| format!("overhead daemon bind: {e}"))?;
-        addrs.push(daemon.local_addr().to_string());
-        servers.push(std::thread::spawn(move || daemon.run()));
-    }
-    let mut on = || ping_flood(&addrs[0], PINGS);
-    let mut off = || ping_flood(&addrs[1], PINGS);
-    let minima = interleaved_min(runs.max(3), &mut [&mut on, &mut off]);
-    for addr in &addrs {
-        Client::connect(addr)
-            .and_then(|mut c| c.shutdown())
-            .map_err(|e| e.to_string())?;
-    }
-    for server in servers {
-        server
-            .join()
-            .map_err(|_| "overhead daemon panicked".to_string())?;
-    }
-    let (on_ns, off_ns) = (minima[0].as_nanos() as f64, minima[1].as_nanos() as f64);
-    Ok(((on_ns - off_ns) / off_ns * 100.0).max(0.0))
-}
-
 /// Fires `burst` concurrent submits at a 1-shard / queue-depth-2 daemon
 /// and counts the typed `busy` responses. Returns `(busy, other)` where
 /// `other` counts anything that was neither `done` nor `busy`.
@@ -340,7 +286,6 @@ fn busy_burst(
         ServeConfig {
             shards: 1,
             queue_depth: 2,
-            telemetry: true,
         },
         None,
     )
@@ -396,14 +341,6 @@ pub fn daemon_serve(knobs: &BenchKnobs) -> ScenarioResult {
     let (busy, burst_other) = busy_burst(&burst_dir, &workloads[0], 16).expect("burst run");
     std::fs::remove_dir_all(&burst_dir).ok();
     let shed_cleanly = busy > 0 && burst_other == 0;
-
-    let overhead_dir = std::env::temp_dir().join(format!(
-        "elfie-bench-serve-telemetry-{}",
-        std::process::id()
-    ));
-    std::fs::remove_dir_all(&overhead_dir).ok();
-    let overhead_pct = telemetry_overhead_pct(&overhead_dir, knobs.runs).expect("overhead run");
-    std::fs::remove_dir_all(&overhead_dir).ok();
 
     assert_eq!(outcome.completed, cfg.jobs, "every request must complete");
     let wall_s = outcome.wall.as_secs_f64();
@@ -487,12 +424,6 @@ pub fn daemon_serve(knobs: &BenchKnobs) -> ScenarioResult {
                 0.75,
             )
             .uncalibrated(),
-            // The telemetry guard: the whole metrics layer may cost at
-            // most 2% of ping-flood wall clock. The baseline pins the
-            // budget (2.0) with a zero band, so the gate is simply
-            // `measured <= 2.0` — the measurement is the overhead
-            // itself, not a machine-scaled figure.
-            Metric::lower("telemetry_overhead_pct", overhead_pct, "%", 0.0).uncalibrated(),
             Metric::lower(
                 "peak_rss_bytes",
                 outcome.peak_rss_bytes as f64,

@@ -112,8 +112,8 @@ impl Args {
     }
 }
 
-/// The shared `--trace FILE [--trace-mode off|sampled[:N]|full]`
-/// `--stats-json FILE` surface of `validate` and `simulate`.
+/// The shared `--trace FILE` `--stats-json FILE` surface of `validate`
+/// and `simulate`. A trace always records every event.
 struct TraceOpts {
     trace_out: Option<PathBuf>,
     stats_json_out: Option<PathBuf>,
@@ -122,18 +122,11 @@ struct TraceOpts {
 
 fn parse_trace_opts(args: &Args) -> Result<TraceOpts, CliError> {
     let trace_out = args.opt("trace").map(PathBuf::from);
-    let tracer = match &trace_out {
-        None => None,
-        Some(_) => {
-            let mode = match args.opt("trace-mode") {
-                None => TraceMode::Full,
-                Some(text) => TraceMode::parse(text).map_err(err)?,
-            };
-            let tracer = Arc::new(Tracer::new(mode));
-            tracer.set_thread_name("main");
-            Some(tracer)
-        }
-    };
+    let tracer = trace_out.as_ref().map(|_| {
+        let tracer = Arc::new(Tracer::new(TraceMode::Full));
+        tracer.set_thread_name("main");
+        tracer
+    });
     Ok(TraceOpts {
         trace_out,
         stats_json_out: args.opt("stats-json").map(PathBuf::from),
@@ -419,7 +412,7 @@ pub fn cmd_simpoint(args: &Args) -> Result<String, CliError> {
 
 /// `elfie validate <workload> [--scale S] [--slice N] [--warmup N]
 /// [--maxk N] [--seed N] [--fuel N] [--workers N] [--serial] [--stats]
-/// [--store DIR] [--trace FILE] [--trace-mode M] [--stats-json FILE]`
+/// [--store DIR] [--trace FILE] [--stats-json FILE]`
 ///
 /// Runs the full ELFie-based validation flow (select → capture → convert
 /// → measure → compare against the whole-program run) on the parallel
@@ -559,8 +552,7 @@ fn simulate_pinball_report(args: &Args, pb: &Pinball, sim: &Simulator) -> Result
 
 /// `elfie simulate <elfie-file | pinball-dir name | pinball-bundle>
 /// [--sim NAME] [--sysstate DIR] [--shards N] [--snapshot-interval N]
-/// [--snapshot-store DIR] [--trace FILE] [--trace-mode M]
-/// [--stats-json FILE]`
+/// [--snapshot-store DIR] [--trace FILE] [--stats-json FILE]`
 ///
 /// ELFie images go through the unconstrained program path. Pinball input
 /// — a pinball directory plus name, or a single `PBAL` bundle file — is
@@ -1032,15 +1024,14 @@ fn serve_client(args: &Args) -> Result<elfie_serve::Client, CliError> {
 }
 
 /// `elfie serve --store DIR [--listen ADDR] [--shards N] [--queue N]
-/// [--no-telemetry]`
+/// [--trace FILE]`
 ///
 /// Blocks until a client sends `shutdown`, then drains gracefully and
 /// returns the lifetime summary. The readiness line is printed *before*
 /// blocking so wrappers (CI, scripts) can wait for it; startup failures
 /// (unbindable address, unusable store path) come back as one-line
-/// [`CliError`]s — never a panic or backtrace. Telemetry (the registry
-/// behind `elfie metrics`) is on unless `--no-telemetry` turns the
-/// whole layer off.
+/// [`CliError`]s — never a panic or backtrace. The daemon always
+/// records the registry behind `elfie metrics`.
 pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
     let store = PathBuf::from(
         args.opt("store")
@@ -1050,7 +1041,6 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
     let cfg = elfie_serve::ServeConfig {
         shards: args.opt_u64("shards", 4)?.max(1) as usize,
         queue_depth: args.opt_u64("queue", 64)?.max(1) as usize,
-        telemetry: !args.flag("no-telemetry"),
     };
     let topts = parse_trace_opts(args)?;
     let daemon = elfie_serve::Daemon::bind(listen, &store, cfg, topts.tracer.clone())
@@ -1171,11 +1161,7 @@ pub fn cmd_metrics(args: &Args) -> Result<String, CliError> {
     let mut client = serve_client(args)?;
     loop {
         let snap = client.metrics().map_err(|e| err(e.to_string()))?;
-        let text = if snap == elfie::trace::MetricsSnapshot::default() {
-            String::from("# telemetry disabled on this daemon (--no-telemetry)\n")
-        } else {
-            elfie::trace::render_exposition(&snap)
-        };
+        let text = elfie::trace::render_exposition(&snap);
         if watch == 0 {
             return Ok(text);
         }
@@ -1230,7 +1216,7 @@ COMMANDS:
                                          PinPoints region selection
   validate <workload> [--slice N] [--warmup N] [--maxk N] [--scale S]
          [--seed N] [--fuel N] [--workers N] [--serial] [--stats]
-         [--store DIR] [--trace FILE] [--trace-mode off|sampled[:N]|full]
+         [--store DIR] [--trace FILE]
          [--stats-json FILE]             ELFie-based validation (parallel);
                                          --store warm-starts across runs,
                                          --trace writes a Perfetto timeline
@@ -1271,9 +1257,7 @@ COMMANDS:
                                          checked-in baseline (probe-
                                          calibrated tolerance bands)
   serve --store DIR [--listen ADDR] [--shards N] [--queue N]
-         [--no-telemetry] [--trace FILE]
-         [--trace-mode off|sampled[:N]|full]
-                                         run the checkpoint-serving daemon
+         [--trace FILE]                  run the checkpoint-serving daemon
                                          (default listen 127.0.0.1:4254)
   submit <kind> <workload> [--connect ADDR] [--tenant NAME] [--follow]
          [--scale S] [--slice N] [--warmup N] [--maxk N] [--seed N]
@@ -1343,7 +1327,6 @@ pub fn dispatch(argv: &[String]) -> Result<String, CliError> {
         "stats",
         "update-baseline",
         "follow",
-        "no-telemetry",
     ][..];
     let args = Args::parse(rest, flags);
     match cmd.as_str() {
@@ -1915,7 +1898,6 @@ mod tests {
 
     #[test]
     fn trace_command_rejects_bad_input() {
-        assert!(dispatch(&argv("validate gcc_like --trace x --trace-mode warp")).is_err());
         assert!(dispatch(&argv("trace summarize /no/such/file.json")).is_err());
         assert!(dispatch(&argv("trace frobnicate /no/such/file.json")).is_err());
         let bogus =

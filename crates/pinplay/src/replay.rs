@@ -167,8 +167,9 @@ struct InjectState {
 }
 
 impl InjectState {
-    /// One `replay/inject` instant per skipped-and-injected syscall
-    /// (sampled, so a full-injection replay does not flood the buffer).
+    /// One `replay/inject` instant per skipped-and-injected syscall. A
+    /// replay that injects more than the per-thread ring holds counts
+    /// the overflow as dropped events.
     fn trace_inject(&self, tid: u32, nr_: u64) {
         if let Some(tracer) = &self.tracer {
             tracer.instant("replay", "inject", &[("tid", tid as u64), ("nr", nr_)]);
@@ -280,7 +281,7 @@ impl Replayer {
     }
 
     /// Puts the replay on a timeline: a `replay/replay` span per run with
-    /// injected-syscall and lazy-page counts as args, plus sampled
+    /// injected-syscall and lazy-page counts as args, plus
     /// `replay/inject` and `replay/lazy_fault` instants and a
     /// `replay/divergence` instant on failure. Tracing never alters the
     /// replayed execution.

@@ -233,7 +233,7 @@ impl Client {
     }
 
     /// Fetches a point-in-time snapshot of the daemon's metrics
-    /// registry (empty when the daemon runs with telemetry off).
+    /// registry.
     ///
     /// # Errors
     /// Transport failures, or a non-`metrics` answer.

@@ -163,15 +163,12 @@ impl Daemon {
     pub fn run(mut self) -> ServeStats {
         let shutdown = AtomicBool::new(false);
         let local = self.local_addr();
-        let verbs = self
-            .scheduler
-            .metrics_registry()
-            .map(|r| VerbCounters::new(r));
+        let verbs = VerbCounters::new(self.scheduler.metrics_registry());
         let ctx = ConnCtx {
             scheduler: &self.scheduler,
             tracer: &self.tracer,
             shutdown: &shutdown,
-            verbs: verbs.as_ref(),
+            verbs: &verbs,
             started: self.started,
         };
         std::thread::scope(|s| {
@@ -210,7 +207,7 @@ struct ConnCtx<'a> {
     scheduler: &'a Scheduler,
     tracer: &'a Option<Arc<Tracer>>,
     shutdown: &'a AtomicBool,
-    verbs: Option<&'a VerbCounters>,
+    verbs: &'a VerbCounters,
     started: Instant,
 }
 
@@ -269,9 +266,7 @@ fn serve_connection(mut stream: TcpStream, ctx: &ConnCtx<'_>) {
                 continue;
             }
         };
-        if let Some(verbs) = ctx.verbs {
-            verbs.count(&request);
-        }
+        ctx.verbs.count(&request);
         let mut span = ctx
             .tracer
             .as_ref()
@@ -471,13 +466,12 @@ fn handle(request: &Request, ctx: &ConnCtx<'_>) -> (Response, bool) {
             false,
         ),
         Request::Metrics => {
-            if let Some(registry) = ctx.scheduler.metrics_registry() {
-                // A scrape-time gauge: refreshed at the moment of
-                // observation rather than maintained on the hot path.
-                registry
-                    .gauge("serve.uptime_s")
-                    .set(i64::try_from(ctx.started.elapsed().as_secs()).unwrap_or(i64::MAX));
-            }
+            // A scrape-time gauge: refreshed at the moment of observation
+            // rather than maintained on the hot path.
+            ctx.scheduler
+                .metrics_registry()
+                .gauge("serve.uptime_s")
+                .set(i64::try_from(ctx.started.elapsed().as_secs()).unwrap_or(i64::MAX));
             (
                 Response::Metrics {
                     metrics: ctx.scheduler.metrics_snapshot(),

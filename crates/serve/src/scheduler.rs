@@ -43,13 +43,6 @@ pub struct ServeConfig {
     /// Bounded queue depth per shard; a job whose chosen shard has a
     /// full queue is shed.
     pub queue_depth: usize,
-    /// Record the exposition-only metrics (per-shard queue depths,
-    /// per-verb request counters, the job-latency histogram) and answer
-    /// `metrics` with them. Off, the hot path skips that work and
-    /// `metrics` answers an empty snapshot; the counts `stats` reports
-    /// are recorded either way. The `daemon_serve` bench A/Bs the two to
-    /// hold the telemetry overhead under its budget.
-    pub telemetry: bool,
 }
 
 impl Default for ServeConfig {
@@ -57,7 +50,6 @@ impl Default for ServeConfig {
         ServeConfig {
             shards: 4,
             queue_depth: 64,
-            telemetry: true,
         }
     }
 }
@@ -257,8 +249,9 @@ impl JobTable {
 
 /// The daemon's registry with its pre-registered handles — the only
 /// store of the job, shed, connection and guest-memory counts that
-/// [`Scheduler::stats`] reports. The hot path touches atomics only,
-/// never the registry's name map.
+/// [`Scheduler::stats`] reports, plus the queue depths and job latency
+/// only the `metrics` exposition reads. The hot path touches atomics
+/// only, never the registry's name map.
 struct ServeMetrics {
     registry: Arc<MetricsRegistry>,
     jobs_submitted: Arc<Counter>,
@@ -276,19 +269,14 @@ struct ServeMetrics {
     owned_rss: Arc<Gauge>,
     store_hits: Arc<Counter>,
     store_puts: Arc<Counter>,
-    /// `None` with telemetry off: workers skip this per-job work.
-    telemetry: Option<Telemetry>,
-}
-
-/// The metrics only the `metrics` exposition reads.
-struct Telemetry {
+    /// Queue wait plus run time of every finished job.
     job_latency: Arc<Histogram>,
     /// One queue-depth gauge per shard, indexed by shard number.
     shard_depth: Vec<Arc<Gauge>>,
 }
 
 impl ServeMetrics {
-    fn new(shards: usize, telemetry: bool) -> ServeMetrics {
+    fn new(shards: usize) -> ServeMetrics {
         let registry = Arc::new(MetricsRegistry::new());
         ServeMetrics {
             jobs_submitted: registry.counter("serve.jobs.submitted"),
@@ -301,12 +289,10 @@ impl ServeMetrics {
             owned_rss: registry.gauge("serve.owned_rss_bytes"),
             store_hits: registry.counter("serve.store.hits"),
             store_puts: registry.counter("serve.store.puts"),
-            telemetry: telemetry.then(|| Telemetry {
-                job_latency: registry.histogram("serve.job_latency_ns"),
-                shard_depth: (0..shards)
-                    .map(|i| registry.gauge(&format!("serve.shard{i}.queue_depth")))
-                    .collect(),
-            }),
+            job_latency: registry.histogram("serve.job_latency_ns"),
+            shard_depth: (0..shards)
+                .map(|i| registry.gauge(&format!("serve.shard{i}.queue_depth")))
+                .collect(),
             registry,
         }
     }
@@ -427,7 +413,7 @@ impl Scheduler {
             tracer,
             tenants: Mutex::new(HashMap::new()),
             table: JobTable::default(),
-            metrics: ServeMetrics::new(shards, cfg.telemetry),
+            metrics: ServeMetrics::new(shards),
             load: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             cores: std::thread::available_parallelism().map_or(1, usize::from),
         });
@@ -512,9 +498,7 @@ impl Scheduler {
         }
         let m = &self.shared.metrics;
         m.jobs_submitted.add(1);
-        if let Some(t) = &m.telemetry {
-            t.shard_depth[shard].adjust(1);
-        }
+        m.shard_depth[shard].adjust(1);
         Enqueued::Queued { id, reply }
     }
 
@@ -538,12 +522,11 @@ impl Scheduler {
         &self.shared.table
     }
 
-    /// The daemon-private metrics registry (`None` with telemetry off).
-    /// The daemon layer registers its request counters and uptime gauge
-    /// here so one snapshot covers the whole process.
-    pub fn metrics_registry(&self) -> Option<&Arc<MetricsRegistry>> {
-        let m = &self.shared.metrics;
-        m.telemetry.as_ref().map(|_| &m.registry)
+    /// The daemon-private metrics registry. The daemon layer registers
+    /// its request counters and uptime gauge here so one snapshot covers
+    /// the whole process.
+    pub fn metrics_registry(&self) -> &Arc<MetricsRegistry> {
+        &self.shared.metrics.registry
     }
 
     /// Counts one accepted client connection (`serve.connections`) and
@@ -556,12 +539,9 @@ impl Scheduler {
     }
 
     /// A point-in-time metrics snapshot, with the store totals refreshed
-    /// from the tenant caches first. Empty when telemetry is off.
+    /// from the tenant caches first.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let m = &self.shared.metrics;
-        if m.telemetry.is_none() {
-            return MetricsSnapshot::default();
-        }
         let stats = self.stats();
         m.store_hits.observe_total(stats.store_hits);
         m.store_puts.observe_total(stats.store_puts);
@@ -621,9 +601,7 @@ fn shard_worker(shard: usize, rx: &mpsc::Receiver<ShardJob>, shared: &Shared) {
     }
     let m = &shared.metrics;
     while let Ok(job) = rx.recv() {
-        if let Some(t) = &m.telemetry {
-            t.shard_depth[shard].adjust(-1);
-        }
+        m.shard_depth[shard].adjust(-1);
         let queue_ns = job.enqueued.elapsed().as_nanos() as u64;
         shared.table.set_state(job.id, RUNNING);
         let cache = shared.tenant_cache(&job.tenant);
@@ -664,9 +642,7 @@ fn shard_worker(shard: usize, rx: &mpsc::Receiver<ShardJob>, shared: &Shared) {
                 shared.table.set_state(job.id, FAILED);
             }
         };
-        if let Some(t) = &m.telemetry {
-            t.job_latency.record(queue_ns.saturating_add(run_ns));
-        }
+        m.job_latency.record(queue_ns.saturating_add(run_ns));
         // Uncount the job before replying: a closed-loop client submits
         // its next job as soon as it reads this reply, and placement must
         // not see the finished job as still running.

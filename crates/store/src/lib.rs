@@ -560,7 +560,7 @@ impl Store {
     }
 
     /// Puts store I/O on a timeline: `store/put_*` and `store/get_*`
-    /// spans per object and sampled `store/lazy_fetch` instants when a
+    /// spans per object and a `store/lazy_fetch` instant when a
     /// [`LazyPinball`] reads a page blob (a fault served by a payload
     /// still alive emits none). Clones — including the one inside a
     /// `LazyPinball` — inherit the tracer. Span args:

@@ -1,13 +1,13 @@
 //! Trace aggregation: fold a timeline back into per-stage / per-worker
 //! totals.
 //!
-//! The summary can be built directly from an in-memory [`TraceData`] or
-//! from a Chrome trace-event document previously written by
-//! [`chrome_trace`] — `elfie trace summarize out.json` uses the latter
-//! so a trace file is self-contained. Spans aggregate under their base
-//! name (the static part before any dynamic label), per-thread busy
+//! The summary is built from a Chrome trace-event document written by
+//! [`chrome_trace`], which is what `elfie trace summarize out.json`
+//! reads, so a trace file is self-contained. Spans aggregate under their
+//! base name (the static part before any dynamic label), per-thread busy
 //! time is the union of span intervals (so nested spans are not double
-//! counted), and counters report their last sample.
+//! counted), and each counter reports its sample with the latest
+//! timestamp across all threads.
 //!
 //! [`chrome_trace`]: crate::chrome::chrome_trace
 
@@ -103,45 +103,6 @@ fn base_name(full: &str) -> &str {
 }
 
 impl TraceSummary {
-    /// Builds a summary from a collected trace.
-    pub fn from_trace(data: &TraceData) -> TraceSummary {
-        let mut summary = TraceSummary {
-            dropped: data.dropped,
-            ring_capacity: data.ring_capacity,
-            ..TraceSummary::default()
-        };
-        for track in &data.tracks {
-            let mut agg = ThreadAgg {
-                name: track.name.clone(),
-                events: track.events.len() as u64,
-                spans: 0,
-                busy_ns: 0,
-            };
-            let mut intervals = Vec::new();
-            for event in &track.events {
-                match event.ph {
-                    Phase::Span => {
-                        agg.spans += 1;
-                        intervals.push((event.ts_ns, event.ts_ns.saturating_add(event.dur_ns)));
-                        summary.observe_span(event.name, event.dur_ns);
-                    }
-                    Phase::Instant => {
-                        *summary.instants.entry(event.name.to_string()).or_default() += 1;
-                    }
-                    Phase::Counter => {
-                        if let Some(&(_, value)) = event.args.entries().first() {
-                            // Events are in emission order; keep the last.
-                            summary.counters.insert(event.name.to_string(), value);
-                        }
-                    }
-                }
-            }
-            agg.busy_ns = interval_union_ns(intervals);
-            summary.threads.push(agg);
-        }
-        summary
-    }
-
     /// Builds a summary from a parsed Chrome trace-event document.
     ///
     /// # Errors
@@ -485,6 +446,13 @@ mod tests {
         assert_eq!(interval_union_ns(vec![(0, 100), (10, 20), (30, 40)]), 100);
     }
 
+    /// The summary `elfie trace summarize` would print for `data`: the
+    /// trace goes through its Chrome export and back.
+    fn summarize(data: &TraceData) -> TraceSummary {
+        let doc = Json::parse(&chrome_trace(data).render()).unwrap();
+        TraceSummary::from_chrome_json(&doc).unwrap()
+    }
+
     fn build_trace() -> TraceData {
         let tracer = Arc::new(Tracer::new(TraceMode::Full));
         tracer.set_thread_name("main");
@@ -507,7 +475,8 @@ mod tests {
 
     #[test]
     fn summary_from_trace_aggregates() {
-        let summary = TraceSummary::from_trace(&build_trace());
+        let summary = summarize(&build_trace());
+        assert_eq!(summary.event_count(), 6);
         assert_eq!(summary.threads.len(), 2);
         assert_eq!(summary.threads[0].name, "main");
         assert_eq!(summary.threads[1].name, "worker-0");
@@ -520,29 +489,8 @@ mod tests {
     }
 
     #[test]
-    fn chrome_roundtrip_matches_direct_summary() {
-        let data = build_trace();
-        let direct = TraceSummary::from_trace(&data);
-        let doc = chrome_trace(&data);
-        let parsed = Json::parse(&doc.render()).unwrap();
-        let via_json = TraceSummary::from_chrome_json(&parsed).unwrap();
-        assert_eq!(via_json.event_count(), direct.event_count());
-        assert_eq!(via_json.instants, direct.instants);
-        assert_eq!(via_json.counters, direct.counters);
-        assert_eq!(
-            via_json.spans.keys().collect::<Vec<_>>(),
-            direct.spans.keys().collect::<Vec<_>>()
-        );
-        for (name, agg) in &direct.spans {
-            assert_eq!(via_json.spans[name].count, agg.count);
-        }
-        let names: Vec<&str> = via_json.threads.iter().map(|t| t.name.as_str()).collect();
-        assert_eq!(names, vec!["main", "worker-0"]);
-    }
-
-    #[test]
     fn display_renders_every_section() {
-        let text = TraceSummary::from_trace(&build_trace()).to_string();
+        let text = summarize(&build_trace()).to_string();
         assert!(text.contains("trace: "), "{text}");
         assert!(text.contains("thread main:"), "{text}");
         assert!(text.contains("thread worker-0:"), "{text}");
@@ -590,16 +538,14 @@ mod tests {
         for _ in 0..10 {
             tracer.instant("t", "e", &[]);
         }
-        let text = TraceSummary::from_trace(&tracer.collect()).to_string();
+        // Through a Chrome file the figures survive otherData.
+        let via = summarize(&tracer.collect());
+        assert_eq!(via.dropped, 6);
+        assert_eq!(via.ring_capacity, 4);
+        let text = via.to_string();
         assert!(text.contains("6 dropped"), "{text}");
         assert!(text.contains("warning: 6 events dropped"), "{text}");
         assert!(text.contains("ring 4/4 (100.0% full)"), "{text}");
-        // Through a Chrome file the figures survive otherData.
-        let doc = chrome_trace(&tracer.collect());
-        let via = TraceSummary::from_chrome_json(&Json::parse(&doc.render()).unwrap()).unwrap();
-        assert_eq!(via.dropped, 6);
-        assert_eq!(via.ring_capacity, 4);
-        assert!(via.to_string().contains("ring 4/4"), "{via}");
         // Pre-ring_capacity files omit the occupancy column.
         let legacy = TraceSummary {
             ring_capacity: 0,

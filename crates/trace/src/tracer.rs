@@ -11,9 +11,9 @@
 //! Overhead discipline:
 //! - **Disabled** mode never reads the clock and never allocates — every
 //!   entry point returns after one enum match on `mode`.
-//! - Spans are always recorded when enabled (they are rare and carry the
-//!   timeline structure); instants and counter samples honour
-//!   **Sampled** mode, which keeps 1-in-`period` of them.
+//! - **Full** mode records every span, instant and counter sample; the
+//!   per-thread ring capacity is the only bound, and what overflows it
+//!   is counted in [`TraceData::dropped`].
 //! - The VM interpreter loop itself is deliberately *not* instrumented:
 //!   its counters already accumulate in `FastPathStats`, and the
 //!   pipeline layer emits them as counter events after each run. That
@@ -31,35 +31,8 @@ use crate::ring::EventBuf;
 pub enum TraceMode {
     /// Record nothing; every entry point is a single branch.
     Disabled,
-    /// Record all spans, but only 1-in-`period` instants/counters.
-    Sampled {
-        /// Keep one of every `period` instant/counter events (min 1).
-        period: u64,
-    },
     /// Record everything.
     Full,
-}
-
-impl TraceMode {
-    /// Parses `off`/`disabled`, `full`/`on`, or `sampled[:PERIOD]`.
-    pub fn parse(text: &str) -> Result<TraceMode, String> {
-        match text {
-            "off" | "disabled" | "none" => Ok(TraceMode::Disabled),
-            "full" | "on" => Ok(TraceMode::Full),
-            "sampled" => Ok(TraceMode::Sampled { period: 64 }),
-            _ => match text.strip_prefix("sampled:") {
-                Some(p) => p
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|&p| p > 0)
-                    .map(|period| TraceMode::Sampled { period })
-                    .ok_or_else(|| format!("bad sample period `{p}`")),
-                None => Err(format!(
-                    "unknown trace mode `{text}` (expected off|sampled[:N]|full)"
-                )),
-            },
-        }
-    }
 }
 
 /// Event kind, mirroring the Chrome trace-event phases we export.
@@ -132,8 +105,6 @@ pub struct ThreadTrack {
     tid: u64,
     name: Mutex<String>,
     buf: EventBuf,
-    /// Instant/counter admission counter for `Sampled` mode.
-    sample: AtomicU64,
 }
 
 impl ThreadTrack {
@@ -142,7 +113,6 @@ impl ThreadTrack {
             tid,
             name: Mutex::new(name),
             buf: EventBuf::new(capacity),
-            sample: AtomicU64::new(0),
         }
     }
 }
@@ -286,9 +256,9 @@ impl Tracer {
         }
     }
 
-    /// Records a point-in-time event (subject to sampling).
+    /// Records a point-in-time event.
     pub fn instant(&self, cat: &'static str, name: &'static str, args: &[(&'static str, u64)]) {
-        if !self.admit_sampled() {
+        if !self.enabled() {
             return;
         }
         self.record(Event {
@@ -302,10 +272,10 @@ impl Tracer {
         });
     }
 
-    /// Records a counter sample (subject to sampling). Each named
-    /// counter becomes a track in the Chrome export.
+    /// Records a counter sample. Each named counter becomes a track in
+    /// the Chrome export.
     pub fn counter(&self, cat: &'static str, name: &'static str, value: u64) {
-        if !self.admit_sampled() {
+        if !self.enabled() {
             return;
         }
         self.record(Event {
@@ -317,18 +287,6 @@ impl Tracer {
             label: None,
             args: Args::from_slice(&[("value", value)]),
         });
-    }
-
-    /// Sampling admission for instants/counters. Spans bypass this.
-    fn admit_sampled(&self) -> bool {
-        match self.mode {
-            TraceMode::Disabled => false,
-            TraceMode::Full => true,
-            TraceMode::Sampled { period } => match self.track() {
-                Some(track) => track.sample.fetch_add(1, Ordering::Relaxed) % period.max(1) == 0,
-                None => false,
-            },
-        }
     }
 
     fn record(&self, event: Event) {
@@ -511,23 +469,6 @@ mod tests {
     }
 
     #[test]
-    fn sampled_mode_keeps_one_in_period_but_all_spans() {
-        let tracer = Arc::new(Tracer::new(TraceMode::Sampled { period: 10 }));
-        for _ in 0..100 {
-            tracer.instant("cache", "hit", &[]);
-        }
-        for _ in 0..5 {
-            let _span = tracer.span("stage", "s");
-        }
-        let data = tracer.collect();
-        let events = &data.tracks[0].events;
-        let instants = events.iter().filter(|e| e.ph == Phase::Instant).count();
-        let spans = events.iter().filter(|e| e.ph == Phase::Span).count();
-        assert_eq!(instants, 10);
-        assert_eq!(spans, 5);
-    }
-
-    #[test]
     fn each_thread_gets_its_own_track() {
         let tracer = Arc::new(Tracer::new(TraceMode::Full));
         tracer.set_thread_name("main");
@@ -600,21 +541,5 @@ mod tests {
         let data = tracer.collect();
         assert_eq!(data.event_count(), 4);
         assert_eq!(data.dropped, 6);
-    }
-
-    #[test]
-    fn mode_parsing() {
-        assert_eq!(TraceMode::parse("off").unwrap(), TraceMode::Disabled);
-        assert_eq!(TraceMode::parse("full").unwrap(), TraceMode::Full);
-        assert_eq!(
-            TraceMode::parse("sampled").unwrap(),
-            TraceMode::Sampled { period: 64 }
-        );
-        assert_eq!(
-            TraceMode::parse("sampled:7").unwrap(),
-            TraceMode::Sampled { period: 7 }
-        );
-        assert!(TraceMode::parse("sampled:0").is_err());
-        assert!(TraceMode::parse("verbose").is_err());
     }
 }

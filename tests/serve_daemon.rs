@@ -10,11 +10,12 @@
 //!   closes;
 //! * shutdown drains gracefully (every admitted job finishes);
 //! * startup failures are typed errors, never panics;
-//! * the telemetry layer (`metrics` verb) agrees *exactly* with the
-//!   protocol-level stats — job totals, shed counts, per-shard queue
-//!   depths, and a job-latency histogram;
-//! * with telemetry off, `stats` still counts jobs, sheds and
-//!   connections while `metrics` answers an empty snapshot;
+//! * the `metrics` verb agrees *exactly* with the protocol-level stats —
+//!   job totals, shed counts, per-shard queue depths, and a job-latency
+//!   histogram — and the daemon's exit summary is its last `stats`
+//!   reading;
+//! * a daemon that has run no job already exposes every metric family,
+//!   at zero;
 //! * `submit --follow` streams typed phase events for a sharded
 //!   simulate job, ending with the result frame;
 //! * a served `simulate`, serial or sharded, models the whole region and
@@ -205,7 +206,6 @@ fn over_capacity_burst_is_shed_with_typed_busy() {
         ServeConfig {
             shards: 1,
             queue_depth: 2,
-            telemetry: true,
         },
         None,
     )
@@ -240,84 +240,89 @@ fn over_capacity_burst_is_shed_with_typed_busy() {
 
     let mut control = Client::connect(&addr).expect("connects");
     let stats = control.stats().expect("stats");
+    assert_eq!(stats.accepted, done as u64);
     assert_eq!(stats.rejected_busy, busy as u64);
     assert_eq!(stats.completed, done as u64);
+    assert_eq!(stats.failed, 0);
+    assert_eq!(stats.connections, BURST as u64 + 1, "burst plus control");
+    assert!(stats.peak_rss_bytes > 0, "jobs materialize guest pages");
+    assert_eq!(stats.owned_rss_bytes, 0);
     let metrics = control.metrics().expect("metrics");
     assert_eq!(
         metrics.counters["serve.busy_shed"], busy as u64,
         "the shed counter mirrors the typed busy responses"
     );
     assert_eq!(metrics.counters["serve.jobs.completed"], done as u64);
-    control.shutdown().expect("shutdown");
+    assert_eq!(control.shutdown().expect("shutdown"), done as u64);
     let report = server.join().expect("daemon thread");
-    assert_eq!(report.rejected_busy, busy as u64);
+    assert_eq!(report, stats, "the exit summary is the last stats reading");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn telemetry_off_still_counts_what_stats_reports() {
-    let dir = tmp("no-telemetry");
-    let daemon = Daemon::bind(
-        "127.0.0.1:0",
-        &dir,
-        ServeConfig {
-            shards: 1,
-            queue_depth: 1,
-            telemetry: false,
-        },
-        None,
-    )
-    .expect("binds");
+fn a_daemon_that_ran_no_job_exposes_every_metric_family() {
+    let dir = tmp("idle-metrics");
+    const SHARDS: usize = 3;
+    let cfg = ServeConfig {
+        shards: SHARDS,
+        ..ServeConfig::default()
+    };
+    let daemon = Daemon::bind("127.0.0.1:0", &dir, cfg, None).expect("binds");
     let addr = daemon.local_addr().to_string();
     let server = std::thread::spawn(move || daemon.run());
 
-    const BURST: usize = 8;
-    let done = AtomicUsize::new(0);
-    let busy = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..BURST {
-            let (addr, done, busy) = (&addr, &done, &busy);
-            s.spawn(move || {
-                let mut client = Client::connect(addr).expect("connects");
-                match client.submit("quiet", spec("gcc_like")).expect("submits") {
-                    Response::Done { .. } => done.fetch_add(1, Ordering::Relaxed),
-                    Response::Busy { .. } => busy.fetch_add(1, Ordering::Relaxed),
-                    other => panic!("burst: {other:?}"),
-                };
-            });
-        }
-    });
-    let (done, busy) = (
-        done.load(Ordering::Relaxed) as u64,
-        busy.load(Ordering::Relaxed) as u64,
-    );
-    assert_eq!(
-        done + busy,
-        BURST as u64,
-        "every submit answers done or busy"
-    );
-    assert!(done >= 1, "at least the running job completes");
-    assert!(busy >= 1, "a 1-deep queue must shed a {BURST}-wide burst");
-
-    // Telemetry off skips the exposition, not the counts `stats` reads.
     let mut control = Client::connect(&addr).expect("connects");
-    let stats = control.stats().expect("stats");
-    assert_eq!(stats.accepted, done);
-    assert_eq!(stats.completed, done);
-    assert_eq!(stats.failed, 0);
-    assert_eq!(stats.rejected_busy, busy);
-    assert_eq!(stats.connections, BURST as u64 + 1, "burst plus control");
-    assert!(stats.peak_rss_bytes > 0, "jobs materialize guest pages");
-    assert_eq!(stats.owned_rss_bytes, 0);
+    let metrics = control.metrics().expect("metrics");
+    for name in [
+        "serve.jobs.submitted",
+        "serve.jobs.completed",
+        "serve.jobs.failed",
+        "serve.jobs.panicked",
+        "serve.busy_shed",
+        "serve.store.hits",
+        "serve.store.puts",
+    ] {
+        assert_eq!(metrics.counters.get(name), Some(&0), "{name}: {metrics:?}");
+    }
+    for verb in ["ping", "submit", "jobs", "stats", "shutdown"] {
+        let name = format!("serve.requests.{verb}");
+        assert_eq!(metrics.counters.get(&name), Some(&0), "{name}: {metrics:?}");
+    }
     assert_eq!(
-        control.metrics().expect("metrics"),
-        elfie::trace::MetricsSnapshot::default(),
-        "the metrics verb answers an empty snapshot"
+        metrics.counters.get("serve.requests.metrics"),
+        Some(&1),
+        "the scrape counts itself"
     );
+    let depths: Vec<&String> = metrics
+        .gauges
+        .keys()
+        .filter(|name| name.ends_with(".queue_depth"))
+        .collect();
+    assert_eq!(
+        depths.len(),
+        SHARDS,
+        "one queue gauge per shard: {depths:?}"
+    );
+    for shard in 0..SHARDS {
+        let name = format!("serve.shard{shard}.queue_depth");
+        assert_eq!(metrics.gauges.get(&name), Some(&0), "{name}: {metrics:?}");
+    }
+    assert_eq!(metrics.gauges.get("serve.connections"), Some(&1));
+    for name in ["serve.peak_rss_bytes", "serve.owned_rss_bytes"] {
+        assert_eq!(metrics.gauges.get(name), Some(&0), "{name}: {metrics:?}");
+    }
+    assert!(
+        metrics
+            .gauges
+            .get("serve.uptime_s")
+            .is_some_and(|&s| s >= 0),
+        "{metrics:?}"
+    );
+    let latency = &metrics.histograms["serve.job_latency_ns"];
+    assert_eq!(latency.count(), 0, "no job has finished");
 
-    assert_eq!(control.shutdown().expect("shutdown"), done);
-    let report = server.join().expect("daemon thread");
-    assert_eq!(report, stats, "the exit summary is the last stats reading");
+    control.shutdown().expect("shutdown");
+    server.join().expect("daemon thread");
     std::fs::remove_dir_all(&dir).ok();
 }
 
