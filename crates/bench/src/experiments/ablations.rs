@@ -172,9 +172,9 @@ pub fn graceful_exit() -> String {
 }
 
 /// **Pipeline cache**: the identical validation run twice on one engine.
-/// The second run must serve every BBV profile from the cache (zero
-/// profile misses) and reuse every successfully captured pinball — both
-/// asserted from the run-windowed [`PipelineStats`] counters.
+/// The second run must serve every BBV profile and whole-program run from
+/// the cache (zero misses) and reuse every successfully captured pinball
+/// — all asserted from the run-windowed [`PipelineStats`] counters.
 pub fn cache_effect() -> String {
     let f = InputScale::Train.factor();
     let workloads = vec![
@@ -192,7 +192,13 @@ pub fn cache_effect() -> String {
     };
     const FUEL: u64 = 1_000_000_000;
     let engine = BatchValidator::new();
-    let mut t = Table::new(&["run", "wall clock", "profile hits", "pinball hits"]);
+    let mut t = Table::new(&[
+        "run",
+        "wall clock",
+        "profile hits",
+        "whole-run hits",
+        "pinball hits",
+    ]);
     let mut first: Option<(Vec<ValidationReport>, PipelineStats)> = None;
     for run in 1..=2 {
         let (reports, stats) = engine
@@ -206,6 +212,7 @@ pub fn cache_effect() -> String {
                 stats.cache.profile_hits,
                 stats.cache.profile_hits + stats.cache.profile_misses
             ),
+            format!("{}/{}", stats.cache.whole_hits, stats.cache.whole_lookups()),
             format!(
                 "{}/{}",
                 stats.cache.pinball_hits,
@@ -217,6 +224,7 @@ pub fn cache_effect() -> String {
             Some((ref_reports, ref_stats)) => {
                 assert_eq!(*ref_reports, reports, "cached run changed the reports");
                 assert_eq!(stats.cache.profile_misses, 0, "second run re-profiled");
+                assert_eq!(stats.cache.whole_misses, 0, "second run re-ran a program");
                 assert!(stats.cache.profile_hits > 0 && stats.cache.pinball_hits > 0);
                 // Only captures that *failed* the first time (and were
                 // therefore not cached) may capture again.

@@ -1,15 +1,18 @@
 //! Content-addressed caching of expensive pipeline artifacts.
 //!
-//! The two dominant costs in validation are BBV profiling (a full guest
-//! run per workload) and fat-pinball capture (a logging run per workload,
-//! plus one per alternate tried). Both are deterministic functions of their inputs,
-//! so [`PipelineCache`] stores them under stable content hashes: a profile
+//! The three dominant costs in validation are BBV profiling (a full guest
+//! run per workload), the whole-program reference run (another full guest
+//! run per workload, the "true value" side of the comparison) and
+//! fat-pinball capture (a logging run per workload, plus one per alternate
+//! tried). All three are deterministic functions of their inputs, so
+//! [`PipelineCache`] stores them under stable content hashes: a profile
 //! under [`elfie_simpoint::ProfileKey`] (workload content, machine
-//! fingerprint, slice size, fuel) and a pinball under the workload content
-//! plus the exact region coordinates. Repeating a validation — a second
-//! trial with a different clustering seed, an ablation over warm-up sizes,
-//! a re-run of the same experiment — then reuses the artifacts instead of
-//! re-executing the guest.
+//! fingerprint, slice size, fuel), a whole run under the workload content,
+//! the measuring machine's fingerprint and the fuel, and a pinball under
+//! the workload content plus the exact region coordinates. Repeating a
+//! validation — a second trial with a different clustering seed, an
+//! ablation over warm-up sizes, a re-run of the same experiment — then
+//! reuses the artifacts instead of re-executing the guest.
 //!
 //! The cache is `Sync`; the parallel batch engine shares one instance
 //! across all workers. Values are handed out as `Arc`s, so hits are
@@ -18,13 +21,22 @@
 //! With [`PipelineCache::persistent`] the in-memory tier is backed by a
 //! content-addressed [`elfie_store::Store`] on disk: artifacts computed in
 //! one process are reloaded by the next, so `elfie validate --store DIR`
-//! warm-starts across runs. Both artifact kinds take one path, memory →
+//! warm-starts across runs. Every artifact kind takes one path, memory →
 //! store → compute → write-through; a kind supplies only how it loads
 //! from and saves to the store. A pinball is stored as a pinball (pages
-//! deduplicated by the store); a profile as a raw `ESPF` stream, whose
-//! codec lives in this module. Store hits count as cache hits (plus a
-//! separate `store_hits` counter), and a missing, corrupt or unreadable
-//! store entry silently degrades to a recompute.
+//! deduplicated by the store); a profile as a raw `ESPF` stream and a
+//! whole run as a raw `EWRN` stream, whose codecs live in this module.
+//! Store hits count as cache hits (plus a separate `store_hits` counter),
+//! and a missing, corrupt or unreadable store entry silently degrades to
+//! a recompute.
+//!
+//! Admission: memory holds what was read back, the store what was
+//! computed. A computed artifact that the store accepted is handed out
+//! but not kept in memory; the next lookup of its key is a store hit,
+//! which memory then keeps. Without a store, or when the write fails, a
+//! computed artifact stays in memory. So artifacts computed once and
+//! never asked for again — a long-lived daemon's fresh `record` jobs —
+//! cost disk, not resident memory.
 
 use elfie_pinball::Pinball;
 use elfie_pinplay::CaptureError;
@@ -39,10 +51,12 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Shared store for BBV profiles and captured pinballs.
+/// Shared store for BBV profiles, whole-program runs and captured
+/// pinballs.
 #[derive(Debug, Default)]
 pub struct PipelineCache {
     profiles: Tier<BbvProfile>,
+    wholes: Tier<WholeRun>,
     pinballs: Tier<Pinball>,
     store: Option<Store>,
     /// Persistent-tier ref prefix (`{tenant}--`), empty for the default
@@ -127,6 +141,39 @@ impl Artifact for BbvProfile {
     }
 }
 
+/// A whole-program reference run: what the guest retired from start to
+/// exit (or to the fuel bound), summed over its threads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WholeRun {
+    /// Instructions retired.
+    pub insns: u64,
+    /// Cycles elapsed.
+    pub cycles: u64,
+}
+
+impl WholeRun {
+    /// Cycles per instruction — the same figure
+    /// [`crate::perf::NativeMeasurement::cpi`] holds for this run.
+    pub fn cpi(&self) -> f64 {
+        crate::perf::cpi(self.insns, self.cycles)
+    }
+}
+
+impl Artifact for WholeRun {
+    const PREFIX: &'static str = "whole-";
+    const EVENTS: [&'static str; 3] = ["whole_hit", "whole_store_hit", "whole_miss"];
+
+    fn load(store: &Store, name: &str) -> Option<WholeRun> {
+        ewrn::from_bytes(&store.get_raw(name).ok()?).ok()
+    }
+
+    fn save(&self, store: &Store, name: &str) -> Result<Option<u64>, StoreError> {
+        let bytes = ewrn::to_bytes(self);
+        store.put_raw(name, &bytes)?;
+        Ok(Some(bytes.len() as u64))
+    }
+}
+
 impl Artifact for Pinball {
     const PREFIX: &'static str = "pinball-";
     const EVENTS: [&'static str; 3] = ["pinball_hit", "pinball_store_hit", "pinball_miss"];
@@ -151,22 +198,30 @@ pub struct CacheStats {
     pub pinball_hits: u64,
     /// Pinball lookups that had to capture.
     pub pinball_misses: u64,
-    /// Hits (profile or pinball) served from the persistent store rather
-    /// than memory — i.e. warm starts inherited from an earlier process.
+    /// Whole-program run lookups served from the cache.
+    pub whole_hits: u64,
+    /// Whole-program run lookups that had to run the program.
+    pub whole_misses: u64,
+    /// Hits (of any kind) served from the persistent store rather than
+    /// memory — i.e. warm starts inherited from an earlier process.
     pub store_hits: u64,
     /// Artifacts written through to the persistent store.
     pub store_puts: u64,
 }
 
 impl CacheStats {
-    /// Total hits across both stores.
+    /// Total hits across every artifact kind.
     pub fn hits(&self) -> u64 {
-        self.profile_hits.saturating_add(self.pinball_hits)
+        self.profile_hits
+            .saturating_add(self.pinball_hits)
+            .saturating_add(self.whole_hits)
     }
 
-    /// Total misses across both stores.
+    /// Total misses across every artifact kind.
     pub fn misses(&self) -> u64 {
-        self.profile_misses.saturating_add(self.pinball_misses)
+        self.profile_misses
+            .saturating_add(self.pinball_misses)
+            .saturating_add(self.whole_misses)
     }
 
     /// Total profile lookups.
@@ -179,7 +234,12 @@ impl CacheStats {
         self.pinball_hits.saturating_add(self.pinball_misses)
     }
 
-    /// Overall hit fraction across both artifact kinds, `[0, 1]`.
+    /// Total whole-program run lookups.
+    pub fn whole_lookups(&self) -> u64 {
+        self.whole_hits.saturating_add(self.whole_misses)
+    }
+
+    /// Overall hit fraction across every artifact kind, `[0, 1]`.
     pub fn hit_rate(&self) -> f64 {
         elfie_vm::hit_rate(self.hits(), self.misses())
     }
@@ -192,6 +252,8 @@ impl CacheStats {
             profile_misses: self.profile_misses.saturating_sub(earlier.profile_misses),
             pinball_hits: self.pinball_hits.saturating_sub(earlier.pinball_hits),
             pinball_misses: self.pinball_misses.saturating_sub(earlier.pinball_misses),
+            whole_hits: self.whole_hits.saturating_sub(earlier.whole_hits),
+            whole_misses: self.whole_misses.saturating_sub(earlier.whole_misses),
             store_hits: self.store_hits.saturating_sub(earlier.store_hits),
             store_puts: self.store_puts.saturating_sub(earlier.store_puts),
         }
@@ -205,6 +267,8 @@ impl CacheStats {
         self.profile_misses = self.profile_misses.saturating_add(other.profile_misses);
         self.pinball_hits = self.pinball_hits.saturating_add(other.pinball_hits);
         self.pinball_misses = self.pinball_misses.saturating_add(other.pinball_misses);
+        self.whole_hits = self.whole_hits.saturating_add(other.whole_hits);
+        self.whole_misses = self.whole_misses.saturating_add(other.whole_misses);
         self.store_hits = self.store_hits.saturating_add(other.store_hits);
         self.store_puts = self.store_puts.saturating_add(other.store_puts);
     }
@@ -279,6 +343,17 @@ impl PipelineCache {
         ProfileKey::new(w.content_hash(), machine, slice_size, fuel).digest()
     }
 
+    /// The cache key of a whole-program reference run on `machine`, the
+    /// configuration [`crate::perf::measure_program`] measures on, bounded
+    /// by `fuel`.
+    pub fn whole_key(w: &Workload, machine: &MachineConfig, fuel: u64) -> u64 {
+        elfie_isa::Fnv64::new()
+            .u64(w.content_hash())
+            .u64(machine.fingerprint())
+            .u64(fuel)
+            .finish()
+    }
+
     /// The cache key of a region capture. Capture replays the workload
     /// from the start, so the pinball is fully determined by the workload
     /// content and the region coordinates (no machine config or fuel —
@@ -302,12 +377,27 @@ impl PipelineCache {
     /// the same key may both compute; profiling is deterministic, so both
     /// produce the same value and either insert wins.
     pub fn profile(&self, key: u64, compute: impl FnOnce() -> BbvProfile) -> Arc<BbvProfile> {
-        self.fetch(&self.profiles, &[key], |_| {
-            vec![Ok::<_, Infallible>(compute())]
-        })
-        .pop()
-        .expect("one result per key")
-        .unwrap_or_else(|never| match never {})
+        self.fetch_one(&self.profiles, key, compute)
+    }
+
+    /// Returns the whole-program run cached under `key`, or runs
+    /// `compute`, stores and returns its result — as
+    /// [`PipelineCache::profile`] does for profiles.
+    pub fn whole(&self, key: u64, compute: impl FnOnce() -> WholeRun) -> WholeRun {
+        *self.fetch_one(&self.wholes, key, compute)
+    }
+
+    /// The one-key, infallible case of [`PipelineCache::fetch`].
+    fn fetch_one<T: Artifact>(
+        &self,
+        tier: &Tier<T>,
+        key: u64,
+        compute: impl FnOnce() -> T,
+    ) -> Arc<T> {
+        self.fetch(tier, &[key], |_| vec![Ok::<_, Infallible>(compute())])
+            .pop()
+            .expect("one result per key")
+            .unwrap_or_else(|never| match never {})
     }
 
     /// Returns the cached pinball under `key`, or runs `compute`.
@@ -401,7 +491,8 @@ impl PipelineCache {
     }
 
     /// Keeps a computed artifact: writes it through to the store, if
-    /// any, then keeps it in memory.
+    /// any. Memory keeps it only when no store took it; otherwise the
+    /// next lookup reads it back (see the module doc's admission rule).
     fn insert<T: Artifact>(&self, tier: &Tier<T>, key: u64, value: T) -> Arc<T> {
         if let Some(store) = &self.store {
             if let Ok(size) = value.save(store, &self.store_ref::<T>(key)) {
@@ -410,6 +501,7 @@ impl PipelineCache {
                     Some(bytes) => self.trace_event("store_put", &[("key", key), ("bytes", bytes)]),
                     None => self.trace_event("store_put", &[("key", key)]),
                 }
+                return Arc::new(value);
             }
         }
         tier.keep(key, Arc::new(value))
@@ -422,6 +514,8 @@ impl PipelineCache {
             profile_misses: self.profiles.misses.load(Ordering::Relaxed),
             pinball_hits: self.pinballs.hits.load(Ordering::Relaxed),
             pinball_misses: self.pinballs.misses.load(Ordering::Relaxed),
+            whole_hits: self.wholes.hits.load(Ordering::Relaxed),
+            whole_misses: self.wholes.misses.load(Ordering::Relaxed),
             store_hits: self.store_hits.load(Ordering::Relaxed),
             store_puts: self.store_puts.load(Ordering::Relaxed),
         }
@@ -542,6 +636,87 @@ mod espf {
             assert_eq!(to_bytes(&sample()), PINNED);
             let back = from_bytes(PINNED).unwrap();
             assert_eq!(back.slices, sample().slices);
+        }
+    }
+}
+
+/// The persisted whole-run format: one `EWRN` version 1 stream per run,
+/// stored raw — the two counters and an XXH64 trailer.
+mod ewrn {
+    use super::WholeRun;
+    use elfie_pinball::wire::{Reader, WireError, Writer};
+
+    const WHOLE_MAGIC: &[u8; 4] = b"EWRN";
+    const WHOLE_VERSION: u32 = 1;
+
+    /// Serialises a whole run.
+    pub(super) fn to_bytes(run: &WholeRun) -> Vec<u8> {
+        let mut w = Writer::with_header(WHOLE_MAGIC, WHOLE_VERSION);
+        w.u64(run.insns);
+        w.u64(run.cycles);
+        w.into_checksummed_bytes()
+    }
+
+    /// Inverse of [`to_bytes`].
+    ///
+    /// # Errors
+    /// Returns [`WireError`] if the buffer is truncated, has trailing
+    /// bytes, fails its checksum, or carries an unknown magic/version.
+    pub(super) fn from_bytes(buf: &[u8]) -> Result<WholeRun, WireError> {
+        let mut r = Reader::checksummed(
+            buf,
+            WHOLE_MAGIC,
+            WHOLE_VERSION..=WHOLE_VERSION,
+            "whole-run checksum",
+        )?;
+        let run = WholeRun {
+            insns: r.u64()?,
+            cycles: r.u64()?,
+        };
+        if !r.is_exhausted() {
+            return Err(WireError::Corrupt("trailing whole-run bytes"));
+        }
+        Ok(run)
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        const SAMPLE: WholeRun = WholeRun {
+            insns: 1_000_000,
+            cycles: 1_234_567,
+        };
+
+        /// The persisted `EWRN` v1 encoding of [`SAMPLE`], byte for byte:
+        /// a warm `--store` directory depends on it.
+        #[test]
+        fn encoding_matches_the_pinned_bytes() {
+            #[rustfmt::skip]
+            const PINNED: &[u8] = &[
+                b'E', b'W', b'R', b'N', 1, 0, 0, 0,
+                0x40, 0x42, 0x0f, 0, 0, 0, 0, 0, // insns 1000000
+                0x87, 0xd6, 0x12, 0, 0, 0, 0, 0, // cycles 1234567
+                0xeb, 0xe0, 0x9c, 0xf6, 0xcf, 0xa2, 0x14, 0x92, // XXH64 of the above
+            ];
+            assert_eq!(to_bytes(&SAMPLE), PINNED);
+            assert_eq!(from_bytes(PINNED).unwrap(), SAMPLE);
+        }
+
+        #[test]
+        fn truncated_trailing_and_flipped_bytes_are_rejected() {
+            let bytes = to_bytes(&SAMPLE);
+            for len in 0..bytes.len() {
+                assert!(from_bytes(&bytes[..len]).is_err(), "truncated to {len}");
+            }
+            let mut long = bytes.clone();
+            long.push(0);
+            assert!(from_bytes(&long).is_err(), "trailing byte");
+            for i in 0..bytes.len() {
+                let mut flipped = bytes.clone();
+                flipped[i] ^= 0x01;
+                assert!(from_bytes(&flipped).is_err(), "flipped byte {i}");
+            }
         }
     }
 }
@@ -791,6 +966,120 @@ mod tests {
                 "profile-0000000000000005"
             ]
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    const RUN: WholeRun = WholeRun {
+        insns: 1_000,
+        cycles: 2_500,
+    };
+
+    /// A fresh store directory for one test.
+    fn store_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("elfie-cache-{name}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        dir
+    }
+
+    #[test]
+    fn whole_keys_separate_seed_and_fuel_and_count_each_lookup_once() {
+        let w = elfie_workloads::gcc_like(1);
+        let key =
+            |seed, fuel| PipelineCache::whole_key(&w, &crate::perf::native_machine(seed), fuel);
+        let k = key(1, 1_000_000);
+        assert_eq!(k, key(1, 1_000_000));
+        assert_ne!(k, key(2, 1_000_000));
+        assert_ne!(k, key(1, 2_000_000));
+        let other = elfie_workloads::mcf_like(1);
+        assert_ne!(
+            k,
+            PipelineCache::whole_key(&other, &crate::perf::native_machine(1), 1_000_000)
+        );
+
+        let cache = PipelineCache::new();
+        assert_eq!(cache.whole(k, || RUN), RUN);
+        assert_eq!(cache.whole(k, || panic!("must not rerun")), RUN);
+        cache.whole(key(2, 1_000_000), || RUN);
+        let s = cache.stats();
+        assert_eq!((s.whole_hits, s.whole_misses), (1, 2));
+        assert_eq!((s.hits(), s.misses()), (1, 2));
+        assert_eq!(s.profile_lookups() + s.pinball_lookups(), 0);
+        assert_eq!(RUN.cpi(), 2.5);
+    }
+
+    #[test]
+    fn with_a_store_a_computed_artifact_is_read_back_from_it() {
+        let dir = store_dir("admit");
+        let cache = PipelineCache::persistent(&dir).unwrap();
+        cache.whole(1, || RUN);
+        let first = cache.pinball(2, || Ok(pinball_named("pb"))).unwrap();
+        assert_eq!(cache.whole(1, || panic!("must come from the store")), RUN);
+        let second = cache
+            .pinball(2, || panic!("must come from the store"))
+            .unwrap();
+        assert!(!Arc::ptr_eq(&first, &second), "memory did not keep it");
+        assert_eq!(second.to_bytes(), first.to_bytes());
+        let s = cache.stats();
+        assert_eq!((s.whole_hits, s.whole_misses), (1, 1));
+        assert_eq!((s.pinball_hits, s.pinball_misses), (1, 1));
+        assert_eq!((s.store_hits, s.store_puts), (2, 2));
+
+        // What was read back stays in memory.
+        cache.whole(1, || panic!("must come from memory"));
+        let third = cache
+            .pinball(2, || panic!("must come from memory"))
+            .unwrap();
+        assert!(Arc::ptr_eq(&second, &third));
+        assert_eq!(cache.stats().store_hits, 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn without_a_store_a_computed_artifact_stays_in_memory() {
+        let cache = PipelineCache::new();
+        cache.whole(1, || RUN);
+        assert_eq!(cache.whole(1, || panic!("must come from memory")), RUN);
+        let s = cache.stats();
+        assert_eq!((s.whole_hits, s.whole_misses), (1, 1));
+        assert_eq!((s.store_hits, s.store_puts), (0, 0));
+    }
+
+    #[test]
+    fn after_a_failed_store_write_a_computed_artifact_stays_in_memory() {
+        let dir = store_dir("failed-put");
+        let cache = PipelineCache::persistent(&dir).unwrap();
+        // A file where the refs directory belongs fails every ref write,
+        // even for a user whom file permissions do not stop.
+        std::fs::remove_dir_all(dir.join("refs")).unwrap();
+        std::fs::write(dir.join("refs"), b"").unwrap();
+        cache.whole(1, || RUN);
+        assert_eq!(cache.whole(1, || panic!("must come from memory")), RUN);
+        let s = cache.stats();
+        assert_eq!((s.whole_hits, s.whole_misses), (1, 1));
+        assert_eq!((s.store_hits, s.store_puts), (0, 0));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_malformed_whole_run_stream_degrades_to_a_recompute() {
+        let dir = store_dir("bad-whole");
+        let good = ewrn::to_bytes(&RUN);
+        let truncated = good[..good.len() - 1].to_vec();
+        let mut trailing = good.clone();
+        trailing.push(0);
+        let mut flipped = good.clone();
+        flipped[10] ^= 0x01;
+        for bad in [truncated, trailing, flipped] {
+            let store = Store::open(&dir).unwrap();
+            store.put_raw("whole-0000000000000001", &bad).unwrap();
+            let cache = PipelineCache::new().with_store(store);
+            assert_eq!(cache.whole(1, || RUN), RUN);
+            let s = cache.stats();
+            assert_eq!((s.whole_misses, s.store_hits, s.store_puts), (1, 0, 1));
+            // The recompute rewrote the entry: the next cache reads it.
+            let warm = PipelineCache::persistent(&dir).unwrap();
+            assert_eq!(warm.whole(1, || panic!("must come from the store")), RUN);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -30,16 +30,16 @@
 //!   cache sees the same lookups: one per representative, one per
 //!   alternate tried;
 //! * workers share one [`PipelineCache`], so repeated runs (second
-//!   trials, ablation sweeps) skip profiling and capture entirely.
+//!   trials, ablation sweeps) skip profiling, the whole-program run and
+//!   capture entirely.
 //!
 //! Work is distributed by an atomic task counter rather than pre-chunking,
 //! so a slow unit does not stall the neighbours a static partition
 //! would have assigned to the same worker.
 
-use crate::cache::PipelineCache;
-use crate::perf::{self, NativeMeasurement};
+use crate::cache::{PipelineCache, WholeRun};
 use crate::pipeline::{self, ClusterOutcome, Head, PipelineError, ValidationReport};
-use crate::stats::{PipelineStats, Stage, StatsCollector};
+use crate::stats::{PipelineStats, StatsCollector};
 use elfie_simpoint::{PinPoints, PinPointsConfig};
 use elfie_trace::Tracer;
 use elfie_workloads::Workload;
@@ -177,7 +177,7 @@ impl BatchValidator {
         // the other measures the whole program, which needs no selection.
         enum Done {
             Selected(PinPoints, Vec<Option<Head>>),
-            Whole(NativeMeasurement),
+            Whole(WholeRun),
         }
         let done = run_indexed_traced(workers, 2 * workloads.len(), self.tracer.as_ref(), |t| {
             let w = &workloads[t / 2];
@@ -188,11 +188,13 @@ impl BatchValidator {
                 Done::Selected(points, heads)
             } else {
                 let _span = task_span(self.tracer.as_ref(), "measure_whole", &w.name);
-                Done::Whole(stats.time(Stage::Measure, || {
-                    let meas = perf::measure_program(w, seed, fuel);
-                    stats.record_vm(meas.fastpath, meas.vm_wall);
-                    meas
-                }))
+                Done::Whole(pipeline::measure_whole_cached(
+                    w,
+                    seed,
+                    fuel,
+                    &self.cache,
+                    &stats,
+                ))
             }
         });
         let mut selections = Vec::with_capacity(workloads.len());
@@ -241,7 +243,7 @@ impl BatchValidator {
             .zip(wholes)
             .map(|((points, _), whole)| {
                 let chains: Vec<ClusterOutcome> = outcomes.by_ref().take(points.k).collect();
-                pipeline::assemble_report(whole, points.k, chains)
+                pipeline::assemble_report(whole.cpi(), points.k, chains)
             })
             .collect();
 

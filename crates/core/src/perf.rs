@@ -48,6 +48,11 @@ impl PartialEq for NativeMeasurement {
     }
 }
 
+/// Cycles per instruction of a span, 0 instructions counted as 1.
+pub(crate) fn cpi(insns: u64, cycles: u64) -> f64 {
+    cycles as f64 / insns.max(1) as f64
+}
+
 fn finish(
     insns: u64,
     cycles: u64,
@@ -59,7 +64,7 @@ fn finish(
     NativeMeasurement {
         insns,
         cycles,
-        cpi: cycles as f64 / insns.max(1) as f64,
+        cpi: cpi(insns, cycles),
         exit,
         completed,
         fastpath,
@@ -67,14 +72,20 @@ fn finish(
     }
 }
 
+/// The native machine every measurement runs on: the default
+/// configuration with the run's `seed`.
+pub(crate) fn native_machine(seed: u64) -> MachineConfig {
+    MachineConfig {
+        seed,
+        ..MachineConfig::default()
+    }
+}
+
 /// Measures a whole program run on the native machine (the "true value"
 /// side of validation). Returns thread-0 perspective aggregated over all
 /// threads.
 pub fn measure_program(w: &Workload, seed: u64, fuel: u64) -> NativeMeasurement {
-    let mut m = w.machine(MachineConfig {
-        seed,
-        ..MachineConfig::default()
-    });
+    let mut m = w.machine(native_machine(seed));
     let t0 = Instant::now();
     let s = m.run(fuel);
     let wall = t0.elapsed();
@@ -120,10 +131,7 @@ pub fn measure_elfie(
     stage: impl FnOnce(&mut Machine<RoiStage>),
 ) -> Result<NativeMeasurement, elfie_elf::LoadError> {
     let mut m = Machine::with_observer(
-        MachineConfig {
-            seed,
-            ..MachineConfig::default()
-        },
+        native_machine(seed),
         RoiStage(RoiWatch {
             kind: Some(roi_kind),
             seen: false,

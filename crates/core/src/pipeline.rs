@@ -4,7 +4,7 @@
 //! Generation → (Simulation | Dynamic Program Analysis | Native
 //! Performance Analysis)*.
 
-use crate::cache::PipelineCache;
+use crate::cache::{PipelineCache, WholeRun};
 use crate::perf::{self, NativeMeasurement};
 use crate::stats::{Stage, StatsCollector};
 use elfie_isa::MarkerKind;
@@ -182,6 +182,28 @@ pub(crate) fn select_regions_cached(
     elfie_simpoint::pick_traced(&profile, cfg, stats.tracer())
 }
 
+/// Cache-aware whole-program reference run: looked up in (or inserted
+/// into) `cache`, with the run on a miss charged to [`Stage::Measure`].
+pub(crate) fn measure_whole_cached(
+    w: &Workload,
+    seed: u64,
+    fuel: u64,
+    cache: &PipelineCache,
+    stats: &StatsCollector,
+) -> WholeRun {
+    let key = PipelineCache::whole_key(w, &perf::native_machine(seed), fuel);
+    cache.whole(key, || {
+        stats.time(Stage::Measure, || {
+            let meas = perf::measure_program(w, seed, fuel);
+            stats.record_vm(meas.fastpath, meas.vm_wall);
+            WholeRun {
+                insns: meas.insns,
+                cycles: meas.cycles,
+            }
+        })
+    })
+}
+
 /// A cluster's first candidate's pinball, or why it could not be had.
 pub(crate) type Head = Result<Arc<Pinball>, CaptureError>;
 
@@ -309,11 +331,11 @@ pub(crate) fn validate_cluster(
 }
 
 /// Merges per-cluster outcomes (in cluster order) with the whole-program
-/// measurement into the final report. Both the serial and the parallel
-/// engine feed this the same ordered inputs, so the report is identical
-/// down to float summation order.
+/// CPI into the final report. Both the serial and the parallel engine
+/// feed this the same ordered inputs, so the report is identical down to
+/// float summation order.
 pub(crate) fn assemble_report(
-    whole: NativeMeasurement,
+    true_cpi: f64,
     k: usize,
     outcomes: Vec<ClusterOutcome>,
 ) -> ValidationReport {
@@ -329,9 +351,9 @@ pub(crate) fn assemble_report(
     }
     let predicted = weighted_prediction(&samples);
     ValidationReport {
-        true_cpi: whole.cpi,
+        true_cpi,
         predicted_cpi: predicted,
-        error: prediction_error(whole.cpi, predicted),
+        error: prediction_error(true_cpi, predicted),
         coverage,
         regions,
         k,

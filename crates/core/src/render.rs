@@ -88,9 +88,11 @@ pub(crate) fn write_pipeline(f: &mut fmt::Formatter<'_>, s: &PipelineStats) -> f
 pub(crate) fn write_cache(f: &mut fmt::Formatter<'_>, c: &CacheStats) -> fmt::Result {
     write!(
         f,
-        "profiles {}/{} hit, pinballs {}/{} hit",
+        "profiles {}/{} hit, whole runs {}/{} hit, pinballs {}/{} hit",
         c.profile_hits,
         c.profile_lookups(),
+        c.whole_hits,
+        c.whole_lookups(),
         c.pinball_hits,
         c.pinball_lookups(),
     )?;
@@ -262,6 +264,8 @@ pub fn stats_to_json(s: &PipelineStats) -> Json {
                 ("profile_misses", Json::U64(s.cache.profile_misses)),
                 ("pinball_hits", Json::U64(s.cache.pinball_hits)),
                 ("pinball_misses", Json::U64(s.cache.pinball_misses)),
+                ("whole_hits", Json::U64(s.cache.whole_hits)),
+                ("whole_misses", Json::U64(s.cache.whole_misses)),
                 ("store_hits", Json::U64(s.cache.store_hits)),
                 ("store_puts", Json::U64(s.cache.store_puts)),
             ]),
@@ -304,6 +308,14 @@ fn u64_field(j: &Json, key: &str) -> Result<u64, String> {
     j.field(key)?
         .as_u64()
         .ok_or_else(|| format!("field `{key}` is not a non-negative integer"))
+}
+
+/// Like [`u64_field`], but an absent field reads as 0.
+fn u64_field_or_zero(j: &Json, key: &str) -> Result<u64, String> {
+    match j.get(key) {
+        Some(_) => u64_field(j, key),
+        None => Ok(0),
+    }
 }
 
 /// Validates the `schema`/`version` header. Returns the schema name.
@@ -382,6 +394,9 @@ pub fn stats_from_json(doc: &Json) -> Result<PipelineStats, String> {
             profile_misses: u64_field(cache, "profile_misses")?,
             pinball_hits: u64_field(cache, "pinball_hits")?,
             pinball_misses: u64_field(cache, "pinball_misses")?,
+            // Documents written before whole runs were cached lack them.
+            whole_hits: u64_field_or_zero(cache, "whole_hits")?,
+            whole_misses: u64_field_or_zero(cache, "whole_misses")?,
             store_hits: u64_field(cache, "store_hits")?,
             store_puts: u64_field(cache, "store_puts")?,
         },
@@ -428,6 +443,8 @@ mod tests {
                 profile_misses: 2,
                 pinball_hits: 3,
                 pinball_misses: 4,
+                whole_hits: 7,
+                whole_misses: 8,
                 store_hits: 5,
                 store_puts: 6,
             },
@@ -465,6 +482,21 @@ mod tests {
         assert_eq!(back, s);
         assert_eq!(back.to_string(), s.to_string(), "text renderings agree");
         assert_eq!(summarize_stats_document(&parsed).unwrap(), s.to_string());
+    }
+
+    #[test]
+    fn a_document_written_before_whole_runs_were_cached_still_parses() {
+        let s = sample_stats();
+        let text = stats_to_json(&s).render_pretty();
+        let old: String = text
+            .lines()
+            .filter(|line| !line.contains("\"whole_"))
+            .map(|line| format!("{line}\n"))
+            .collect();
+        assert_ne!(old, text);
+        let back = stats_from_json(&Json::parse(&old).unwrap()).unwrap();
+        assert_eq!((back.cache.whole_hits, back.cache.whole_misses), (0, 0));
+        assert_eq!(back.cache.store_puts, s.cache.store_puts);
     }
 
     #[test]

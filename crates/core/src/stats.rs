@@ -373,6 +373,8 @@ mod tests {
                 profile_misses: 2,
                 pinball_hits: 3,
                 pinball_misses: 4,
+                whole_hits: 7,
+                whole_misses: 8,
                 store_hits: 5,
                 store_puts: 6,
             },
@@ -380,6 +382,7 @@ mod tests {
         let text = s.to_string();
         assert!(text.contains("4 workers"));
         assert!(text.contains("profiles 1/3 hit"));
+        assert!(text.contains("whole runs 7/15 hit"));
         assert!(text.contains("pinballs 3/7 hit"));
         assert!(text.contains("store: 5 hit, 6 put"));
     }

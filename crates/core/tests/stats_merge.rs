@@ -112,6 +112,8 @@ fn cache_stats() -> impl Strategy<Value = CacheStats> {
         counter(),
         counter(),
         counter(),
+        counter(),
+        counter(),
     )
         .prop_map(
             |(
@@ -119,6 +121,8 @@ fn cache_stats() -> impl Strategy<Value = CacheStats> {
                 profile_misses,
                 pinball_hits,
                 pinball_misses,
+                whole_hits,
+                whole_misses,
                 store_hits,
                 store_puts,
             )| {
@@ -127,6 +131,8 @@ fn cache_stats() -> impl Strategy<Value = CacheStats> {
                     profile_misses,
                     pinball_hits,
                     pinball_misses,
+                    whole_hits,
+                    whole_misses,
                     store_hits,
                     store_puts,
                 }

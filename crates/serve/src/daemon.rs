@@ -439,6 +439,19 @@ fn serve_watch(stream: &mut TcpStream, ctx: &ConnCtx<'_>, rid: u64, watch_ms: u6
     )
 }
 
+/// The `field` line (`VmRSS:`, `VmHWM:`) of a `/proc/self/status` text
+/// in bytes: the process's real resident set, where
+/// `serve.peak_rss_bytes` sums per-machine guest page peaks. 0 where the
+/// line is missing or unreadable (no procfs).
+fn status_bytes(status: &str, field: &str) -> i64 {
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix(field))
+        .and_then(|rest| rest.trim().strip_suffix("kB"))
+        .and_then(|kib| kib.trim().parse::<i64>().ok())
+        .map_or(0, |kib| kib.saturating_mul(1024))
+}
+
 /// Maps a non-streaming request to its response; `true` means the
 /// connection closes after answering (shutdown).
 fn handle(request: &Request, ctx: &ConnCtx<'_>) -> (Response, bool) {
@@ -466,12 +479,19 @@ fn handle(request: &Request, ctx: &ConnCtx<'_>) -> (Response, bool) {
             false,
         ),
         Request::Metrics => {
-            // A scrape-time gauge: refreshed at the moment of observation
+            // Scrape-time gauges: refreshed at the moment of observation
             // rather than maintained on the hot path.
-            ctx.scheduler
-                .metrics_registry()
+            let registry = ctx.scheduler.metrics_registry();
+            registry
                 .gauge("serve.uptime_s")
                 .set(i64::try_from(ctx.started.elapsed().as_secs()).unwrap_or(i64::MAX));
+            let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+            registry
+                .gauge("serve.process_rss_bytes")
+                .set(status_bytes(&status, "VmRSS:"));
+            registry
+                .gauge("serve.process_hwm_bytes")
+                .set(status_bytes(&status, "VmHWM:"));
             (
                 Response::Metrics {
                     metrics: ctx.scheduler.metrics_snapshot(),
@@ -488,5 +508,19 @@ fn handle(request: &Request, ctx: &ConnCtx<'_>) -> (Response, bool) {
                 true,
             )
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::status_bytes;
+
+    #[test]
+    fn status_lines_read_as_bytes_and_anything_else_as_zero() {
+        let status = "Name:\telfie\nVmHWM:\t   95312 kB\nVmRSS:\t   90120 kB\n";
+        assert_eq!(status_bytes(status, "VmRSS:"), 90_120 * 1024);
+        assert_eq!(status_bytes(status, "VmHWM:"), 95_312 * 1024);
+        assert_eq!(status_bytes("", "VmRSS:"), 0);
+        assert_eq!(status_bytes("VmRSS:\t twelve kB\n", "VmRSS:"), 0);
     }
 }

@@ -597,8 +597,10 @@ pub struct ServeStats {
     /// fully warm store — the `daemon_serve` bench gates on this).
     pub store_puts: u64,
     /// Summed per-machine peaks of privately-owned guest page bytes
-    /// (`MaterializeStats::peak_owned_bytes`) over completed jobs — the
-    /// daemon's guest-memory RSS figure.
+    /// (`MaterializeStats::peak_owned_bytes`) over completed validate
+    /// jobs — a guest-memory figure, not process RSS, which the
+    /// `metrics` verb reports as `serve.process_rss_bytes` and
+    /// `serve.process_hwm_bytes`.
     pub peak_rss_bytes: u64,
     /// Residual privately-owned page bytes (`MaterializeStats::
     /// owned_bytes`) after jobs tore down. Structurally 0: the pipeline

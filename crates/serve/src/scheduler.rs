@@ -262,7 +262,10 @@ struct ServeMetrics {
     busy_shed: Arc<Counter>,
     /// Connections accepted over the daemon's lifetime.
     connections: Arc<Gauge>,
-    /// Summed `peak_owned_bytes` of every completed validate job.
+    /// Summed `peak_owned_bytes` of every completed validate job: a sum
+    /// of per-machine guest page peaks, not process RSS (the daemon
+    /// reports that as the scrape-time `serve.process_rss_bytes` and
+    /// `serve.process_hwm_bytes` gauges).
     peak_rss: Arc<Gauge>,
     /// Never written: the pipeline carries no residual owned bytes
     /// (see `ServeStats::owned_rss_bytes`).

@@ -30,6 +30,7 @@ fn second_run_with_fresh_cache_warm_starts_from_the_store() {
     let engine1 = BatchValidator::new().with_workers(2).with_cache(cache1);
     let (first, s1) = engine1.validate(&w, &cfg, SEED, FUEL).expect("pipeline");
     assert_eq!(s1.cache.profile_misses, 1, "cold run must profile");
+    assert_eq!(s1.cache.whole_misses, 1, "cold run must run the program");
     assert!(s1.cache.pinball_misses > 0, "cold run must capture");
     assert_eq!(s1.cache.store_hits, 0);
     assert!(s1.cache.store_puts > 0, "artifacts must persist");
@@ -43,6 +44,20 @@ fn second_run_with_fresh_cache_warm_starts_from_the_store() {
     assert_eq!(second, first, "warm-started report must be identical");
     assert_eq!(s2.cache.profile_misses, 0, "profile must come from store");
     assert_eq!(s2.cache.profile_hits, 1);
+    assert_eq!(
+        (s2.cache.whole_hits, s2.cache.whole_misses),
+        (1, 0),
+        "the reference run must come from store"
+    );
+    // The warm run executes region ELFies only: fewer guest instructions
+    // than one whole-program run.
+    let whole = elfie::perf::measure_program(&w, SEED, FUEL);
+    assert!(
+        s2.vm.insns < whole.insns,
+        "warm run executed {} guest insns, a whole run is {}",
+        s2.vm.insns,
+        whole.insns
+    );
     assert!(s2.cache.pinball_hits > 0, "pinballs must come from store");
     assert!(
         s2.cache.store_hits > 0,

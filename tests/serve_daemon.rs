@@ -21,6 +21,9 @@
 //! * a served `simulate`, serial or sharded, models the whole region and
 //!   reports the cycles and CPI offline simulation computes;
 //! * served `record` and `replay` answer the offline summary lines;
+//! * a recorded region is written to the store, not kept in memory: its
+//!   first replay is a store hit, and distinct records leave nothing in
+//!   the memory tier;
 //! * tenants stay isolated while every shard shares their caches;
 //! * a job submitted while another runs goes to the idle shard, even for
 //!   the same tenant and workload, when a core is free to run it;
@@ -318,6 +321,14 @@ fn a_daemon_that_ran_no_job_exposes_every_metric_family() {
             .is_some_and(|&s| s >= 0),
         "{metrics:?}"
     );
+    // Real process memory, read at scrape time: nonzero wherever procfs
+    // exposes it, and the high-water mark never below the current set.
+    let rss = metrics.gauges.get("serve.process_rss_bytes").copied();
+    let hwm = metrics.gauges.get("serve.process_hwm_bytes").copied();
+    assert!(rss.is_some() && hwm.is_some(), "{metrics:?}");
+    if cfg!(target_os = "linux") {
+        assert!(rss > Some(0) && hwm >= rss, "rss {rss:?} hwm {hwm:?}");
+    }
     let latency = &metrics.histograms["serve.job_latency_ns"];
     assert_eq!(latency.count(), 0, "no job has finished");
 
@@ -590,6 +601,91 @@ fn served_record_and_replay_match_offline_summary_lines() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The `stats` deltas `(misses, hits, store hits, store puts)` that one
+/// `tenant` job of `kind` on the gcc_like region at `start` caused.
+fn job_deltas(
+    client: &mut Client,
+    tenant: &str,
+    kind: JobKind,
+    start: u64,
+) -> (u64, u64, u64, u64) {
+    let before = client.stats().expect("stats");
+    match client
+        .submit(tenant, region_spec(kind, start, 6_000))
+        .expect("submits")
+    {
+        Response::Done { .. } => {}
+        other => panic!("{tenant} {kind:?}@{start}: {other:?}"),
+    }
+    let after = client.stats().expect("stats");
+    (
+        after.cache_misses - before.cache_misses,
+        after.cache_hits - before.cache_hits,
+        after.store_hits - before.store_hits,
+        after.store_puts - before.store_puts,
+    )
+}
+
+#[test]
+fn a_recorded_region_is_replayed_from_the_store_then_from_memory() {
+    let dir = tmp("record-admission");
+    let daemon = Daemon::bind("127.0.0.1:0", &dir, ServeConfig::default(), None).expect("binds");
+    let addr = daemon.local_addr().to_string();
+    let server = std::thread::spawn(move || daemon.run());
+
+    let mut client = Client::connect(&addr).expect("connects");
+    assert_eq!(
+        job_deltas(&mut client, "acme", JobKind::Record, 20_000),
+        (1, 0, 0, 1),
+        "record: one capture, written to the store"
+    );
+    assert_eq!(
+        job_deltas(&mut client, "acme", JobKind::Replay, 20_000),
+        (0, 1, 1, 0),
+        "replay: read back from the store, not memory"
+    );
+    assert_eq!(
+        job_deltas(&mut client, "acme", JobKind::Replay, 20_000),
+        (0, 1, 0, 0),
+        "replay again: memory keeps what was read back"
+    );
+
+    client.shutdown().expect("shutdown");
+    server.join().expect("daemon thread");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn distinct_records_leave_the_memory_tier_empty() {
+    let dir = tmp("record-memory");
+    let daemon = Daemon::bind("127.0.0.1:0", &dir, ServeConfig::default(), None).expect("binds");
+    let addr = daemon.local_addr().to_string();
+    let server = std::thread::spawn(move || daemon.run());
+
+    const N: u64 = 4;
+    let starts: Vec<u64> = (0..N).map(|i| 20_000 + 1_000 * i).collect();
+    let mut client = Client::connect(&addr).expect("connects");
+    for &start in &starts {
+        assert_eq!(
+            job_deltas(&mut client, "acme", JobKind::Record, start),
+            (1, 0, 0, 1),
+            "record@{start}"
+        );
+    }
+    // Had memory kept any record, its replay would be a memory hit.
+    for &start in &starts {
+        assert_eq!(
+            job_deltas(&mut client, "acme", JobKind::Replay, start),
+            (0, 1, 1, 0),
+            "replay@{start} must read the store"
+        );
+    }
+
+    client.shutdown().expect("shutdown");
+    server.join().expect("daemon thread");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn tenants_stay_isolated_while_shards_share_caches() {
     let dir = tmp("tenants");
@@ -602,31 +698,14 @@ fn tenants_stay_isolated_while_shards_share_caches() {
     let server = std::thread::spawn(move || daemon.run());
 
     let mut client = Client::connect(&addr).expect("connects");
-    // Records the shared region as `tenant` and returns the `stats`
-    // deltas (misses, hits, store puts) the job caused.
-    let mut record = |tenant: &str| {
-        let before = client.stats().expect("stats");
-        match client
-            .submit(tenant, region_spec(JobKind::Record, 20_000, 6_000))
-            .expect("submits")
-        {
-            Response::Done { .. } => {}
-            other => panic!("{tenant}: {other:?}"),
-        }
-        let after = client.stats().expect("stats");
-        (
-            after.cache_misses - before.cache_misses,
-            after.cache_hits - before.cache_hits,
-            after.store_puts - before.store_puts,
-        )
-    };
-    assert_eq!(record("a"), (1, 0, 1), "a: cold capture, one put");
+    let mut record = |tenant| job_deltas(&mut client, tenant, JobKind::Record, 20_000);
+    assert_eq!(record("a"), (1, 0, 0, 1), "a: cold capture, one put");
     assert_eq!(
         record("b"),
-        (1, 0, 1),
+        (1, 0, 0, 1),
         "b must not hit a's memory tier or store namespace"
     );
-    assert_eq!(record("a"), (0, 1, 0), "a: warm hit, no put");
+    assert_eq!(record("a"), (0, 1, 1, 0), "a: warm hit, no put");
 
     let refs: Vec<String> = elfie::store::Store::open(&dir)
         .expect("opens store")
