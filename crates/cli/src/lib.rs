@@ -15,15 +15,18 @@
 //! elfie disasm gcc.elfie
 //! ```
 //!
-//! Argument parsing is hand-rolled (no extra dependencies); every command
-//! is a library function returning its report as a `String`, so the whole
-//! surface is unit-testable without spawning processes.
+//! Argument parsing is hand-rolled (no extra dependencies). Each command
+//! is one [`COMMANDS`] entry: its usage rows, its option table and a
+//! library function returning its report as a `String`, so the whole
+//! surface is unit-testable without spawning processes. A command line
+//! with an option its table does not declare is an error.
 
 use elfie::prelude::*;
 use elfie::trace::json::Json;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use OptKind::{Flag, Repeated, Value};
 
 /// A CLI failure: message for stderr, non-zero exit.
 #[derive(Debug)]
@@ -41,34 +44,153 @@ fn err(msg: impl Into<String>) -> CliError {
     CliError(msg.into())
 }
 
-/// Simple option scanner: `--name value` pairs plus positionals.
+/// How an option takes its argument. The string is the option's
+/// placeholder in the usage text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OptKind {
+    /// A bare switch: `--serial`.
+    Flag,
+    /// One value; when the option is given twice, the last one wins.
+    Value(&'static str),
+    /// Any number of values, each also a comma list: `--scenario a,b`.
+    Repeated(&'static str),
+}
+
+/// The signature every command handler shares.
+pub type Handler = fn(&Args) -> Result<String, CliError>;
+
+/// One `elfie` command: its usage rows, its options and its handler.
+/// [`dispatch`] parses a command line against `opts` and rejects any
+/// option they do not declare, and [`usage`] renders the help text from
+/// the same entry, so the two cannot drift apart.
+pub struct Command {
+    pub name: &'static str,
+    /// One form per usage row: the positionals or subcommand that
+    /// follow the command name. All forms share the one option table.
+    pub synopsis: &'static [&'static str],
+    /// The help column, one entry per form; `\n` breaks lines.
+    pub help: &'static [&'static str],
+    pub opts: &'static [(&'static str, OptKind)],
+    pub run: Handler,
+}
+
+/// Where the help column starts, and how wide a usage line may grow.
+const HELP_COLUMN: usize = 41;
+const LINE_WIDTH: usize = 79;
+
+/// Wraps `words` into lines no wider than [`LINE_WIDTH`]: the first
+/// starts with `indent`, the others with nine spaces.
+fn wrap<'a>(indent: &str, words: impl IntoIterator<Item = &'a str>) -> Vec<String> {
+    let mut lines = vec![indent.to_string()];
+    for word in words {
+        let line = lines.last_mut().expect("one line at least");
+        if line.trim().is_empty() {
+            line.push_str(word);
+        } else if line.len() + 1 + word.len() > LINE_WIDTH {
+            lines.push(format!("         {word}"));
+        } else {
+            line.push(' ');
+            line.push_str(word);
+        }
+    }
+    lines
+}
+
+impl Command {
+    /// This command's rows of the usage text. A single form lists the
+    /// options inline; several forms share one `options:` row after them.
+    pub fn usage(&self) -> String {
+        let opts: Vec<String> = self
+            .opts
+            .iter()
+            .map(|(name, kind)| match kind {
+                Flag => format!("[--{name}]"),
+                Value(p) | Repeated(p) => format!("[--{name} {p}]"),
+            })
+            .collect();
+        let opts = opts.iter().map(String::as_str);
+        let inline = self.synopsis.len() == 1;
+        let mut rows = Vec::new();
+        for (form, help) in self.synopsis.iter().zip(self.help) {
+            let words = form
+                .split_whitespace()
+                .chain(opts.clone().filter(|_| inline));
+            let mut form_rows = wrap("  ", std::iter::once(self.name).chain(words));
+            if form_rows[form_rows.len() - 1].len() >= HELP_COLUMN {
+                form_rows.push(String::new());
+            }
+            for (i, text) in help.lines().enumerate() {
+                if i > 0 {
+                    form_rows.push(String::new());
+                }
+                let row = form_rows.last_mut().expect("one row at least");
+                *row = format!("{row:HELP_COLUMN$}{text}");
+            }
+            rows.extend(form_rows);
+        }
+        if !inline && !self.opts.is_empty() {
+            rows.extend(wrap("         ", std::iter::once("options:").chain(opts)));
+        }
+        rows.join("\n") + "\n"
+    }
+}
+
+/// The top-level usage text, rendered from [`COMMANDS`].
+pub fn usage() -> String {
+    let rows: String = COMMANDS.iter().map(Command::usage).collect();
+    format!(
+        "elfie — ELFies tool-chain (CGO'21 reproduction)\n\n\
+         USAGE: elfie <command> [args]\n\nCOMMANDS:\n{rows}"
+    )
+}
+
+/// A command line parsed against its command's option table.
 #[derive(Debug, Default)]
 pub struct Args {
     positional: Vec<String>,
-    options: Vec<(String, String)>,
-    flags: Vec<String>,
+    /// Each option given, in order; a flag's value is empty.
+    given: Vec<(&'static str, String)>,
+    declared: &'static [(&'static str, OptKind)],
 }
 
 impl Args {
-    /// Parses raw arguments. `--opt value` becomes an option unless the
-    /// name is in `flag_names` (then it is a bare flag).
-    pub fn parse(raw: &[String], flag_names: &[&str]) -> Args {
-        let mut a = Args::default();
-        let mut it = raw.iter().peekable();
+    /// Parses raw arguments against `cmd`'s option table. An option the
+    /// table does not declare, or a value option without a value, is an
+    /// error that names the option and shows the command's usage rows.
+    pub fn parse(raw: &[String], cmd: &Command) -> Result<Args, CliError> {
+        let fail = |what: String| err(format!("{what}\n\n{}", cmd.usage().trim_end()));
+        let mut a = Args {
+            declared: cmd.opts,
+            ..Args::default()
+        };
+        let mut it = raw.iter();
         while let Some(tok) = it.next() {
-            if let Some(name) = tok.strip_prefix("--") {
-                if flag_names.contains(&name) {
-                    a.flags.push(name.to_string());
-                } else if let Some(v) = it.next() {
-                    a.options.push((name.to_string(), v.clone()));
-                } else {
-                    a.flags.push(name.to_string());
-                }
-            } else {
+            let Some(name) = tok.strip_prefix("--") else {
                 a.positional.push(tok.clone());
-            }
+                continue;
+            };
+            let Some(&(name, kind)) = cmd.opts.iter().find(|(n, _)| *n == name) else {
+                return Err(fail(format!("unknown option `{tok}` for `{}`", cmd.name)));
+            };
+            let value = match kind {
+                Flag => String::new(),
+                Value(p) | Repeated(p) => match it.next() {
+                    Some(v) if !v.starts_with("--") => v.clone(),
+                    _ => return Err(fail(format!("option `{tok}` expects a value ({p})"))),
+                },
+            };
+            a.given.push((name, value));
         }
-        a
+        Ok(a)
+    }
+
+    /// How the command declares `name`. Reading an option the table does
+    /// not declare, or as another kind, is a bug in the table.
+    fn kind(&self, name: &str) -> Option<OptKind> {
+        self.declared
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|&(_, kind)| kind)
     }
 
     fn pos(&self, i: usize, what: &str) -> Result<&str, CliError> {
@@ -79,10 +201,14 @@ impl Args {
     }
 
     fn opt(&self, name: &str) -> Option<&str> {
-        self.options
+        debug_assert!(
+            matches!(self.kind(name), Some(Value(_))),
+            "`--{name}` is not a declared value option"
+        );
+        self.given
             .iter()
             .rev()
-            .find(|(n, _)| n == name)
+            .find(|(n, _)| *n == name)
             .map(|(_, v)| v.as_str())
     }
 
@@ -96,42 +222,36 @@ impl Args {
     }
 
     fn flag(&self, name: &str) -> bool {
-        self.flags.iter().any(|f| f == name)
+        debug_assert!(
+            self.kind(name) == Some(Flag),
+            "`--{name}` is not a declared flag"
+        );
+        self.given.iter().any(|(n, _)| *n == name)
     }
 
     /// Every value of a repeatable option, with comma-lists split
     /// (`--scenario a --scenario b,c` → `[a, b, c]`).
     fn opt_all(&self, name: &str) -> Vec<String> {
-        self.options
+        debug_assert!(
+            matches!(self.kind(name), Some(Repeated(_))),
+            "`--{name}` is not a declared repeated option"
+        );
+        self.given
             .iter()
-            .filter(|(n, _)| n == name)
+            .filter(|(n, _)| *n == name)
             .flat_map(|(_, v)| v.split(','))
             .filter(|s| !s.is_empty())
-            .map(|s| s.to_string())
+            .map(String::from)
             .collect()
     }
 }
 
-/// The shared `--trace FILE` `--stats-json FILE` surface of `validate`
-/// and `simulate`. A trace always records every event.
+/// The `--trace FILE` surface of `validate`, `simulate` and `serve`, and
+/// the `--stats-json FILE` one of the first two. A trace always records
+/// every event.
 struct TraceOpts {
-    trace_out: Option<PathBuf>,
+    trace: Option<(PathBuf, Arc<Tracer>)>,
     stats_json_out: Option<PathBuf>,
-    tracer: Option<Arc<Tracer>>,
-}
-
-fn parse_trace_opts(args: &Args) -> Result<TraceOpts, CliError> {
-    let trace_out = args.opt("trace").map(PathBuf::from);
-    let tracer = trace_out.as_ref().map(|_| {
-        let tracer = Arc::new(Tracer::new(TraceMode::Full));
-        tracer.set_thread_name("main");
-        tracer
-    });
-    Ok(TraceOpts {
-        trace_out,
-        stats_json_out: args.opt("stats-json").map(PathBuf::from),
-        tracer,
-    })
 }
 
 fn write_json_file(path: &Path, doc: &Json) -> Result<(), CliError> {
@@ -140,46 +260,85 @@ fn write_json_file(path: &Path, doc: &Json) -> Result<(), CliError> {
     std::fs::write(path, text).map_err(|e| err(format!("write {}: {e}", path.display())))
 }
 
+/// Appends a one-line note to `report`, on a line of its own.
+fn push_note(report: &mut String, note: &str) {
+    if !report.ends_with('\n') {
+        report.push('\n');
+    }
+    report.push_str(note);
+    report.push('\n');
+}
+
 impl TraceOpts {
-    /// Writes the Chrome timeline (`--trace`) and the stats document
-    /// (`--stats-json`), appending a one-line note per file to `report`.
-    fn finish(&self, report: &mut String, stats_doc: &Json) -> Result<(), CliError> {
-        if self.trace_out.is_none() && self.stats_json_out.is_none() {
-            return Ok(());
+    /// `--trace` alone: a daemon has no stats document to write.
+    fn trace_only(args: &Args) -> TraceOpts {
+        let trace = args.opt("trace").map(|path| {
+            let tracer = Arc::new(Tracer::new(TraceMode::Full));
+            tracer.set_thread_name("main");
+            (PathBuf::from(path), tracer)
+        });
+        TraceOpts {
+            trace,
+            stats_json_out: None,
         }
-        if !report.ends_with('\n') {
-            report.push('\n');
+    }
+
+    /// `--trace` and `--stats-json`.
+    fn parse(args: &Args) -> TraceOpts {
+        TraceOpts {
+            stats_json_out: args.opt("stats-json").map(PathBuf::from),
+            ..TraceOpts::trace_only(args)
         }
-        if let Some(path) = &self.trace_out {
-            let tracer = self
-                .tracer
-                .as_ref()
-                .expect("tracer exists when --trace is set");
+    }
+
+    fn tracer(&self) -> Option<&Arc<Tracer>> {
+        self.trace.as_ref().map(|(_, tracer)| tracer)
+    }
+
+    /// Writes the Chrome timeline (`--trace`), appending a note to `report`.
+    fn write_trace(&self, report: &mut String) -> Result<(), CliError> {
+        if let Some((path, tracer)) = &self.trace {
             let data = tracer.collect();
             write_json_file(path, &elfie::trace::chrome_trace(&data))?;
-            let _ = writeln!(
+            push_note(
                 report,
-                "trace: {} event(s), {} dropped -> {}",
-                data.event_count(),
-                data.dropped,
-                path.display()
+                &format!(
+                    "trace: {} event(s), {} dropped -> {}",
+                    data.event_count(),
+                    data.dropped,
+                    path.display()
+                ),
             );
         }
+        Ok(())
+    }
+
+    /// Writes the timeline and the stats document (`--stats-json`),
+    /// appending a one-line note per file to `report`.
+    fn finish(&self, report: &mut String, stats_doc: &Json) -> Result<(), CliError> {
+        self.write_trace(report)?;
         if let Some(path) = &self.stats_json_out {
             write_json_file(path, stats_doc)?;
-            let _ = writeln!(report, "stats-json -> {}", path.display());
+            push_note(report, &format!("stats-json -> {}", path.display()));
         }
         Ok(())
     }
 }
 
-fn find_workload(name: &str, scale: InputScale) -> Result<Workload, CliError> {
+/// The `<workload>` argument at its `--scale` input size (train by default).
+fn workload_arg(args: &Args) -> Result<Workload, CliError> {
+    let name = args.pos(0, "workload")?;
+    let scale = InputScale::parse(args.opt("scale").unwrap_or("train")).map_err(err)?;
     elfie::workloads::find_workload(name, scale)
         .ok_or_else(|| err(format!("unknown workload `{name}` (try `elfie workloads`)")))
 }
 
-fn parse_scale(s: Option<&str>) -> Result<InputScale, CliError> {
-    InputScale::parse(s.unwrap_or("train")).map_err(err)
+/// The `--sysstate DIR` argument, if given.
+fn sysstate_arg(args: &Args) -> Result<Option<SysState>, CliError> {
+    args.opt("sysstate")
+        .map(|dir| SysState::load_dir(Path::new(dir)))
+        .transpose()
+        .map_err(|e| err(format!("load sysstate: {e}")))
 }
 
 /// `elfie workloads` — lists the benchmark suite.
@@ -199,11 +358,9 @@ pub fn cmd_workloads() -> String {
     out
 }
 
-/// `elfie record <workload> --start N --length N --out DIR [--scale S] [--regular]`
+/// `elfie record <workload>` — captures a region as a pinball.
 pub fn cmd_record(args: &Args) -> Result<String, CliError> {
-    let name = args.pos(0, "workload")?;
-    let scale = parse_scale(args.opt("scale"))?;
-    let w = find_workload(name, scale)?;
+    let w = workload_arg(args)?;
     let start = args.opt_u64("start", 0)?;
     let length = args.opt_u64("length", 100_000)?;
     let out = PathBuf::from(args.opt("out").unwrap_or("."));
@@ -241,7 +398,7 @@ fn load_pinball(dir: &str, name: &str) -> Result<Pinball, CliError> {
     Pinball::load_dir(Path::new(dir), name).map_err(|e| err(format!("load pinball: {e}")))
 }
 
-/// `elfie sysstate <pinball-dir> <name> --out DIR`
+/// `elfie sysstate <pinball-dir> <name>` — extracts a pinball's SYSSTATE.
 pub fn cmd_sysstate(args: &Args) -> Result<String, CliError> {
     let pb = load_pinball(args.pos(0, "pinball-dir")?, args.pos(1, "name")?)?;
     let st = SysState::extract(&pb);
@@ -258,9 +415,7 @@ pub fn cmd_sysstate(args: &Args) -> Result<String, CliError> {
     ))
 }
 
-/// `elfie pinball2elf <pinball-dir> <name> --out FILE [--roi kind:tag]
-/// [--no-graceful] [--no-callbacks] [--monitor] [--object] [--force]
-/// [--sysstate DIR] [--stack-only]`
+/// `elfie pinball2elf <pinball-dir> <name>` — converts a pinball to an ELFie.
 pub fn cmd_pinball2elf(args: &Args) -> Result<String, CliError> {
     let pb = load_pinball(args.pos(0, "pinball-dir")?, args.pos(1, "name")?)?;
     let out = PathBuf::from(args.opt("out").unwrap_or("a.elfie"));
@@ -286,11 +441,7 @@ pub fn cmd_pinball2elf(args: &Args) -> Result<String, CliError> {
             .map_err(|_| err("--roi tag must be an integer"))?;
         opts.roi_marker = Some((kind, tag));
     }
-    if let Some(dir) = args.opt("sysstate") {
-        let st =
-            SysState::load_dir(Path::new(dir)).map_err(|e| err(format!("load sysstate: {e}")))?;
-        opts.sysstate = Some(st);
-    }
+    opts.sysstate = sysstate_arg(args)?;
     let elfie = convert(&pb, &opts).map_err(|e| err(format!("conversion failed: {e}")))?;
     std::fs::write(&out, &elfie.bytes).map_err(|e| err(format!("write failed: {e}")))?;
     if let Some(ld) = args.opt("linker-script") {
@@ -309,20 +460,7 @@ pub fn cmd_pinball2elf(args: &Args) -> Result<String, CliError> {
     ))
 }
 
-/// `elfie pinball2pe <pinball-dir> <name> --out FILE`
-pub fn cmd_pinball2pe(args: &Args) -> Result<String, CliError> {
-    let pb = load_pinball(args.pos(0, "pinball-dir")?, args.pos(1, "name")?)?;
-    let out = PathBuf::from(args.opt("out").unwrap_or("a.pe"));
-    let bytes = elfie::pinball2elf::pe::convert_pe(&pb).map_err(err)?;
-    std::fs::write(&out, &bytes).map_err(|e| err(format!("write failed: {e}")))?;
-    Ok(format!(
-        "wrote {} ({} bytes, PE32+ container)",
-        out.display(),
-        bytes.len()
-    ))
-}
-
-/// `elfie run <elfie-file> [--sysstate DIR] [--seed N] [--fuel N]`
+/// `elfie run <elfie-file>` — runs an ELFie natively.
 pub fn cmd_run(args: &Args) -> Result<String, CliError> {
     let path = args.pos(0, "elfie-file")?;
     let bytes = std::fs::read(path).map_err(|e| err(format!("read {path}: {e}")))?;
@@ -332,9 +470,7 @@ pub fn cmd_run(args: &Args) -> Result<String, CliError> {
         seed,
         ..MachineConfig::default()
     });
-    if let Some(dir) = args.opt("sysstate") {
-        let st =
-            SysState::load_dir(Path::new(dir)).map_err(|e| err(format!("load sysstate: {e}")))?;
+    if let Some(st) = sysstate_arg(args)? {
         st.stage_files(&mut m);
     }
     elfie::elf::load(
@@ -364,7 +500,8 @@ pub fn cmd_run(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `elfie replay <pinball-dir> <name> [--injection 0|1]`
+/// `elfie replay <pinball-dir> <name>` — constrained replay; `--injection 0`
+/// replays without injection, as an ELFie runs.
 pub fn cmd_replay(args: &Args) -> Result<String, CliError> {
     let pb = load_pinball(args.pos(0, "pinball-dir")?, args.pos(1, "name")?)?;
     let injection = args.opt_u64("injection", 1)? != 0;
@@ -384,11 +521,9 @@ pub fn cmd_replay(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `elfie simpoint <workload> [--scale S] [--slice N] [--warmup N] [--maxk N]`
+/// `elfie simpoint <workload>` — PinPoints region selection.
 pub fn cmd_simpoint(args: &Args) -> Result<String, CliError> {
-    let name = args.pos(0, "workload")?;
-    let scale = parse_scale(args.opt("scale"))?;
-    let w = find_workload(name, scale)?;
+    let w = workload_arg(args)?;
     let cfg = PinPointsConfig {
         slice_size: args.opt_u64("slice", 100_000)?,
         warmup: args.opt_u64("warmup", 200_000)?,
@@ -410,9 +545,7 @@ pub fn cmd_simpoint(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `elfie validate <workload> [--scale S] [--slice N] [--warmup N]
-/// [--maxk N] [--seed N] [--fuel N] [--workers N] [--serial] [--stats]
-/// [--store DIR] [--trace FILE] [--stats-json FILE]`
+/// `elfie validate <workload>`
 ///
 /// Runs the full ELFie-based validation flow (select → capture → convert
 /// → measure → compare against the whole-program run) on the parallel
@@ -425,9 +558,7 @@ pub fn cmd_simpoint(args: &Args) -> Result<String, CliError> {
 /// FILE` writes the same numbers `--stats` prints as a versioned JSON
 /// document (`elfie trace summarize` turns it back into the text form).
 pub fn cmd_validate(args: &Args) -> Result<String, CliError> {
-    let name = args.pos(0, "workload")?;
-    let scale = parse_scale(args.opt("scale"))?;
-    let w = find_workload(name, scale)?;
+    let w = workload_arg(args)?;
     let cfg = PinPointsConfig {
         slice_size: args.opt_u64("slice", 100_000)?,
         warmup: args.opt_u64("warmup", 200_000)?,
@@ -441,18 +572,18 @@ pub fn cmd_validate(args: &Args) -> Result<String, CliError> {
     } else {
         args.opt_u64("workers", 0)? as usize
     };
-    let topts = parse_trace_opts(args)?;
+    let topts = TraceOpts::parse(args);
     let mut engine = BatchValidator::new().with_workers(workers);
     if let Some(dir) = args.opt("store") {
         // The store must get the tracer before the cache takes ownership
         // of it, so lazy fetches and puts land on the timeline too.
         let mut store = Store::open(dir).map_err(|e| err(format!("open store: {e}")))?;
-        if let Some(tracer) = &topts.tracer {
+        if let Some(tracer) = topts.tracer() {
             store = store.with_tracer(Arc::clone(tracer));
         }
         engine = engine.with_cache(Arc::new(PipelineCache::new().with_store(store)));
     }
-    if let Some(tracer) = &topts.tracer {
+    if let Some(tracer) = topts.tracer() {
         engine = engine.with_tracer(Arc::clone(tracer));
     }
     let (report, stats) = engine
@@ -494,8 +625,13 @@ fn render_sim_outcome(sim: &Simulator, out: &elfie::sim::SimOutcome) -> String {
 /// The pinball branch of `elfie simulate`: constrained replay, serial by
 /// default, sharded over interval snapshots when `--shards` or
 /// `--snapshot-interval` asks for it. `--snapshot-store DIR` persists the
-/// interval chain as parent-linked snapshot objects.
-fn simulate_pinball_report(args: &Args, pb: &Pinball, sim: &Simulator) -> Result<String, CliError> {
+/// interval chain as parent-linked snapshot objects. Returns the report
+/// and the run's `--stats-json` document.
+fn simulate_pinball_report(
+    args: &Args,
+    pb: &Pinball,
+    sim: &Simulator,
+) -> Result<(String, Json), CliError> {
     let shards = args.opt_u64("shards", 1)?.max(1) as usize;
     let interval = args.opt_u64("snapshot-interval", 0)?;
     let snapshot_store = args.opt("snapshot-store");
@@ -504,7 +640,7 @@ fn simulate_pinball_report(args: &Args, pb: &Pinball, sim: &Simulator) -> Result
         let mut report = render_sim_outcome(sim, &out);
         report.push('\n');
         let _ = writeln!(report, "replay: {} (serial)", pb.region.name);
-        return Ok(report);
+        return Ok((report, elfie::render::sim_stats_to_json(&out.fastpath)));
     }
     let cfg = elfie::sim::ShardConfig { shards, interval };
     let out = elfie::sim::simulate_pinball_sharded(pb, sim, &cfg);
@@ -547,12 +683,13 @@ fn simulate_pinball_report(args: &Args, pb: &Pinball, sim: &Simulator) -> Result
             pb.region.name
         );
     }
-    Ok(report)
+    Ok((
+        report,
+        elfie::render::sim_stats_to_json(&out.outcome.fastpath),
+    ))
 }
 
-/// `elfie simulate <elfie-file | pinball-dir name | pinball-bundle>
-/// [--sim NAME] [--sysstate DIR] [--shards N] [--snapshot-interval N]
-/// [--snapshot-store DIR] [--trace FILE] [--stats-json FILE]`
+/// `elfie simulate <elfie-file | pinball-dir name | pinball-bundle>`
 ///
 /// ELFie images go through the unconstrained program path. Pinball input
 /// — a pinball directory plus name, or a single `PBAL` bundle file — is
@@ -560,9 +697,9 @@ fn simulate_pinball_report(args: &Args, pb: &Pinball, sim: &Simulator) -> Result
 /// switch on sharded intra-region simulation (see `elfie-sim::shard`).
 pub fn cmd_simulate(args: &Args) -> Result<String, CliError> {
     let path = args.pos(0, "elfie-file")?;
-    let topts = parse_trace_opts(args)?;
+    let topts = TraceOpts::parse(args);
     let mut sim = Simulator::by_name(args.opt("sim").unwrap_or("coresim")).map_err(err)?;
-    if let Some(tracer) = &topts.tracer {
+    if let Some(tracer) = topts.tracer() {
         sim = sim.with_tracer(Arc::clone(tracer));
     }
 
@@ -575,13 +712,7 @@ pub fn cmd_simulate(args: &Args) -> Result<String, CliError> {
         if bytes.starts_with(b"PBAL") {
             Some(Pinball::from_bytes(&bytes).map_err(|e| err(format!("load pinball: {e}")))?)
         } else {
-            let sysstate = match args.opt("sysstate") {
-                Some(dir) => Some(
-                    SysState::load_dir(Path::new(dir))
-                        .map_err(|e| err(format!("load sysstate: {e}")))?,
-                ),
-                None => None,
-            };
+            let sysstate = sysstate_arg(args)?;
             let out = simulate_elfie(&bytes, &sim, vec![], |m| {
                 if let Some(st) = &sysstate {
                     st.stage_files(m);
@@ -601,12 +732,12 @@ pub fn cmd_simulate(args: &Args) -> Result<String, CliError> {
     // A raw pinball carries no ROI markers — the captured region *is* the
     // region of interest, so marker-armed simulators would model nothing.
     sim.roi = elfie::sim::RoiMode::Always;
-    let mut report = simulate_pinball_report(args, &pb, &sim)?;
-    topts.finish(&mut report, &Json::Null)?;
+    let (mut report, stats_doc) = simulate_pinball_report(args, &pb, &sim)?;
+    topts.finish(&mut report, &stats_doc)?;
     Ok(report)
 }
 
-/// `elfie snapshot <ls|rm> [...] [--store DIR]`
+/// `elfie snapshot <ls|rm> [...]`
 ///
 /// Inspects the interval-snapshot chains `simulate --snapshot-store`
 /// persists. `ls` lists every snapshot object with its position in the
@@ -767,7 +898,7 @@ pub fn cmd_trace(args: &Args) -> Result<String, CliError> {
     }
 }
 
-/// `elfie disasm <elfie-file> [--section NAME]`
+/// `elfie disasm <elfie-file>` — disassembles one ELFie section.
 pub fn cmd_disasm(args: &Args) -> Result<String, CliError> {
     let path = args.pos(0, "elfie-file")?;
     let bytes = std::fs::read(path).map_err(|e| err(format!("read {path}: {e}")))?;
@@ -787,14 +918,12 @@ pub fn cmd_disasm(args: &Args) -> Result<String, CliError> {
 /// `elfie bench <list|run|check>` — the perf-regression harness.
 ///
 /// * `bench list` names every measured scenario.
-/// * `bench run [--scenario A[,B]] [--profile smoke|full] [--runs N]
-///   [--out FILE]` measures the selected scenarios (all by default) and
+/// * `bench run` measures the selected scenarios (all by default) and
 ///   writes/prints an `elfie-bench` v1 document.
-/// * `bench check --baseline FILE [--update-baseline] [--runs N]
-///   [--out FILE]` re-measures exactly the scenarios recorded in the
-///   baseline and gates on noise-aware per-metric tolerance bands; a
-///   calibration probe in both documents normalises machine speed. A
-///   failed gate is a `CliError` (non-zero exit) unless
+/// * `bench check --baseline FILE` re-measures exactly the scenarios
+///   recorded in the baseline and gates on noise-aware per-metric
+///   tolerance bands; a calibration probe in both documents normalises
+///   machine speed. A failed gate is a `CliError` (non-zero exit) unless
 ///   `--update-baseline` is given, which instead rewrites the baseline
 ///   file with the fresh measurements — the one legitimate way to move
 ///   a perf baseline, and an explicit diff in review.
@@ -885,7 +1014,7 @@ fn open_store(dir: Option<&str>) -> Result<Store, CliError> {
     Store::open(dir.unwrap_or("store")).map_err(|e| err(format!("open store: {e}")))
 }
 
-/// `elfie store <put|get|ls|rm|verify|gc|stats> [...] [--store DIR]`
+/// `elfie store <put|get|ls|rm|verify|gc|stats> [...]`
 ///
 /// The content-addressed checkpoint repository. `put` adds a pinball
 /// directory (`store put <dir> <name>`) or a plain file such as an ELFie
@@ -1023,8 +1152,7 @@ fn serve_client(args: &Args) -> Result<elfie_serve::Client, CliError> {
     elfie_serve::Client::connect(&connect_addr(args)).map_err(|e| err(e.to_string()))
 }
 
-/// `elfie serve --store DIR [--listen ADDR] [--shards N] [--queue N]
-/// [--trace FILE]`
+/// `elfie serve --store DIR`
 ///
 /// Blocks until a client sends `shutdown`, then drains gracefully and
 /// returns the lifetime summary. The readiness line is printed *before*
@@ -1042,8 +1170,8 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
         shards: args.opt_u64("shards", 4)?.max(1) as usize,
         queue_depth: args.opt_u64("queue", 64)?.max(1) as usize,
     };
-    let topts = parse_trace_opts(args)?;
-    let daemon = elfie_serve::Daemon::bind(listen, &store, cfg, topts.tracer.clone())
+    let topts = TraceOpts::trace_only(args);
+    let daemon = elfie_serve::Daemon::bind(listen, &store, cfg, topts.tracer().cloned())
         .map_err(|e| err(e.to_string()))?;
     println!(
         "elfie serve: listening on {} (store {}, {} shard(s) x queue {})",
@@ -1059,7 +1187,7 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
         "drained: {} connection(s), {} job(s) done, {} failed, {} shed busy\n",
         stats.connections, stats.completed, stats.failed, stats.rejected_busy
     );
-    topts.finish(&mut out, &Json::Null)?;
+    topts.write_trace(&mut out)?;
     Ok(out)
 }
 
@@ -1091,8 +1219,7 @@ fn print_progress(id: u64, shard: u64, phase: elfie_serve::JobPhase) {
     let _ = std::io::stdout().flush();
 }
 
-/// `elfie submit <kind> <workload> [--connect ADDR] [--tenant NAME]
-/// [--follow] ...`
+/// `elfie submit <kind> <workload>`
 ///
 /// Prints the job's report verbatim — for `validate` those are the
 /// exact bytes offline `elfie validate` prints with the same knobs, so
@@ -1120,10 +1247,9 @@ pub fn cmd_submit(args: &Args) -> Result<String, CliError> {
     }
 }
 
-/// `elfie jobs [--connect ADDR] [--watch MS]` — lists the daemon's
-/// retained jobs; `--watch MS` first streams every phase change seen in
-/// an MS-millisecond window as `progress:` lines, then prints the final
-/// listing.
+/// `elfie jobs` — lists the daemon's retained jobs; `--watch MS` first
+/// streams every phase change seen in an MS-millisecond window as
+/// `progress:` lines, then prints the final listing.
 pub fn cmd_jobs(args: &Args) -> Result<String, CliError> {
     let watch_ms = args.opt_u64("watch", 0)?;
     let mut client = serve_client(args)?;
@@ -1151,9 +1277,8 @@ pub fn cmd_jobs(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `elfie metrics [--connect ADDR] [--watch N]` — scrapes a serve
-/// daemon's metrics registry and renders it in the Prometheus text
-/// exposition format. `--watch N` re-scrapes every N seconds forever
+/// `elfie metrics` — scrapes a serve daemon's metrics registry and
+/// renders it in the Prometheus text exposition format. `--watch N` re-scrapes every N seconds forever
 /// (Ctrl-C to stop), printing each snapshot as it lands; without it one
 /// snapshot is printed and the command exits.
 pub fn cmd_metrics(args: &Args) -> Result<String, CliError> {
@@ -1172,7 +1297,7 @@ pub fn cmd_metrics(args: &Args) -> Result<String, CliError> {
     }
 }
 
-/// `elfie ping [--connect ADDR]` — liveness + version/protocol probe.
+/// `elfie ping` — liveness + version/protocol probe.
 pub fn cmd_ping(args: &Args) -> Result<String, CliError> {
     let (version, protocol) = serve_client(args)?.ping().map_err(|e| err(e.to_string()))?;
     Ok(format!(
@@ -1181,7 +1306,7 @@ pub fn cmd_ping(args: &Args) -> Result<String, CliError> {
     ))
 }
 
-/// `elfie shutdown [--connect ADDR]` — asks the daemon to drain + exit.
+/// `elfie shutdown` — asks the daemon to drain + exit.
 pub fn cmd_shutdown(args: &Args) -> Result<String, CliError> {
     let drained = serve_client(args)?
         .shutdown()
@@ -1192,149 +1317,145 @@ pub fn cmd_shutdown(args: &Args) -> Result<String, CliError> {
     ))
 }
 
-/// Top-level usage text.
-pub const USAGE: &str = "\
-elfie — ELFies tool-chain (CGO'21 reproduction)
-
-USAGE: elfie <command> [args]
-
-COMMANDS:
-  workloads                              list available benchmarks
-  record <workload> [--scale test|train|ref] [--start N] [--length N]
-         [--out DIR] [--regular] [--store DIR]
-                                         capture a region as a pinball
-  sysstate <dir> <name> [--out DIR]      extract SYSSTATE from a pinball
-  pinball2elf <dir> <name> [--out FILE] [--roi TYPE:TAG] [--no-graceful]
-         [--no-callbacks] [--monitor] [--object] [--force] [--stack-only]
-         [--sysstate DIR] [--linker-script FILE] [--startup-asm FILE]
-                                         convert a pinball to an ELFie
-  pinball2pe <dir> <name> [--out FILE]   convert a pinball to a PE32+ container
-  run <file> [--sysstate DIR] [--seed N] [--fuel N]
-                                         run an ELFie natively
-  replay <dir> <name> [--injection 0|1]  constrained replay of a pinball
-  simpoint <workload> [--slice N] [--warmup N] [--maxk N] [--scale S]
-                                         PinPoints region selection
-  validate <workload> [--slice N] [--warmup N] [--maxk N] [--scale S]
-         [--seed N] [--fuel N] [--workers N] [--serial] [--stats]
-         [--store DIR] [--trace FILE]
-         [--stats-json FILE]             ELFie-based validation (parallel);
-                                         --store warm-starts across runs,
-                                         --trace writes a Perfetto timeline
-  simulate <file> [--sim sniper|coresim|coresim-fs|gem5-nehalem|gem5-haswell]
-         [--sysstate DIR] [--trace FILE] [--stats-json FILE]
-                                         simulate an ELFie
-  simulate <pinball-dir> <name> | <bundle-file> [--sim NAME] [--shards N]
-         [--snapshot-interval N] [--snapshot-store DIR]
-                                         simulate a pinball (constrained
-                                         replay); --shards fans interval
-                                         slices over a worker pool and
-                                         stitches a deterministic result
-  snapshot ls [--store DIR]              list stored interval snapshots
-                                         with their parent chain links
-  snapshot rm <name> [--store DIR]       drop a snapshot ref (store gc
-                                         reclaims unreachable deltas)
-  trace summarize <file>                 roll up a --trace timeline (incl.
-                                         ring occupancy / dropped events),
-                                         or render --stats-json to text
-  trace summarize --request ID <file>... filter one or more chrome traces
-                                         (client + daemon) down to one
-                                         correlated request's causal chain
-  trace check <file>                     validate a trace/stats document
-  disasm <file> [--section NAME]         disassemble an ELFie section
-  store put <path> [<name>] [--store DIR]
-                                         add a pinball dir or file to the
-                                         content-addressed store
-  store get <name> [--out PATH] [--store DIR]
-                                         materialise a stored object
-  store ls|verify|gc|stats [--store DIR] list / check / sweep / measure
-  store rm <name> [--store DIR]          drop a name (gc reclaims blobs)
-  bench list                             name the measured perf scenarios
-  bench run [--scenario A[,B]] [--profile smoke|full] [--runs N] [--out FILE]
-                                         measure scenarios into an
-                                         elfie-bench v1 document
-  bench check --baseline FILE [--update-baseline] [--runs N] [--out FILE]
-                                         gate fresh measurements against a
-                                         checked-in baseline (probe-
-                                         calibrated tolerance bands)
-  serve --store DIR [--listen ADDR] [--shards N] [--queue N]
-         [--trace FILE]                  run the checkpoint-serving daemon
-                                         (default listen 127.0.0.1:4254)
-  submit <kind> <workload> [--connect ADDR] [--tenant NAME] [--follow]
-         [--scale S] [--slice N] [--warmup N] [--maxk N] [--seed N]
-         [--fuel N] [--start N] [--length N] [--sim NAME] [--shards N]
-         [--interval N]
-                                         run one job on a serve daemon and
-                                         print its report (kind is one of
-                                         record|validate|replay|simulate);
-                                         --follow streams progress lines
-  jobs [--connect ADDR] [--watch MS]     list a serve daemon's jobs;
-                                         --watch streams phase changes
-                                         for MS milliseconds first
-  metrics [--connect ADDR] [--watch N]   scrape a serve daemon's metrics
-                                         as Prometheus text exposition
-                                         (--watch N re-scrapes every N s)
-  ping [--connect ADDR]                  probe a serve daemon's liveness
-  shutdown [--connect ADDR]              drain and stop a serve daemon
-  version                                print the tool-chain version
-";
-
-/// The signature every command handler shares.
-pub type Handler = fn(&Args) -> Result<String, CliError>;
-
-/// The command table driving [`dispatch`]. Kept as data — not a bare
-/// `match` — so a unit test can assert every command is documented in
-/// [`USAGE`] and new commands cannot silently drift out of the help text.
-pub const COMMANDS: &[(&str, Handler)] = &[
-    ("workloads", |_| Ok(cmd_workloads())),
-    ("record", cmd_record),
-    ("sysstate", cmd_sysstate),
-    ("pinball2elf", cmd_pinball2elf),
-    ("pinball2pe", cmd_pinball2pe),
-    ("run", cmd_run),
-    ("replay", cmd_replay),
-    ("simpoint", cmd_simpoint),
-    ("validate", cmd_validate),
-    ("simulate", cmd_simulate),
-    ("disasm", cmd_disasm),
-    ("store", cmd_store),
-    ("snapshot", cmd_snapshot),
-    ("trace", cmd_trace),
-    ("bench", cmd_bench),
-    ("serve", cmd_serve),
-    ("submit", cmd_submit),
-    ("jobs", cmd_jobs),
-    ("metrics", cmd_metrics),
-    ("ping", cmd_ping),
-    ("shutdown", cmd_shutdown),
-    ("version", cmd_version),
+/// Every `elfie` command, in usage order. Each option is declared once,
+/// in its command's entry; [`dispatch`] rejects the rest and [`usage`]
+/// renders the help text from these entries.
+#[rustfmt::skip]
+pub const COMMANDS: &[Command] = &[
+    Command { name: "workloads", synopsis: &[""], run: |_| Ok(cmd_workloads()),
+              help: &["list available benchmarks"],
+              opts: &[] },
+    Command { name: "record", synopsis: &["<workload>"], run: cmd_record,
+              help: &["capture a region as a pinball"],
+              opts: &[("scale", Value("test|train|ref")), ("start", Value("N")), ("length", Value("N")),
+                      ("out", Value("DIR")), ("regular", Flag), ("store", Value("DIR"))] },
+    Command { name: "sysstate", synopsis: &["<dir> <name>"], run: cmd_sysstate,
+              help: &["extract SYSSTATE from a pinball"],
+              opts: &[("out", Value("DIR"))] },
+    Command { name: "pinball2elf", synopsis: &["<dir> <name>"], run: cmd_pinball2elf,
+              help: &["convert a pinball to an ELFie"],
+              opts: &[("out", Value("FILE")), ("roi", Value("TYPE:TAG")), ("no-graceful", Flag),
+                      ("no-callbacks", Flag), ("monitor", Flag), ("object", Flag), ("force", Flag),
+                      ("stack-only", Flag), ("sysstate", Value("DIR")),
+                      ("linker-script", Value("FILE")), ("startup-asm", Value("FILE"))] },
+    Command { name: "run", synopsis: &["<file>"], run: cmd_run,
+              help: &["run an ELFie natively"],
+              opts: &[("sysstate", Value("DIR")), ("seed", Value("N")), ("fuel", Value("N"))] },
+    Command { name: "replay", synopsis: &["<dir> <name>"], run: cmd_replay,
+              help: &["constrained replay of a pinball"],
+              opts: &[("injection", Value("0|1"))] },
+    Command { name: "simpoint", synopsis: &["<workload>"], run: cmd_simpoint,
+              help: &["PinPoints region selection"],
+              opts: &[("slice", Value("N")), ("warmup", Value("N")), ("maxk", Value("N")),
+                      ("scale", Value("S"))] },
+    Command { name: "validate", synopsis: &["<workload>"], run: cmd_validate,
+              help: &["ELFie-based validation (parallel);\n\
+                       --store warm-starts across runs,\n\
+                       --trace writes a Perfetto timeline"],
+              opts: &[("slice", Value("N")), ("warmup", Value("N")), ("maxk", Value("N")),
+                      ("scale", Value("S")), ("seed", Value("N")), ("fuel", Value("N")),
+                      ("workers", Value("N")), ("serial", Flag), ("stats", Flag),
+                      ("store", Value("DIR")), ("trace", Value("FILE")),
+                      ("stats-json", Value("FILE"))] },
+    Command { name: "simulate", synopsis: &["<file>", "<pinball-dir> <name> | <bundle-file>"],
+              run: cmd_simulate,
+              help: &["simulate an ELFie",
+                      "simulate a pinball (constrained\n\
+                       replay); --shards fans interval\n\
+                       slices over a worker pool and\n\
+                       stitches a deterministic result"],
+              opts: &[("sim", Value("sniper|coresim|coresim-fs|gem5-nehalem|gem5-haswell")),
+                      ("sysstate", Value("DIR")), ("shards", Value("N")),
+                      ("snapshot-interval", Value("N")), ("snapshot-store", Value("DIR")),
+                      ("trace", Value("FILE")), ("stats-json", Value("FILE"))] },
+    Command { name: "snapshot", synopsis: &["ls", "rm <name>"], run: cmd_snapshot,
+              help: &["list stored interval snapshots\n\
+                       with their parent chain links",
+                      "drop a snapshot ref (store gc\n\
+                       reclaims unreachable deltas)"],
+              opts: &[("store", Value("DIR"))] },
+    Command { name: "trace", synopsis: &["summarize <file>", "summarize <file>...", "check <file>"],
+              run: cmd_trace,
+              help: &["roll up a --trace timeline (incl.\n\
+                       ring occupancy / dropped events),\n\
+                       or render --stats-json to text",
+                      "with --request ID: filter one or\n\
+                       more chrome traces (client +\n\
+                       daemon) down to one correlated\n\
+                       request's causal chain",
+                      "validate a trace/stats document"],
+              opts: &[("request", Value("ID"))] },
+    Command { name: "disasm", synopsis: &["<file>"], run: cmd_disasm,
+              help: &["disassemble an ELFie section"],
+              opts: &[("section", Value("NAME"))] },
+    Command { name: "store", synopsis: &["put <path> [<name>]", "get <name>", "ls|verify|gc|stats",
+                                         "rm <name>"],
+              run: cmd_store,
+              help: &["add a pinball dir or file to the\n\
+                       content-addressed store",
+                      "materialise a stored object",
+                      "list / check / sweep / measure",
+                      "drop a name (gc reclaims blobs)"],
+              opts: &[("store", Value("DIR")), ("out", Value("PATH"))] },
+    Command { name: "bench", synopsis: &["list", "run", "check"], run: cmd_bench,
+              help: &["name the measured perf scenarios",
+                      "measure scenarios into an\n\
+                       elfie-bench v1 document",
+                      "gate fresh measurements against a\n\
+                       checked-in baseline (probe-\n\
+                       calibrated tolerance bands);\n\
+                       needs --baseline FILE"],
+              opts: &[("scenario", Repeated("A[,B]")), ("profile", Value("smoke|full")),
+                      ("baseline", Value("FILE")), ("update-baseline", Flag), ("runs", Value("N")),
+                      ("out", Value("FILE"))] },
+    Command { name: "serve", synopsis: &[""], run: cmd_serve,
+              help: &["run the checkpoint-serving daemon\n\
+                       (needs --store DIR; default\n\
+                       listen 127.0.0.1:4254)"],
+              opts: &[("store", Value("DIR")), ("listen", Value("ADDR")), ("shards", Value("N")),
+                      ("queue", Value("N")), ("trace", Value("FILE"))] },
+    Command { name: "submit", synopsis: &["<kind> <workload>"], run: cmd_submit,
+              help: &["run one job on a serve daemon and\n\
+                       print its report (kind is one of\n\
+                       record|validate|replay|simulate);\n\
+                       --follow streams progress lines"],
+              opts: &[("connect", Value("ADDR")), ("tenant", Value("NAME")), ("follow", Flag),
+                      ("scale", Value("S")), ("slice", Value("N")), ("warmup", Value("N")),
+                      ("maxk", Value("N")), ("seed", Value("N")), ("fuel", Value("N")),
+                      ("start", Value("N")), ("length", Value("N")), ("sim", Value("NAME")),
+                      ("shards", Value("N")), ("interval", Value("N"))] },
+    Command { name: "jobs", synopsis: &[""], run: cmd_jobs,
+              help: &["list a serve daemon's jobs;\n\
+                       --watch streams phase changes\n\
+                       for MS milliseconds first"],
+              opts: &[("connect", Value("ADDR")), ("watch", Value("MS"))] },
+    Command { name: "metrics", synopsis: &[""], run: cmd_metrics,
+              help: &["scrape a serve daemon's metrics\n\
+                       as Prometheus text exposition\n\
+                       (--watch N re-scrapes every N s)"],
+              opts: &[("connect", Value("ADDR")), ("watch", Value("N"))] },
+    Command { name: "ping", synopsis: &[""], run: cmd_ping,
+              help: &["probe a serve daemon's liveness"],
+              opts: &[("connect", Value("ADDR"))] },
+    Command { name: "shutdown", synopsis: &[""], run: cmd_shutdown,
+              help: &["drain and stop a serve daemon"],
+              opts: &[("connect", Value("ADDR"))] },
+    Command { name: "version", synopsis: &[""], run: cmd_version,
+              help: &["print the tool-chain version"],
+              opts: &[] },
 ];
 
-/// Dispatches a parsed command line. Returns the report to print.
+/// Dispatches a command line. Returns the report to print.
 pub fn dispatch(argv: &[String]) -> Result<String, CliError> {
-    let Some(cmd) = argv.first() else {
-        return Err(err(USAGE));
+    let Some(name) = argv.first() else {
+        return Err(err(usage()));
     };
-    let rest = &argv[1..];
-    let flags = &[
-        "regular",
-        "no-graceful",
-        "no-callbacks",
-        "monitor",
-        "object",
-        "force",
-        "stack-only",
-        "serial",
-        "stats",
-        "update-baseline",
-        "follow",
-    ][..];
-    let args = Args::parse(rest, flags);
-    match cmd.as_str() {
-        "help" | "--help" | "-h" => Ok(USAGE.to_string()),
-        "--version" | "-V" => cmd_version(&args),
-        other => match COMMANDS.iter().find(|(name, _)| *name == other) {
-            Some((_, handler)) => handler(&args),
-            None => Err(err(format!("unknown command `{other}`\n\n{USAGE}"))),
+    match name.as_str() {
+        "help" | "--help" | "-h" => Ok(usage()),
+        "--version" | "-V" => cmd_version(&Args::default()),
+        other => match COMMANDS.iter().find(|cmd| cmd.name == other) {
+            Some(cmd) => (cmd.run)(&Args::parse(&argv[1..], cmd)?),
+            None => Err(err(format!("unknown command `{other}`\n\n{}", usage()))),
         },
     }
 }
@@ -1427,27 +1548,14 @@ mod tests {
         let out =
             dispatch(&argv(&format!("replay {} exchange2_like", dir.display()))).expect("replay");
         assert!(out.contains("completed=true"), "{out}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn pinball2pe_writes_mz_file() {
-        let dir = tmp("pe");
-        dispatch(&argv(&format!(
-            "record xz_like --scale test --start 10000 --length 3000 --out {}",
+        // A mistyped `--injection` must not run the constrained replay.
+        let e = dispatch(&argv(&format!(
+            "replay {} exchange2_like --injecton 0",
             dir.display()
         )))
-        .expect("record");
-        let pe = dir.join("xz.pe");
-        let out = dispatch(&argv(&format!(
-            "pinball2pe {} xz_like --out {}",
-            dir.display(),
-            pe.display()
-        )))
-        .expect("convert");
-        assert!(out.contains("PE32+"), "{out}");
-        let bytes = std::fs::read(&pe).unwrap();
-        assert_eq!(&bytes[..2], b"MZ");
+        .unwrap_err();
+        assert!(e.0.contains("unknown option `--injecton`"), "{e}");
+        assert!(e.0.contains("[--injection 0|1]"), "{e}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1545,37 +1653,6 @@ mod tests {
         ] {
             let e = dispatch(&argv(&format!("{verb} --connect 127.0.0.1:1"))).unwrap_err();
             assert!(e.0.contains("connect"), "`{verb}` gave {e}");
-        }
-    }
-
-    #[test]
-    fn every_dispatched_command_is_documented_in_usage() {
-        for (name, _) in COMMANDS {
-            assert!(
-                USAGE.lines().any(|l| {
-                    l.trim_start().starts_with(&format!("{name} "))
-                        || l.trim_start() == *name
-                        || l.trim_start().starts_with(&format!("{name}|"))
-                }),
-                "command `{name}` is dispatched but missing from USAGE"
-            );
-        }
-    }
-
-    #[test]
-    fn every_usage_command_row_names_a_dispatched_command() {
-        for line in USAGE.lines() {
-            let Some(rest) = line.strip_prefix("  ") else {
-                continue;
-            };
-            if rest.starts_with(' ') {
-                continue; // continuation / description column
-            }
-            let word = rest.split([' ', '|']).next().unwrap();
-            assert!(
-                COMMANDS.iter().any(|(name, _)| *name == word),
-                "USAGE row `{word}` is not a dispatched command"
-            );
         }
     }
 
@@ -1835,9 +1912,11 @@ mod tests {
         .expect("record");
 
         // Serial pinball simulation straight from the directory.
+        let serial_stats = dir.join("serial.json");
         let out = dispatch(&argv(&format!(
-            "simulate {} mcf_like --sim gem5-haswell",
-            pbdir.display()
+            "simulate {} mcf_like --sim gem5-haswell --stats-json {}",
+            pbdir.display(),
+            serial_stats.display()
         )))
         .expect("simulate pinball dir");
         assert!(out.contains("IPC"), "{out}");
@@ -1855,15 +1934,24 @@ mod tests {
         let bundle = dir.join("mcf.pball");
         std::fs::write(&bundle, pb.to_bytes()).unwrap();
         let storedir = dir.join("repo");
+        let sharded_stats = dir.join("sharded.json");
         let out = dispatch(&argv(&format!(
             "simulate {} --sim gem5-haswell --shards 4 --snapshot-interval 1000 \
-             --snapshot-store {}",
+             --snapshot-store {} --stats-json {}",
             bundle.display(),
-            storedir.display()
+            storedir.display(),
+            sharded_stats.display()
         )))
         .expect("simulate sharded");
         assert!(out.contains("sharded:"), "{out}");
         assert!(out.contains("stored"), "{out}");
+
+        // Both runs write a sim-stats document, not `null`.
+        for stats in [&serial_stats, &sharded_stats] {
+            let check = dispatch(&argv(&format!("trace check {}", stats.display())))
+                .expect("check pinball sim stats");
+            assert!(check.contains("elfie-sim-stats"), "{check}");
+        }
 
         // The chain is visible, parent-linked, and type-safe to remove.
         let ls = dispatch(&argv(&format!(
@@ -2058,15 +2146,167 @@ mod tests {
         assert!(dispatch(&argv("bench run --profile turbo")).is_err());
     }
 
+    /// A command whose table covers every option kind.
+    const TEST_CMD: Command = Command {
+        name: "t",
+        synopsis: &["<a> <b>"],
+        help: &["a test command"],
+        opts: &[
+            ("num", Value("N")),
+            ("flag", Flag),
+            ("name", Value("S")),
+            ("list", Repeated("A[,B]")),
+        ],
+        run: |_| Ok(String::new()),
+    };
+
     #[test]
     fn args_parser_handles_options_and_flags() {
-        let a = Args::parse(&argv("pos1 --num 5 --flag pos2 --name value"), &["flag"]);
+        let a = Args::parse(
+            &argv("pos1 --num 5 --flag pos2 --name value --num 7 --list a,b --list c"),
+            &TEST_CMD,
+        )
+        .unwrap();
         assert_eq!(a.pos(0, "x").unwrap(), "pos1");
         assert_eq!(a.pos(1, "x").unwrap(), "pos2");
-        assert_eq!(a.opt_u64("num", 0).unwrap(), 5);
+        assert_eq!(a.opt_u64("num", 0).unwrap(), 7, "the last value wins");
         assert!(a.flag("flag"));
         assert_eq!(a.opt("name"), Some("value"));
+        assert_eq!(a.opt_all("list"), ["a", "b", "c"]);
         assert!(a.pos(2, "x").is_err());
         assert!(a.opt_u64("name", 0).is_err(), "non-integer option");
+
+        // An undeclared option, a trailing value option and a value
+        // option followed by another option are errors that name the
+        // option and show the command's usage row.
+        for (line, named) in [
+            ("pos --nmu 5", "unknown option `--nmu` for `t`"),
+            ("pos --num", "option `--num` expects a value (N)"),
+            ("--name --flag", "option `--name` expects a value (S)"),
+        ] {
+            let e = Args::parse(&argv(line), &TEST_CMD).unwrap_err();
+            assert!(e.0.starts_with(named), "{line}: {e}");
+            assert!(e.0.ends_with(TEST_CMD.usage().trim_end()), "{line}: {e}");
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "`--flag` is not a declared value option")]
+    fn reading_an_option_as_the_wrong_kind_panics() {
+        let a = Args::parse(&argv("--flag"), &TEST_CMD).unwrap();
+        let _ = a.opt("flag");
+    }
+
+    #[test]
+    fn every_command_usage_lists_exactly_its_options() {
+        let text = usage();
+        assert_eq!(dispatch(&[]).unwrap_err().0, text);
+        assert_eq!(dispatch(&argv("help")).unwrap(), text);
+        assert!(dispatch(&argv("bogus")).unwrap_err().0.ends_with(&text));
+        for (i, cmd) in COMMANDS.iter().enumerate() {
+            let name = cmd.name;
+            assert!(
+                COMMANDS[..i].iter().all(|c| c.name != name),
+                "`{name}` twice"
+            );
+            assert_eq!(cmd.synopsis.len(), cmd.help.len(), "`{name}`");
+            assert!(
+                cmd.synopsis.iter().all(|form| !form.contains("--")),
+                "`{name}` names an option outside its table"
+            );
+            let block = cmd.usage();
+            assert!(text.contains(&block), "`{name}` is not in the usage text");
+            assert!(
+                block.lines().all(|l| l.chars().count() <= LINE_WIDTH),
+                "{block}"
+            );
+            let listed: Vec<&str> = block
+                .split("[--")
+                .skip(1)
+                .map(|rest| rest.split([' ', ']']).next().unwrap())
+                .collect();
+            let declared: Vec<&str> = cmd.opts.iter().map(|(n, _)| *n).collect();
+            assert_eq!(listed, declared, "`{name}`:\n{block}");
+        }
+    }
+
+    #[test]
+    fn every_dispatched_command_is_documented_in_usage() {
+        let text = usage();
+        for cmd in COMMANDS {
+            let name = cmd.name;
+            assert!(
+                text.lines().any(|l| {
+                    let l = l.trim_start();
+                    l == name || l.starts_with(&format!("{name} "))
+                }),
+                "command `{name}` is dispatched but missing from the usage text"
+            );
+        }
+    }
+
+    #[test]
+    fn every_usage_command_row_names_a_dispatched_command() {
+        for line in usage().lines() {
+            let Some(rest) = line.strip_prefix("  ") else {
+                continue;
+            };
+            if rest.starts_with(' ') {
+                continue; // continuation / help column
+            }
+            let word = rest.split([' ', '|']).next().unwrap();
+            assert!(
+                COMMANDS.iter().any(|cmd| cmd.name == word),
+                "usage row `{word}` is not a dispatched command"
+            );
+        }
+    }
+
+    #[test]
+    fn unknown_and_valueless_options_are_errors() {
+        let dir = tmp("reject");
+        // An option that belongs to another command.
+        let e = dispatch(&argv(&format!(
+            "record gcc_like --scale test --out {} --workers 4",
+            dir.display()
+        )))
+        .unwrap_err();
+        assert!(e.0.contains("unknown option `--workers`"), "{e}");
+        assert!(e.0.contains("  record <workload>"), "{e}");
+        // A trailing value option with no value.
+        let e = dispatch(&argv(
+            "validate gcc_like --scale test --slice 5000 --warmup 2000 --maxk 4 \
+             --fuel 50000000 --store",
+        ))
+        .unwrap_err();
+        assert!(e.0.contains("option `--store` expects a value"), "{e}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn serve_rejects_a_retired_option_before_it_binds() {
+        // `--no-telemetry` is gone; it used to swallow `--listen` and
+        // leave the daemon on the default port. The command runs on a
+        // thread so a daemon that does start fails the test, not hangs it.
+        let dir = tmp("serve-retired");
+        let store = dir.join("store");
+        let line = format!(
+            "serve --store {} --no-telemetry --listen 127.0.0.1:4374",
+            store.display()
+        );
+        let (tx, rx) = std::sync::mpsc::channel();
+        let serve = std::thread::spawn(move || {
+            let _ = tx.send(dispatch(&argv(&line)));
+        });
+        let e = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("serve must reject the line, not start")
+            .unwrap_err();
+        serve.join().expect("serve thread");
+        assert!(e.0.contains("unknown option `--no-telemetry`"), "{e}");
+        assert!(e.0.contains("  serve [--store DIR]"), "{e}");
+        assert!(!store.exists(), "the store was opened");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

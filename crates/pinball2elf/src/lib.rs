@@ -25,7 +25,6 @@
 //!   generated linker script, and `.t<N>.<object>` debug symbols.
 
 pub mod layout;
-pub mod pe;
 pub mod startup;
 
 use elfie_elf::{ElfBuilder, SectionSpec};
