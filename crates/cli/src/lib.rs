@@ -1639,6 +1639,7 @@ mod tests {
         .unwrap_err();
         assert!(e.0.starts_with("bind"), "{e}");
         assert!(!e.0.contains('\n'), "one-line diagnostic, got: {e}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

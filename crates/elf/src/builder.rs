@@ -3,7 +3,74 @@
 
 use crate::format::*;
 use elfie_isa::{page_align_up, PAGE_SIZE};
+use elfie_pinball::PageData;
+use std::collections::HashMap;
 use std::sync::Arc;
+
+/// What a section holds: a byte buffer, or whole pinball pages that
+/// [`ElfBuilder::build`] writes straight into the image. Both are shared:
+/// sections that hold the same `Arc` (an ELFie's non-allocatable original
+/// and its `.shadow` copy) get one file range, written once.
+#[derive(Debug, Clone)]
+pub enum SectionData {
+    /// Contiguous bytes.
+    Bytes(Arc<Vec<u8>>),
+    /// Page payloads, in address order.
+    Pages(Arc<Vec<PageData>>),
+}
+
+impl SectionData {
+    /// Length in bytes.
+    fn len(&self) -> usize {
+        match self {
+            SectionData::Bytes(b) => b.len(),
+            SectionData::Pages(p) => p.len() * PAGE_SIZE as usize,
+        }
+    }
+
+    /// True when the section holds no bytes.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The identity of the shared buffer: equal exactly for sections
+    /// holding the same `Arc`.
+    fn key(&self) -> *const () {
+        match self {
+            SectionData::Bytes(b) => Arc::as_ptr(b).cast(),
+            SectionData::Pages(p) => Arc::as_ptr(p).cast(),
+        }
+    }
+
+    fn write_to(&self, out: &mut Vec<u8>) {
+        match self {
+            SectionData::Bytes(b) => out.extend_from_slice(b),
+            SectionData::Pages(pages) => {
+                for p in pages.iter() {
+                    out.extend_from_slice(&p[..]);
+                }
+            }
+        }
+    }
+}
+
+impl From<Vec<u8>> for SectionData {
+    fn from(b: Vec<u8>) -> SectionData {
+        SectionData::Bytes(Arc::new(b))
+    }
+}
+
+impl From<Vec<PageData>> for SectionData {
+    fn from(p: Vec<PageData>) -> SectionData {
+        SectionData::Pages(Arc::new(p))
+    }
+}
+
+impl From<Arc<Vec<PageData>>> for SectionData {
+    fn from(p: Arc<Vec<PageData>>) -> SectionData {
+        SectionData::Pages(p)
+    }
+}
 
 /// A section to be placed in the output file.
 #[derive(Debug, Clone)]
@@ -12,9 +79,10 @@ pub struct SectionSpec {
     pub name: String,
     /// Virtual address.
     pub addr: u64,
-    /// Contents, shared so one buffer can back several sections (an
-    /// ELFie's non-allocatable original and its `.shadow` copy).
-    pub data: Arc<Vec<u8>>,
+    /// Contents. Sections holding the same `Arc` share one file range, so
+    /// an ELFie's non-allocatable original and its `.shadow` copy cost
+    /// the image one copy of each page.
+    pub data: SectionData,
     /// Writable at run time.
     pub write: bool,
     /// Executable.
@@ -26,12 +94,13 @@ pub struct SectionSpec {
 }
 
 impl SectionSpec {
-    /// A loadable program section over `data` (a `Vec<u8>`, or an
-    /// `Arc<Vec<u8>>` another section also uses).
+    /// A loadable program section over `data`: a `Vec<u8>`, pinball pages
+    /// (`Vec<PageData>`, or an `Arc` of them that another section also
+    /// holds), or a [`SectionData`] cloned from another section.
     pub fn progbits(
         name: &str,
         addr: u64,
-        data: impl Into<Arc<Vec<u8>>>,
+        data: impl Into<SectionData>,
         write: bool,
         exec: bool,
     ) -> SectionSpec {
@@ -49,6 +118,12 @@ impl SectionSpec {
     pub fn non_alloc(mut self) -> SectionSpec {
         self.alloc = false;
         self
+    }
+
+    /// The page offset a loadable section's file range must have
+    /// (`p_offset ≡ p_vaddr (mod page)`), or `None` when it is not loaded.
+    fn congruence(&self) -> Option<u64> {
+        (self.alloc && !self.data.is_empty()).then_some(self.addr % PAGE_SIZE)
     }
 }
 
@@ -146,18 +221,37 @@ impl ElfBuilder {
             );
         }
 
-        // Layout: ehdr | phdrs | section data (page-congruent for loadable)
-        // | symtab | strtab | shstrtab | shdrs.
+        // Layout: ehdr | phdrs | section data | symtab | strtab | shstrtab
+        // | shdrs. Each distinct buffer gets one file range, which every
+        // section holding it shares. A buffer that any loadable section
+        // holds sits at that section's page congruence (p_offset ≡
+        // p_vaddr (mod page), as real loaders require for mmap-ability),
+        // whichever holder comes first. A second loadable holder at
+        // another congruence gets its own copy.
+        let mut want: HashMap<*const (), u64> = HashMap::new();
+        for s in &self.sections {
+            if let Some(c) = s.congruence() {
+                want.entry(s.data.key()).or_insert(c);
+            }
+        }
+        let mut placed: HashMap<*const (), u64> = HashMap::new();
+        let mut writes: Vec<(u64, &SectionData)> = Vec::new();
         let mut offset = (EHDR_SIZE + phnum * PHDR_SIZE) as u64;
         let mut sec_offsets = vec![0u64; nsections];
         for (i, s) in self.sections.iter().enumerate() {
-            if s.alloc && !s.data.is_empty() {
-                // Keep p_offset ≡ p_vaddr (mod page) as real loaders
-                // require for mmap-ability.
-                let want = s.addr % PAGE_SIZE;
-                let cur = offset % PAGE_SIZE;
-                offset += (want + PAGE_SIZE - cur) % PAGE_SIZE;
+            let key = s.data.key();
+            let congruence = s.congruence().or_else(|| want.get(&key).copied());
+            if let Some(&off) = placed.get(&key) {
+                if congruence.map_or(true, |c| off % PAGE_SIZE == c) {
+                    sec_offsets[i] = off;
+                    continue;
+                }
             }
+            if let Some(c) = congruence {
+                offset += (c + PAGE_SIZE - offset % PAGE_SIZE) % PAGE_SIZE;
+            }
+            placed.entry(key).or_insert(offset);
+            writes.push((offset, &s.data));
             sec_offsets[i] = offset;
             offset += s.data.len() as u64;
         }
@@ -210,9 +304,9 @@ impl ElfBuilder {
             );
         }
 
-        for (s, &off) in self.sections.iter().zip(&sec_offsets) {
+        for (off, data) in writes {
             out.resize(off as usize, 0);
-            out.extend_from_slice(&s.data);
+            data.write_to(&mut out);
         }
         debug_assert_eq!(out.len() as u64, symtab_off);
         out.extend_from_slice(&symtab);
@@ -385,6 +479,134 @@ mod tests {
                 "p_offset ≡ p_vaddr (mod pagesize)"
             );
         }
+    }
+
+    /// The `(offset, size)` a parsed section's data occupies in `image`.
+    fn file_range(image: &[u8], data: &[u8]) -> (usize, usize) {
+        (data.as_ptr() as usize - image.as_ptr() as usize, data.len())
+    }
+
+    fn pattern(len: usize, seed: u8) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i as u8).wrapping_mul(31) ^ seed)
+            .collect()
+    }
+
+    /// A non-alloc original and an alloc shadow over one shared buffer.
+    fn original_and_shadow(data: &SectionData, shadow_first: bool) -> Vec<u8> {
+        let original =
+            SectionSpec::progbits(".stack.7fff0000", 0x7fff_0000, data.clone(), true, false)
+                .non_alloc();
+        let shadow =
+            SectionSpec::progbits(".shadow.7fff0000", 0x1000_0123, data.clone(), false, false);
+        let (a, b) = if shadow_first {
+            (shadow, original)
+        } else {
+            (original, shadow)
+        };
+        ElfBuilder::new().entry(0).section(a).section(b).build()
+    }
+
+    #[test]
+    fn sections_sharing_a_buffer_share_one_file_range() {
+        let payload = pattern(2 * PAGE_SIZE as usize, 0x5a);
+        let bytes = original_and_shadow(&payload.clone().into(), false);
+        let f = ElfFile::parse(&bytes).expect("parses");
+        let original = f.section(".stack.7fff0000").expect("original");
+        let shadow = f.section(".shadow.7fff0000").expect("shadow");
+        assert_eq!(original.data, &payload[..]);
+        assert_eq!(
+            file_range(&bytes, original.data),
+            file_range(&bytes, shadow.data)
+        );
+        let copies = bytes.windows(payload.len()).filter(|w| *w == &payload[..]);
+        assert_eq!(copies.count(), 1, "the image holds the bytes once");
+    }
+
+    #[test]
+    fn shared_placement_does_not_depend_on_section_order() {
+        let data: SectionData = pattern(PAGE_SIZE as usize + 100, 0x3c).into();
+        let mut datas = Vec::new();
+        for shadow_first in [false, true] {
+            let bytes = original_and_shadow(&data, shadow_first);
+            let f = ElfFile::parse(&bytes).expect("parses");
+            let original = f.section(".stack.7fff0000").expect("original");
+            let shadow = f.section(".shadow.7fff0000").expect("shadow");
+            let (off, _) = file_range(&bytes, shadow.data);
+            assert_eq!(file_range(&bytes, original.data), (off, data.len()));
+            assert_eq!(
+                off as u64 % PAGE_SIZE,
+                0x123,
+                "shadow first: {shadow_first}"
+            );
+            assert_eq!(f.segments.len(), 1);
+            assert_eq!(f.segments[0].offset, off as u64);
+            datas.push((original.data.to_vec(), shadow.data.to_vec()));
+        }
+        assert_eq!(datas[0], datas[1]);
+    }
+
+    #[test]
+    fn loadable_holders_at_two_congruences_get_two_copies() {
+        let data: SectionData = pattern(300, 0x11).into();
+        let bytes = ElfBuilder::new()
+            .section(SectionSpec::progbits(
+                ".a",
+                0x400010,
+                data.clone(),
+                false,
+                false,
+            ))
+            .section(SectionSpec::progbits(
+                ".b",
+                0x500020,
+                data.clone(),
+                false,
+                false,
+            ))
+            .build();
+        let f = ElfFile::parse(&bytes).expect("parses");
+        for seg in &f.segments {
+            assert_eq!(seg.offset % PAGE_SIZE, seg.vaddr % PAGE_SIZE);
+            assert_eq!(seg.data, &pattern(300, 0x11)[..]);
+        }
+        assert_ne!(f.segments[0].offset, f.segments[1].offset);
+    }
+
+    #[test]
+    fn page_sections_read_back_like_the_same_bytes() {
+        let pages: Vec<PageData> = (0..3u8)
+            .map(|k| {
+                let mut page = [0u8; PAGE_SIZE as usize];
+                page.copy_from_slice(&pattern(PAGE_SIZE as usize, k));
+                Arc::new(page)
+            })
+            .collect();
+        let flat: Vec<u8> = pages.iter().flat_map(|p| p.iter().copied()).collect();
+        let image = |data: SectionData| {
+            ElfBuilder::new()
+                .entry(0x400000)
+                .section(SectionSpec::progbits(
+                    ".text.startup",
+                    0x100,
+                    vec![1, 2, 3],
+                    false,
+                    true,
+                ))
+                .section(SectionSpec::progbits(
+                    ".data.400000",
+                    0x400000,
+                    data,
+                    true,
+                    false,
+                ))
+                .build()
+        };
+        let from_pages = image(pages.into());
+        let from_bytes = image(flat.clone().into());
+        assert_eq!(from_pages, from_bytes);
+        let f = ElfFile::parse(&from_pages).expect("parses");
+        assert_eq!(f.section(".data.400000").expect("section").data, &flat[..]);
     }
 
     #[test]

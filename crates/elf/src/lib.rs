@@ -21,7 +21,7 @@ pub mod format;
 pub mod loader;
 pub mod reader;
 
-pub use builder::{ElfBuilder, SectionSpec};
+pub use builder::{ElfBuilder, SectionData, SectionSpec};
 pub use format::{ElfParseError, EM_ELFIE, ET_EXEC, ET_REL};
 pub use loader::{load, load_parsed, LoadError, LoadedImage, LoaderConfig};
 pub use reader::{ElfFile, Section, Segment};

@@ -139,8 +139,8 @@ impl PageRecord {
 
 /// A maximal run of address-consecutive pages with identical permissions
 /// — the unit `pinball2elf` turns into one ELF section. Holds arena
-/// handles, so building runs never copies page bytes; callers that need
-/// contiguous bytes pay exactly one copy via [`PageRun::concat`].
+/// handles, so building runs never copies page bytes; the ELF writer
+/// copies each page once, straight into the image.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PageRun {
     /// Base address of the first page.
@@ -160,16 +160,6 @@ impl PageRun {
     /// One past the last byte of the run.
     pub fn end(&self) -> u64 {
         self.start + self.byte_len()
-    }
-
-    /// Concatenates the run into one owned buffer (the single copy for
-    /// consumers that need contiguous bytes, e.g. ELF section writers).
-    pub fn concat(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.pages.len() * PAGE_BYTES);
-        for p in &self.pages {
-            out.extend_from_slice(&p[..]);
-        }
-        out
     }
 }
 
@@ -947,7 +937,7 @@ mod tests {
         assert_eq!(runs.len(), 2);
         assert_eq!(runs[0].start, 0x400000);
         assert_eq!(runs[0].byte_len(), 2 * PAGE_SIZE);
-        assert_eq!(runs[0].concat().len(), 2 * PAGE_SIZE as usize);
+        assert_eq!(runs[0].pages.len(), 2);
         assert_eq!(runs[1].start, 0x600000);
         assert_eq!(runs[1].perm, 3);
     }

@@ -285,8 +285,8 @@ proptest! {
                 .iter()
                 .find(|r| r.start <= addr && addr < r.end())
                 .expect("page in some run");
-            let off = (addr - run.start) as usize;
-            prop_assert_eq!(&run.concat()[off..off + PAGE], &page.data[..]);
+            let idx = ((addr - run.start) / PAGE as u64) as usize;
+            prop_assert_eq!(&run.pages[idx][..], &page.data[..]);
             prop_assert_eq!(run.perm, page.perm);
         }
     }

@@ -230,7 +230,7 @@ pub fn convert(pinball: &Pinball, opts: &ConvertOptions) -> Result<Elfie, Conver
             builder = builder.section(SectionSpec::progbits(
                 &section_name(prefix, run.start),
                 run.start,
-                run.concat(),
+                run.pages.clone(),
                 write,
                 exec,
             ));
@@ -320,7 +320,8 @@ pub fn convert(pinball: &Pinball, opts: &ConvertOptions) -> Result<Elfie, Conver
             debug_assert_eq!(remap.orig, run.start);
             // Original content kept as a non-allocatable section (for the
             // record and for tooling), plus an allocatable shadow the
-            // startup copies from.
+            // startup copies from. Both hold one `Arc` of the run's
+            // pages, so the image holds them once.
             let prefix = if is_stack(run.start) {
                 ".stack"
             } else if exec {
@@ -328,12 +329,12 @@ pub fn convert(pinball: &Pinball, opts: &ConvertOptions) -> Result<Elfie, Conver
             } else {
                 ".data"
             };
-            let bytes = Arc::new(run.concat());
+            let pages = Arc::new(run.pages.clone());
             builder = builder.section(
                 SectionSpec::progbits(
                     &section_name(prefix, run.start),
                     run.start,
-                    Arc::clone(&bytes),
+                    Arc::clone(&pages),
                     write,
                     exec,
                 )
@@ -342,7 +343,7 @@ pub fn convert(pinball: &Pinball, opts: &ConvertOptions) -> Result<Elfie, Conver
             builder = builder.section(SectionSpec::progbits(
                 &section_name(".shadow", run.start),
                 remap.shadow,
-                bytes,
+                pages,
                 false,
                 false,
             ));
@@ -351,7 +352,7 @@ pub fn convert(pinball: &Pinball, opts: &ConvertOptions) -> Result<Elfie, Conver
             builder = builder.section(SectionSpec::progbits(
                 &section_name(prefix, run.start),
                 run.start,
-                run.concat(),
+                run.pages.clone(),
                 write,
                 exec,
             ));
