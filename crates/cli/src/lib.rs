@@ -28,20 +28,29 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use OptKind::{Flag, Repeated, Value};
 
-/// A CLI failure: message for stderr, non-zero exit.
+/// A CLI failure: a message for stderr and a non-zero exit.
 #[derive(Debug)]
-pub struct CliError(pub String);
+pub struct CliError {
+    pub message: String,
+    /// What the command still reports on stdout; empty unless the command
+    /// ran to its end and only its outcome failed (`run` of a guest that
+    /// did not exit 0).
+    pub report: String,
+}
 
 impl std::fmt::Display for CliError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(&self.message)
     }
 }
 
 impl std::error::Error for CliError {}
 
 fn err(msg: impl Into<String>) -> CliError {
-    CliError(msg.into())
+    CliError {
+        message: msg.into(),
+        report: String::new(),
+    }
 }
 
 /// How an option takes its argument. The string is the option's
@@ -391,6 +400,7 @@ pub fn cmd_record(args: &Args) -> Result<String, CliError> {
             .map_err(|e| err(format!("store put: {e}")))?;
         let _ = write!(report, "\nstored as `{}` in {dir}", pb.region.name);
     }
+    report.push('\n');
     Ok(report)
 }
 
@@ -406,7 +416,7 @@ pub fn cmd_sysstate(args: &Args) -> Result<String, CliError> {
     st.save_dir(&out)
         .map_err(|e| err(format!("save failed: {e}")))?;
     Ok(format!(
-        "sysstate: {} named proxies, {} FD_n proxies, brk first={:?} last={:?} -> {}",
+        "sysstate: {} named proxies, {} FD_n proxies, brk first={:?} last={:?} -> {}\n",
         st.files.len(),
         st.fd_files.len(),
         st.brk_first,
@@ -451,7 +461,7 @@ pub fn cmd_pinball2elf(args: &Args) -> Result<String, CliError> {
         std::fs::write(asm, &elfie.startup_asm).map_err(|e| err(e.to_string()))?;
     }
     Ok(format!(
-        "wrote {} ({} bytes, {} threads, {} sections remapped, startup {} bytes)",
+        "wrote {} ({} bytes, {} threads, {} sections remapped, startup {} bytes)\n",
         out.display(),
         elfie.stats.elf_bytes,
         elfie.stats.threads,
@@ -497,7 +507,13 @@ pub fn cmd_run(args: &Args) -> Result<String, CliError> {
     if !m.kernel.stdout.is_empty() {
         let _ = writeln!(out, "stdout: {}", String::from_utf8_lossy(&m.kernel.stdout));
     }
-    Ok(out)
+    match s.reason {
+        ExitReason::AllExited(0) => Ok(out),
+        reason => Err(CliError {
+            message: format!("the ELFie did not exit 0: {reason:?}"),
+            report: out,
+        }),
+    }
 }
 
 /// `elfie replay <pinball-dir> <name>` — constrained replay; `--injection 0`
@@ -657,7 +673,7 @@ fn simulate_pinball_report(
     );
     let _ = writeln!(
         report,
-        "wall: profile {} ms  simulate {} ms  stitch {} us",
+        "wall: profile {} ms  simulate {} ms (overlaps profile)  stitch {} us",
         out.profile_wall_ns / 1_000_000,
         out.simulate_wall_ns / 1_000_000,
         out.stitch_wall_ns / 1_000,
@@ -1523,6 +1539,18 @@ mod tests {
         assert!(out.contains("AllExited(0)"), "{out}");
         assert!(out.contains("thread 0"), "{out}");
 
+        // A guest that does not exit 0 fails the command, report intact.
+        let e = dispatch(&argv(&format!(
+            "run {} --sysstate {} --seed 3 --fuel 1000",
+            elfie.display(),
+            ssdir.display()
+        )))
+        .unwrap_err();
+        assert!(e.message.contains("did not exit 0"), "{e}");
+        assert!(e.report.starts_with("exit: "), "{}", e.report);
+        assert!(!e.report.contains("AllExited(0)"), "{}", e.report);
+        assert!(e.report.contains("thread 0"), "{}", e.report);
+
         let out = dispatch(&argv(&format!("disasm {}", elfie.display()))).expect("disasm");
         assert!(out.contains("repmovs") || out.contains("mov"), "{out}");
 
@@ -1534,6 +1562,43 @@ mod tests {
         .expect("simulate");
         assert!(out.contains("IPC"), "{out}");
 
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn record_and_pinball2elf_reports_end_in_one_newline() {
+        let dir = tmp("newline");
+        let (pb, ss, store) = (dir.join("pb"), dir.join("ss"), dir.join("store"));
+        let lines = [
+            format!(
+                "record mcf_like --scale test --start 20000 --length 3000 --out {}",
+                pb.display()
+            ),
+            format!(
+                "record mcf_like --scale test --start 20000 --length 3000 --out {} --store {}",
+                pb.display(),
+                store.display()
+            ),
+            format!("sysstate {} mcf_like --out {}", pb.display(), ss.display()),
+            format!(
+                "pinball2elf {} mcf_like --out {}",
+                pb.display(),
+                dir.join("a.elfie").display()
+            ),
+            format!(
+                "pinball2elf {} mcf_like --out {} --object --sysstate {}",
+                pb.display(),
+                dir.join("a.o").display(),
+                ss.display()
+            ),
+        ];
+        for line in &lines {
+            let out = dispatch(&argv(line)).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert!(
+                out.ends_with('\n') && !out.ends_with("\n\n"),
+                "{line}: {out:?}"
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1554,8 +1619,8 @@ mod tests {
             dir.display()
         )))
         .unwrap_err();
-        assert!(e.0.contains("unknown option `--injecton`"), "{e}");
-        assert!(e.0.contains("[--injection 0|1]"), "{e}");
+        assert!(e.message.contains("unknown option `--injecton`"), "{e}");
+        assert!(e.message.contains("[--injection 0|1]"), "{e}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1616,7 +1681,7 @@ mod tests {
 
         // No --store at all.
         let e = dispatch(&argv("serve")).unwrap_err();
-        assert!(e.0.contains("--store"), "{e}");
+        assert!(e.message.contains("--store"), "{e}");
 
         // Store path exists but is a file, not a directory.
         let file = dir.join("not-a-dir");
@@ -1626,8 +1691,8 @@ mod tests {
             file.display()
         )))
         .unwrap_err();
-        assert!(e.0.starts_with("open store"), "{e}");
-        assert!(!e.0.contains('\n'), "one-line diagnostic, got: {e}");
+        assert!(e.message.starts_with("open store"), "{e}");
+        assert!(!e.message.contains('\n'), "one-line diagnostic, got: {e}");
 
         // Listen address already in use.
         let taken = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
@@ -1637,8 +1702,8 @@ mod tests {
             dir.join("store").display()
         )))
         .unwrap_err();
-        assert!(e.0.starts_with("bind"), "{e}");
-        assert!(!e.0.contains('\n'), "one-line diagnostic, got: {e}");
+        assert!(e.message.starts_with("bind"), "{e}");
+        assert!(!e.message.contains('\n'), "one-line diagnostic, got: {e}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1653,7 +1718,7 @@ mod tests {
             "submit validate gcc_like",
         ] {
             let e = dispatch(&argv(&format!("{verb} --connect 127.0.0.1:1"))).unwrap_err();
-            assert!(e.0.contains("connect"), "`{verb}` gave {e}");
+            assert!(e.message.contains("connect"), "`{verb}` gave {e}");
         }
     }
 
@@ -2002,7 +2067,7 @@ mod tests {
             bogus.display()
         )))
         .unwrap_err();
-        assert!(e.0.contains("chrome trace"), "{e}");
+        assert!(e.message.contains("chrome trace"), "{e}");
         std::fs::remove_file(&bogus).ok();
     }
 
@@ -2065,7 +2130,7 @@ mod tests {
             tracefile.display()
         )))
         .unwrap_err();
-        assert!(e.0.contains("no spans tagged"), "{e}");
+        assert!(e.message.contains("no spans tagged"), "{e}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2117,8 +2182,8 @@ mod tests {
             baseline.display()
         )))
         .expect_err("gate must fail");
-        assert!(e.0.contains("FAIL store_dedup/physical_bytes"), "{e}");
-        assert!(e.0.contains("--update-baseline"), "{e}");
+        assert!(e.message.contains("FAIL store_dedup/physical_bytes"), "{e}");
+        assert!(e.message.contains("--update-baseline"), "{e}");
 
         // The explicit refresh flow rewrites the file and the next
         // check passes again.
@@ -2186,8 +2251,11 @@ mod tests {
             ("--name --flag", "option `--name` expects a value (S)"),
         ] {
             let e = Args::parse(&argv(line), &TEST_CMD).unwrap_err();
-            assert!(e.0.starts_with(named), "{line}: {e}");
-            assert!(e.0.ends_with(TEST_CMD.usage().trim_end()), "{line}: {e}");
+            assert!(e.message.starts_with(named), "{line}: {e}");
+            assert!(
+                e.message.ends_with(TEST_CMD.usage().trim_end()),
+                "{line}: {e}"
+            );
         }
     }
 
@@ -2202,9 +2270,12 @@ mod tests {
     #[test]
     fn every_command_usage_lists_exactly_its_options() {
         let text = usage();
-        assert_eq!(dispatch(&[]).unwrap_err().0, text);
+        assert_eq!(dispatch(&[]).unwrap_err().message, text);
         assert_eq!(dispatch(&argv("help")).unwrap(), text);
-        assert!(dispatch(&argv("bogus")).unwrap_err().0.ends_with(&text));
+        assert!(dispatch(&argv("bogus"))
+            .unwrap_err()
+            .message
+            .ends_with(&text));
         for (i, cmd) in COMMANDS.iter().enumerate() {
             let name = cmd.name;
             assert!(
@@ -2273,15 +2344,18 @@ mod tests {
             dir.display()
         )))
         .unwrap_err();
-        assert!(e.0.contains("unknown option `--workers`"), "{e}");
-        assert!(e.0.contains("  record <workload>"), "{e}");
+        assert!(e.message.contains("unknown option `--workers`"), "{e}");
+        assert!(e.message.contains("  record <workload>"), "{e}");
         // A trailing value option with no value.
         let e = dispatch(&argv(
             "validate gcc_like --scale test --slice 5000 --warmup 2000 --maxk 4 \
              --fuel 50000000 --store",
         ))
         .unwrap_err();
-        assert!(e.0.contains("option `--store` expects a value"), "{e}");
+        assert!(
+            e.message.contains("option `--store` expects a value"),
+            "{e}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2305,8 +2379,8 @@ mod tests {
             .expect("serve must reject the line, not start")
             .unwrap_err();
         serve.join().expect("serve thread");
-        assert!(e.0.contains("unknown option `--no-telemetry`"), "{e}");
-        assert!(e.0.contains("  serve [--store DIR]"), "{e}");
+        assert!(e.message.contains("unknown option `--no-telemetry`"), "{e}");
+        assert!(e.message.contains("  serve [--store DIR]"), "{e}");
         assert!(!store.exists(), "the store was opened");
         std::fs::remove_dir_all(&dir).ok();
     }

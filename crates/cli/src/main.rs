@@ -6,6 +6,7 @@ fn main() {
     match elfie_cli::dispatch(&argv) {
         Ok(report) => print!("{report}"),
         Err(e) => {
+            print!("{}", e.report);
             eprintln!("error: {e}");
             std::process::exit(1);
         }

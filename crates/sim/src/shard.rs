@@ -1,17 +1,19 @@
 //! Sharded intra-region simulation over interval snapshots.
 //!
 //! Detailed timing simulation of a long region is serial in the region
-//! length; this module spreads the timing work over `workers` threads.
+//! length; this module spreads the timing work over `shards` threads.
 //! A fast *profiling pass* (plain functional replay: no observer, no
 //! timing model) captures an interval [`Snapshot`] of the replay session
 //! every `interval` instructions; placing the snapshots is its only job,
 //! and its `O(region)` functional replay is the part that stays serial.
-//! The resulting `K + 1` slices are then fanned out over a worker pool:
-//! each worker boots a fresh [`TimingObserver`] machine from its slice's
-//! snapshot (the first slice boots from the pinball itself), runs to the
-//! next snapshot's recorded instruction boundary, and reports per-slice
-//! statistics. A deterministic *stitch* merges the per-slice results in
-//! slice order.
+//! The pass runs on the calling thread and publishes each snapshot as it
+//! is captured, so the `K + 1` slices do not wait for the whole pass:
+//! slice 0 boots from the pinball at once, and slice *i* resumes from
+//! snapshot *i* − 1 as soon as that exists. Each slice runs a fresh
+//! [`TimingObserver`] machine and finds its own end by the rule the pass
+//! pauses by (`next_boundary`), so it never waits for the snapshot
+//! that ends it. A deterministic *stitch* merges the per-slice results
+//! in slice order.
 //!
 //! # Determinism contract
 //!
@@ -23,10 +25,11 @@
 //!   instruction count therefore equal the serial run's.
 //! * The **stitched timing outcome is a pure function of the interval**:
 //!   it does not depend on the worker count, because the slice boundaries
-//!   are fixed by the profiling pass and every slice simulates in
-//!   isolation. At a fixed interval, `shards = 1, 2, 8, …` all produce
-//!   the identical [`SimOutcome`]. (`interval = 0` derives the interval
-//!   from the shard count, see [`ShardConfig::interval_for`].)
+//!   follow from the interval alone (the pass and every slice pause by one
+//!   rule) and every slice simulates in isolation. At a fixed interval,
+//!   `shards = 1, 2, 8, …` all produce the identical [`SimOutcome`].
+//!   (`interval = 0` derives the interval from the shard count, see
+//!   [`ShardConfig::interval_for`].)
 //! * With `interval >= region length` the profiling pass emits **zero
 //!   snapshots**, the single slice is an ordinary constrained replay, and
 //!   the stitched outcome equals [`simulate_pinball`]'s exactly.
@@ -46,15 +49,17 @@ use elfie_pinball::{Pinball, Snapshot};
 use elfie_pinplay::{ReplaySession, ReplaySummary, Replayer, SessionStep};
 use elfie_vm::{FastPathStats, NullObserver};
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 /// Configuration for [`simulate_pinball_sharded`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardConfig {
-    /// Worker threads simulating slices concurrently. `0` and `1` both
-    /// mean serial slice execution (the slicing itself still happens).
+    /// Threads that work on the call at once, the calling thread
+    /// included. `0` and `1` both mean the profiling pass and then every
+    /// slice on the calling thread (the slicing itself still happens).
     pub shards: usize,
     /// Snapshot interval in retired instructions. A snapshot is captured
     /// at the first scheduling boundary at or after each multiple of the
@@ -84,7 +89,9 @@ pub enum ShardPhase {
     /// The profiling pass (functional replay capturing the snapshot
     /// chain) started.
     Profile,
-    /// `done` of `total` slices have finished simulating.
+    /// `done` of `total` slices have finished simulating. Slices run
+    /// while the profiling pass does, but none is reported before the
+    /// pass ends and `total` is known.
     Slice {
         /// Slices finished so far.
         done: u64,
@@ -130,11 +137,16 @@ pub struct ShardedOutcome {
     pub slices: Vec<SliceReport>,
     /// Total serialized bytes of the snapshot chain.
     pub snapshot_bytes: u64,
-    /// Worker threads actually used (capped at the slice count).
+    /// Slice workers the run was sized for: `shards`, capped at the
+    /// slice count.
     pub workers: usize,
-    /// Host wall nanoseconds of the profiling pass.
+    /// Host wall nanoseconds of the profiling pass alone: spawning the
+    /// workers that run beside it is not included.
     pub profile_wall_ns: u64,
-    /// Host wall nanoseconds of the fan-out simulation phase.
+    /// Host wall nanoseconds from the first slice's start to the last
+    /// slice's end. Slices start while the profiling pass still runs, so
+    /// this overlaps [`ShardedOutcome::profile_wall_ns`]; the two do not
+    /// add up to the call's wall time.
     pub simulate_wall_ns: u64,
     /// Host wall nanoseconds of the stitch.
     pub stitch_wall_ns: u64,
@@ -151,51 +163,79 @@ struct SliceOut {
     fin: Option<(ReplaySummary, BTreeMap<u32, u64>)>,
 }
 
+/// What the profiling pass and the slice workers share, under one lock.
+#[derive(Default)]
+struct Chain {
+    /// The snapshots captured so far, in capture order.
+    snaps: Vec<Arc<Snapshot>>,
+    /// Set once the pass has ended: no further snapshot will come, and
+    /// the slice count is `snaps.len() + 1`.
+    ended: bool,
+    /// Finished slices, in completion order.
+    outs: Vec<SliceOut>,
+}
+
+impl Chain {
+    /// The slice count, once the pass has ended.
+    fn total(&self) -> Option<u64> {
+        self.ended.then_some(self.snaps.len() as u64 + 1)
+    }
+}
+
+/// The instruction count a replay standing at `icount` pauses at next:
+/// the first multiple of `interval` strictly ahead of it. One scheduling
+/// sweep can cross several multiples when the interval is finer than a
+/// sweep, so the rule skips to the multiple ahead of where the last pause
+/// actually landed. The profiling pass places snapshot *i* by it, and the
+/// slice that starts at snapshot *i* − 1 ends by it, so the two agree on
+/// every boundary without the slice waiting for snapshot *i*.
+fn next_boundary(icount: u64, interval: u64) -> u64 {
+    (icount / interval + 1).saturating_mul(interval)
+}
+
 /// Runs the profiling pass: a plain functional replay that pauses at
-/// every interval boundary to capture a snapshot. Returns the chain.
+/// every interval boundary to capture a snapshot, handing each one to
+/// `publish` as soon as it is captured.
 fn profile_pass(
     pinball: &Pinball,
     sim: &Simulator,
     replayer: &Replayer,
     interval: u64,
-) -> Vec<Snapshot> {
+    publish: impl Fn(Snapshot),
+) {
     let mut span = elfie_trace::maybe_span(sim.tracer.as_ref(), "sim", "shard_profile");
     let mut session = replayer.session_with(pinball, NullObserver, None, |_| {});
-    let mut snaps: Vec<Snapshot> = Vec::new();
-    let mut boundary = interval;
-    while session.run_until(Some(boundary)) == SessionStep::Paused {
-        snaps.push(session.capture(snaps.len() as u64 + 1, interval));
-        // A single scheduling turn can cross several boundaries when the
-        // interval is finer than the thread quantum; skip to the next
-        // multiple strictly ahead of where the pause actually landed.
-        boundary = (session.global_icount() / interval + 1).saturating_mul(interval);
+    let mut captured = 0u64;
+    while session.run_until(Some(next_boundary(session.global_icount(), interval)))
+        == SessionStep::Paused
+    {
+        captured += 1;
+        publish(session.capture(captured, interval));
     }
-    span.arg("snapshots", snaps.len() as u64);
+    span.arg("snapshots", captured);
     span.arg("icount", session.global_icount());
-    snaps
 }
 
-/// Simulates one slice under a cold [`TimingObserver`] and packages the
-/// per-slice statistics.
+/// Simulates one slice under a cold [`TimingObserver`], from `start`
+/// (the pinball itself for slice 0) to the next interval boundary or the
+/// region's end, and packages the per-slice statistics.
 fn run_slice(
     pinball: &Pinball,
     sim: &Simulator,
     replayer: &Replayer,
-    snaps: &[Snapshot],
+    start: Option<&Snapshot>,
     index: usize,
+    interval: u64,
 ) -> SliceOut {
     let t0 = Instant::now();
     let mut span = elfie_trace::maybe_span(sim.tracer.as_ref(), "sim", "shard_slice");
     span.arg("slice", index as u64);
-    let mut sess: ReplaySession<'_, TimingObserver> = match index.checked_sub(1) {
+    let mut sess: ReplaySession<'_, TimingObserver> = match start {
         None => replayer.session_with(pinball, sim.observer(), None, |_| {}),
-        Some(prev) => replayer.resume_with(pinball, &snaps[prev], sim.observer(), None),
+        Some(snap) => replayer.resume_with(pinball, snap, sim.observer(), None),
     };
     let start_icount = sess.global_icount();
-    let step = match snaps.get(index) {
-        Some(next) => sess.run_until(Some(next.meta.global_icount)),
-        None => sess.run_until(None),
-    };
+    let step = sess.run_until(Some(next_boundary(start_icount, interval)));
     let (end_icount, stats, cycles, runtime_ns, mut fastpath, fin) = if step == SessionStep::Done {
         let (summary, m) = sess.finish();
         (
@@ -267,12 +307,14 @@ pub fn simulate_pinball_sharded(
 
 /// [`simulate_pinball_sharded`] with a phase-progress callback.
 ///
-/// `progress` is invoked from the calling thread for [`ShardPhase::
-/// Profile`] and [`ShardPhase::Stitch`], and from worker threads for
-/// each [`ShardPhase::Slice`] completion (hence the `Sync` bound). Slice
-/// reports are serialized, so their `done` counts arrive in rising
-/// order. The callback must be cheap and non-blocking: it runs inside
-/// the simulation fan-out.
+/// `progress` sees [`ShardPhase::Profile`] first, then one
+/// [`ShardPhase::Slice`] per slice with `done` rising from 1 to `total`,
+/// then [`ShardPhase::Stitch`]. `total` is known only when the profiling
+/// pass ends, so slices that finish earlier are held back and reported,
+/// in order, from the calling thread when it does; later completions are
+/// reported from whichever thread ran the slice (hence the `Sync`
+/// bound). The callback must be cheap and non-blocking: it runs under
+/// the lock the workers and the pass share.
 ///
 /// # Panics
 /// Same contract as [`simulate_pinball_sharded`].
@@ -288,60 +330,96 @@ pub fn simulate_pinball_sharded_with_progress(
     span.arg("interval", interval);
     let replayer = sim.replayer();
 
-    // Phase 1: profiling pass (functional; emits the snapshot chain).
-    progress(ShardPhase::Profile);
-    let t0 = Instant::now();
-    let snaps = profile_pass(pinball, sim, &replayer, interval);
-    let snapshot_bytes: u64 = snaps.iter().map(|s| s.encoded_len() as u64).sum();
-    let profile_wall_ns = t0.elapsed().as_nanos() as u64;
-
-    // Phase 2: fan the K + 1 slices out over the worker pool.
-    let t1 = Instant::now();
-    let nslices = snaps.len() + 1;
-    let workers = cfg.shards.max(1).min(nslices);
-    // Count and report under one lock: concurrent completions then reach
-    // `progress` in the order they were counted, so `done` only rises.
-    let finished = Mutex::new(0u64);
-    let slice_done = |_i: usize| {
-        let mut done = finished.lock().expect("a slice progress report panicked");
-        *done += 1;
-        progress(ShardPhase::Slice {
-            done: *done,
-            total: nslices as u64,
-        });
-    };
-    let outs: Vec<SliceOut> = if workers <= 1 {
-        (0..nslices)
-            .map(|i| {
-                let out = run_slice(pinball, sim, &replayer, &snaps, i);
-                slice_done(i);
-                out
-            })
-            .collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<SliceOut>>> = (0..nslices).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= nslices {
-                        break;
+    // The profiling pass publishes each snapshot into `chain`; a worker
+    // takes the next slice index and waits only for that slice's starting
+    // snapshot. Completions are counted and reported under the same lock,
+    // so `done` only rises.
+    let chain = (Mutex::new(Chain::default()), Condvar::new());
+    let lock = || chain.0.lock().expect("a shard worker panicked");
+    let next = AtomicUsize::new(0);
+    let work = || loop {
+        let index = next.fetch_add(1, Ordering::Relaxed);
+        let start = match index.checked_sub(1) {
+            None => None,
+            Some(prev) => {
+                let mut c = lock();
+                loop {
+                    if let Some(snap) = c.snaps.get(prev) {
+                        break Some(Arc::clone(snap));
                     }
-                    let out = run_slice(pinball, sim, &replayer, &snaps, i);
-                    *slots[i].lock().unwrap() = Some(out);
-                    slice_done(i);
-                });
+                    if c.ended {
+                        return; // the chain ended: there is no such slice
+                    }
+                    c = chain.1.wait(c).expect("a shard worker panicked");
+                }
             }
-        });
-        slots
-            .into_iter()
-            .map(|s| s.into_inner().unwrap().expect("every slice ran"))
-            .collect()
+        };
+        let out = run_slice(pinball, sim, &replayer, start.as_deref(), index, interval);
+        let mut c = lock();
+        c.outs.push(out);
+        if let Some(total) = c.total() {
+            let done = c.outs.len() as u64;
+            progress(ShardPhase::Slice { done, total });
+        }
     };
-    let simulate_wall_ns = t1.elapsed().as_nanos() as u64;
 
-    // Phase 3: deterministic stitch, in slice order.
+    // While the pass runs, at most `min(shards, cores) - 1` workers run
+    // beside it, so the pass keeps a core to itself; the rest start after
+    // it, and the calling thread then joins them. With one shard nothing
+    // is spawned: the pass, then every slice, on the calling thread.
+    let shards = cfg.shards.max(1);
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let beside = shards.min(cores) - 1;
+    progress(ShardPhase::Profile);
+    let (profile_wall_ns, t1, nslices) = std::thread::scope(|scope| {
+        let mut t1 = Instant::now();
+        for _ in 0..beside {
+            scope.spawn(work);
+        }
+        let t0 = Instant::now();
+        let pass = catch_unwind(AssertUnwindSafe(|| {
+            profile_pass(pinball, sim, &replayer, interval, |snap| {
+                lock().snaps.push(Arc::new(snap));
+                chain.1.notify_all();
+            })
+        }));
+        let profile_wall_ns = t0.elapsed().as_nanos() as u64;
+        // End the chain even if the pass panicked, so no worker waits on.
+        let nslices = {
+            let mut c = lock();
+            c.ended = true;
+            let total = c.total().expect("the pass has ended");
+            for done in 1..=c.outs.len() as u64 {
+                progress(ShardPhase::Slice { done, total });
+            }
+            total as usize
+        };
+        chain.1.notify_all();
+        if let Err(panic) = pass {
+            resume_unwind(panic);
+        }
+        if beside == 0 {
+            t1 = Instant::now();
+        }
+        for _ in beside + 1..shards.min(nslices) {
+            scope.spawn(work);
+        }
+        work();
+        (profile_wall_ns, t1, nslices)
+    });
+    let simulate_wall_ns = t1.elapsed().as_nanos() as u64;
+    let workers = shards.min(nslices);
+    let Chain {
+        snaps, mut outs, ..
+    } = chain.0.into_inner().expect("a shard worker panicked");
+    let snaps: Vec<Snapshot> = snaps
+        .into_iter()
+        .map(|s| Arc::try_unwrap(s).expect("every slice worker has finished"))
+        .collect();
+    let snapshot_bytes: u64 = snaps.iter().map(|s| s.encoded_len() as u64).sum();
+    outs.sort_by_key(|o| o.report.index);
+
+    // The deterministic stitch, in slice order.
     progress(ShardPhase::Stitch);
     let t2 = Instant::now();
     let mut stitch_span = elfie_trace::maybe_span(sim.tracer.as_ref(), "sim", "shard_stitch");
@@ -351,7 +429,20 @@ pub fn simulate_pinball_sharded_with_progress(
     let mut fastpath = FastPathStats::default();
     let mut slices = Vec::with_capacity(nslices);
     let mut fin = None;
-    for o in outs {
+    assert_eq!(outs.len(), nslices, "every slice ran");
+    for (i, o) in outs.into_iter().enumerate() {
+        // Every slice but the last paused exactly where the pass captured
+        // the snapshot its successor resumed from.
+        if let Some(next) = snaps.get(i) {
+            assert!(
+                o.fin.is_none() && o.report.end_icount == next.meta.global_icount,
+                "slice {i} ended at {} (completed: {}), but snapshot {} sits at {}",
+                o.report.end_icount,
+                o.fin.is_some(),
+                i + 1,
+                next.meta.global_icount
+            );
+        }
         stats.absorb(&o.stats);
         cycles = cycles.saturating_add(o.report.cycles);
         runtime_ns = runtime_ns.saturating_add(o.runtime_ns);
@@ -383,5 +474,55 @@ pub fn simulate_pinball_sharded_with_progress(
         profile_wall_ns,
         simulate_wall_ns,
         stitch_wall_ns,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::CoreParams;
+    use elfie_pinball::RegionTrigger;
+    use elfie_pinplay::{Logger, LoggerConfig};
+    use elfie_workloads::{gcc_like, InputScale};
+
+    #[test]
+    fn next_boundary_is_the_first_multiple_strictly_ahead() {
+        assert_eq!(next_boundary(0, 50), 50);
+        assert_eq!(next_boundary(49, 50), 50);
+        assert_eq!(next_boundary(50, 50), 100);
+        assert_eq!(next_boundary(237, 50), 250);
+        assert_eq!(next_boundary(u64::MAX - 1, 50), u64::MAX);
+    }
+
+    /// Profile, then `Slice { 1..=total, total }` with one exact total,
+    /// then Stitch, whatever the shard count, although slices finish
+    /// before the pass knows the total.
+    #[test]
+    fn progress_reports_profile_then_every_slice_in_order_then_stitch() {
+        let w = gcc_like(InputScale::Test.factor());
+        let pb = Logger::new(LoggerConfig::fat(
+            &w.name,
+            RegionTrigger::GlobalIcount(20_000),
+            6_000,
+        ))
+        .capture(&w.program, |m| w.setup(m))
+        .expect("captures");
+        let sim = Simulator::new(CoreParams::haswell_like());
+        for shards in [1, 2, 8] {
+            let events = Mutex::new(Vec::new());
+            let cfg = ShardConfig {
+                shards,
+                interval: 500,
+            };
+            let out = simulate_pinball_sharded_with_progress(&pb, &sim, &cfg, &|p| {
+                events.lock().unwrap().push(p)
+            });
+            let total = out.slices.len() as u64;
+            assert!(total > 2, "shards={shards}: {total} slice(s)");
+            let mut expected = vec![ShardPhase::Profile];
+            expected.extend((1..=total).map(|done| ShardPhase::Slice { done, total }));
+            expected.push(ShardPhase::Stitch);
+            assert_eq!(events.into_inner().unwrap(), expected, "shards={shards}");
+        }
     }
 }

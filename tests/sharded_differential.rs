@@ -13,12 +13,17 @@
 //!   exact final memory + register state (FNV digest over every mapped
 //!   page, every thread's registers, and the global counters);
 //! * with a coarse interval (no snapshots) the outcome equals
-//!   `simulate_pinball` exactly, fast-path counters included.
+//!   `simulate_pinball` exactly, fast-path counters included;
+//! * with an interval far finer than one scheduling sweep, where a pause
+//!   overshoots several boundaries, the profiling pass and the slices
+//!   still agree on every boundary at every shard count.
 
 use elfie_isa::Fnv64;
-use elfie_pinball::{RegImage, RegionTrigger};
+use elfie_pinball::{Pinball, RegImage, RegionTrigger};
 use elfie_pinplay::{Logger, LoggerConfig, ReplayConfig, Replayer, SessionStep};
-use elfie_sim::{simulate_pinball, simulate_pinball_sharded, CoreParams, ShardConfig, Simulator};
+use elfie_sim::{
+    simulate_pinball, simulate_pinball_sharded, CoreParams, ShardConfig, ShardedOutcome, Simulator,
+};
 use elfie_vm::{Machine, MachineConfig, NullObserver, Observer};
 use elfie_workloads::{suite_fp, suite_int, suite_speed_mt, InputScale, Workload};
 
@@ -52,15 +57,43 @@ fn machine_digest<O: Observer>(m: &Machine<O>) -> u64 {
     h.u64(m.global_icount()).u64(m.cycles()).finish()
 }
 
-fn check_workload(w: &Workload, sim: &Simulator) {
-    let pb = Logger::new(LoggerConfig::fat(
+/// Worker-count invariance: everything but wall clocks is identical to
+/// the first (single-shard) run's.
+fn assert_worker_count_invariant(name: &str, interval: u64, outs: &[ShardedOutcome]) {
+    let base = &outs[0];
+    for o in &outs[1..] {
+        let tag = format!("{name} interval={interval} workers={}", o.workers);
+        assert_eq!(o.outcome.stats, base.outcome.stats, "{tag}: stats");
+        assert_eq!(o.outcome.cycles, base.outcome.cycles, "{tag}: cycles");
+        assert_eq!(
+            o.outcome.runtime_ns, base.outcome.runtime_ns,
+            "{tag}: runtime"
+        );
+        assert_eq!(o.outcome.fastpath, base.outcome.fastpath, "{tag}: fastpath");
+        assert_eq!(o.snapshots, base.snapshots, "{tag}: snapshot chain");
+        assert_eq!(o.slices.len(), base.slices.len(), "{tag}: slice count");
+        for (a, b) in o.slices.iter().zip(&base.slices) {
+            assert_eq!(
+                (a.index, a.start_icount, a.end_icount, a.insns, a.cycles),
+                (b.index, b.start_icount, b.end_icount, b.insns, b.cycles),
+                "{tag}: slice schedule"
+            );
+        }
+    }
+}
+
+fn capture(w: &Workload) -> Pinball {
+    Logger::new(LoggerConfig::fat(
         &w.name,
         RegionTrigger::GlobalIcount(TRIGGER),
         REGION,
     ))
     .capture(&w.program, |m| w.setup(m))
-    .unwrap_or_else(|e| panic!("{}: capture failed: {e:?}", w.name));
+    .unwrap_or_else(|e| panic!("{}: capture failed: {e:?}", w.name))
+}
 
+fn check_workload(w: &Workload, sim: &Simulator) {
+    let pb = capture(w);
     let serial = simulate_pinball(&pb, sim);
 
     // Serial replay reference under the simulator's machine config.
@@ -109,27 +142,8 @@ fn check_workload(w: &Workload, sim: &Simulator) {
             }
         }
 
-        // Worker-count invariance: everything but wall clocks is identical.
+        assert_worker_count_invariant(&w.name, interval, &outs);
         let base = &outs[0];
-        for o in &outs[1..] {
-            let tag = format!("{} interval={interval} workers={}", w.name, o.workers);
-            assert_eq!(o.outcome.stats, base.outcome.stats, "{tag}: stats");
-            assert_eq!(o.outcome.cycles, base.outcome.cycles, "{tag}: cycles");
-            assert_eq!(
-                o.outcome.runtime_ns, base.outcome.runtime_ns,
-                "{tag}: runtime"
-            );
-            assert_eq!(o.outcome.fastpath, base.outcome.fastpath, "{tag}: fastpath");
-            assert_eq!(o.snapshots, base.snapshots, "{tag}: snapshot chain");
-            assert_eq!(o.slices.len(), base.slices.len(), "{tag}: slice count");
-            for (a, b) in o.slices.iter().zip(&base.slices) {
-                assert_eq!(
-                    (a.index, a.start_icount, a.end_icount, a.insns, a.cycles),
-                    (b.index, b.start_icount, b.end_icount, b.insns, b.cycles),
-                    "{tag}: slice schedule"
-                );
-            }
-        }
 
         if interval == FINE {
             assert!(
@@ -186,4 +200,52 @@ fn mt_suite_is_bit_identical_at_every_shard_count_on_a_multicore_model() {
     for w in suite_speed_mt(InputScale::Test, 2) {
         check_workload(&w, &sim);
     }
+}
+
+#[test]
+fn a_sweep_crossing_several_boundaries_stitches_identically_at_every_shard_count() {
+    // One scheduling sweep of four threads retires 4 x 64 instructions,
+    // so at interval 50 a pause overshoots several boundaries: the
+    // profiling pass and every slice must skip the same multiples.
+    const TINY: u64 = 50;
+    let sim = Simulator {
+        ncores: 4,
+        ..Simulator::new(CoreParams::skylake_like())
+    };
+    let w = &suite_speed_mt(InputScale::Test, 4)[0];
+    let pb = capture(w);
+    let serial = simulate_pinball(&pb, &sim);
+    let outs: Vec<_> = [1usize, 2, 8]
+        .iter()
+        .map(|&shards| {
+            let cfg = ShardConfig {
+                shards,
+                interval: TINY,
+            };
+            simulate_pinball_sharded(&pb, &sim, &cfg)
+        })
+        .collect();
+    let base = &outs[0];
+    let paused = &base.slices[..base.slices.len() - 1];
+    assert!(
+        paused.len() > 2,
+        "{}: {} snapshot(s) at interval {TINY}",
+        w.name,
+        paused.len()
+    );
+    assert!(
+        paused
+            .iter()
+            .any(|s| s.end_icount / TINY > s.start_icount / TINY + 1),
+        "{}: no pause crossed more than one boundary",
+        w.name
+    );
+    for o in &outs {
+        assert_eq!(
+            o.outcome.machine_icounts, serial.machine_icounts,
+            "{} workers={}: per-thread icounts",
+            w.name, o.workers
+        );
+    }
+    assert_worker_count_invariant(&w.name, TINY, &outs);
 }
