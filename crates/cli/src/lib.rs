@@ -33,8 +33,9 @@ use OptKind::{Flag, Repeated, Value};
 pub struct CliError {
     pub message: String,
     /// What the command still reports on stdout; empty unless the command
-    /// ran to its end and only its outcome failed (`run` of a guest that
-    /// did not exit 0).
+    /// ran to its end and only its outcome failed (a guest that did not
+    /// exit 0, a replay that did not complete, a store with corrupt
+    /// objects, a failed bench gate).
     pub report: String,
 }
 
@@ -47,9 +48,15 @@ impl std::fmt::Display for CliError {
 impl std::error::Error for CliError {}
 
 fn err(msg: impl Into<String>) -> CliError {
+    failed(msg, String::new())
+}
+
+/// A command that ran to its end with a failed outcome: a one-line
+/// `message` for stderr, and its `report` still printed on stdout.
+fn failed(message: impl Into<String>, report: String) -> CliError {
     CliError {
-        message: msg.into(),
-        report: String::new(),
+        message: message.into(),
+        report,
     }
 }
 
@@ -269,13 +276,21 @@ fn write_json_file(path: &Path, doc: &Json) -> Result<(), CliError> {
     std::fs::write(path, text).map_err(|e| err(format!("write {}: {e}", path.display())))
 }
 
+/// Prints `line` on stdout at once: streamed lines (the daemon's
+/// readiness line, progress frames, watched snapshots) cannot wait for
+/// the final report.
+fn print_now(line: &str) {
+    use std::io::Write as _;
+    println!("{line}");
+    let _ = std::io::stdout().flush();
+}
+
 /// Appends a one-line note to `report`, on a line of its own.
 fn push_note(report: &mut String, note: &str) {
     if !report.ends_with('\n') {
         report.push('\n');
     }
     report.push_str(note);
-    report.push('\n');
 }
 
 impl TraceOpts {
@@ -351,7 +366,7 @@ fn sysstate_arg(args: &Args) -> Result<Option<SysState>, CliError> {
 }
 
 /// `elfie workloads` — lists the benchmark suite.
-pub fn cmd_workloads() -> String {
+pub fn cmd_workloads(_args: &Args) -> Result<String, CliError> {
     let mut out = String::from("single-threaded int:\n");
     for w in suite_int(InputScale::Test) {
         let _ = writeln!(out, "  {}", w.name);
@@ -364,7 +379,7 @@ pub fn cmd_workloads() -> String {
     for w in suite_speed_mt(InputScale::Test, 4) {
         let _ = writeln!(out, "  {}", w.name);
     }
-    out
+    Ok(out)
 }
 
 /// `elfie record <workload>` — captures a region as a pinball.
@@ -400,7 +415,6 @@ pub fn cmd_record(args: &Args) -> Result<String, CliError> {
             .map_err(|e| err(format!("store put: {e}")))?;
         let _ = write!(report, "\nstored as `{}` in {dir}", pb.region.name);
     }
-    report.push('\n');
     Ok(report)
 }
 
@@ -416,7 +430,7 @@ pub fn cmd_sysstate(args: &Args) -> Result<String, CliError> {
     st.save_dir(&out)
         .map_err(|e| err(format!("save failed: {e}")))?;
     Ok(format!(
-        "sysstate: {} named proxies, {} FD_n proxies, brk first={:?} last={:?} -> {}\n",
+        "sysstate: {} named proxies, {} FD_n proxies, brk first={:?} last={:?} -> {}",
         st.files.len(),
         st.fd_files.len(),
         st.brk_first,
@@ -461,7 +475,7 @@ pub fn cmd_pinball2elf(args: &Args) -> Result<String, CliError> {
         std::fs::write(asm, &elfie.startup_asm).map_err(|e| err(e.to_string()))?;
     }
     Ok(format!(
-        "wrote {} ({} bytes, {} threads, {} sections remapped, startup {} bytes)\n",
+        "wrote {} ({} bytes, {} threads, {} sections remapped, startup {} bytes)",
         out.display(),
         elfie.stats.elf_bytes,
         elfie.stats.threads,
@@ -509,10 +523,7 @@ pub fn cmd_run(args: &Args) -> Result<String, CliError> {
     }
     match s.reason {
         ExitReason::AllExited(0) => Ok(out),
-        reason => Err(CliError {
-            message: format!("the ELFie did not exit 0: {reason:?}"),
-            report: out,
-        }),
+        reason => Err(failed(format!("the ELFie did not exit 0: {reason:?}"), out)),
     }
 }
 
@@ -534,7 +545,11 @@ pub fn cmd_replay(args: &Args) -> Result<String, CliError> {
     for (tid, n) in &s.per_thread {
         let _ = writeln!(out, "thread {tid}: {n} instructions");
     }
-    Ok(out)
+    match (s.completed, &s.divergence) {
+        (true, _) => Ok(out),
+        (false, Some(d)) => Err(failed(format!("replay did not complete: {d}"), out)),
+        (false, None) => Err(failed("replay did not complete", out)),
+    }
 }
 
 /// `elfie simpoint <workload>` — PinPoints region selection.
@@ -620,7 +635,7 @@ pub fn cmd_validate(args: &Args) -> Result<String, CliError> {
 fn render_sim_outcome(sim: &Simulator, out: &elfie::sim::SimOutcome) -> String {
     format!(
         "sim {}: exit {:?}\nuser insns {}  kernel insns {}  cycles {}  IPC {:.3}  runtime {} ns\n\
-         L1D miss {}  L2 miss {}  L3 miss {}  dTLB miss {}  mispredicts {}  footprint {} lines\n{}",
+         L1D miss {}  L2 miss {}  L3 miss {}  dTLB miss {}  mispredicts {}  footprint {} lines\n{}\n",
         sim.params.name,
         out.exit,
         out.stats.user_insns,
@@ -654,14 +669,12 @@ fn simulate_pinball_report(
     if shards <= 1 && interval == 0 && snapshot_store.is_none() {
         let out = elfie::sim::simulate_pinball(pb, sim);
         let mut report = render_sim_outcome(sim, &out);
-        report.push('\n');
         let _ = writeln!(report, "replay: {} (serial)", pb.region.name);
         return Ok((report, elfie::render::sim_stats_to_json(&out.fastpath)));
     }
     let cfg = elfie::sim::ShardConfig { shards, interval };
     let out = elfie::sim::simulate_pinball_sharded(pb, sim, &cfg);
     let mut report = render_sim_outcome(sim, &out.outcome);
-    report.push('\n');
     let _ = writeln!(
         report,
         "sharded: {} worker(s), {} slice(s), {} snapshot(s) ({} KB), interval {}",
@@ -1005,12 +1018,10 @@ pub fn cmd_bench(args: &Args) -> Result<String, CliError> {
             if args.flag("update-baseline") {
                 write_json_file(Path::new(path), &candidate.to_json())?;
                 let _ = write!(out, "\nbaseline refreshed -> {path}");
-                Ok(out)
-            } else if report.passed() {
-                Ok(out)
-            } else {
-                Err(err(out))
+            } else if !report.passed() {
+                return Err(failed("bench check: gate failed", out));
             }
+            Ok(out)
         }
         other => Err(err(format!(
             "unknown bench subcommand `{other}` (list|run|check)"
@@ -1132,10 +1143,9 @@ pub fn cmd_store(args: &Args) -> Result<String, CliError> {
                 .verify()
                 .map_err(|e| err(format!("store verify: {e}")))?;
             let text = report.to_string();
-            if report.is_ok() {
-                Ok(text)
-            } else {
-                Err(err(text))
+            match report.errors.len() {
+                0 => Ok(text),
+                n => Err(failed(format!("store verify: {n} error(s)"), text)),
             }
         }
         "gc" => {
@@ -1158,14 +1168,12 @@ pub fn cmd_store(args: &Args) -> Result<String, CliError> {
 /// otherwise. 4254 ≈ "ELF" on a phone keypad with room for neighbours.
 const DEFAULT_SERVE_ADDR: &str = "127.0.0.1:4254";
 
-fn connect_addr(args: &Args) -> String {
-    args.opt("connect")
-        .unwrap_or(DEFAULT_SERVE_ADDR)
-        .to_string()
+fn connect_addr(args: &Args) -> &str {
+    args.opt("connect").unwrap_or(DEFAULT_SERVE_ADDR)
 }
 
 fn serve_client(args: &Args) -> Result<elfie_serve::Client, CliError> {
-    elfie_serve::Client::connect(&connect_addr(args)).map_err(|e| err(e.to_string()))
+    elfie_serve::Client::connect(connect_addr(args)).map_err(|e| err(e.to_string()))
 }
 
 /// `elfie serve --store DIR`
@@ -1189,18 +1197,16 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
     let topts = TraceOpts::trace_only(args);
     let daemon = elfie_serve::Daemon::bind(listen, &store, cfg, topts.tracer().cloned())
         .map_err(|e| err(e.to_string()))?;
-    println!(
+    print_now(&format!(
         "elfie serve: listening on {} (store {}, {} shard(s) x queue {})",
         daemon.local_addr(),
         store.display(),
         cfg.shards,
         cfg.queue_depth
-    );
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
+    ));
     let stats = daemon.run();
     let mut out = format!(
-        "drained: {} connection(s), {} job(s) done, {} failed, {} shed busy\n",
+        "drained: {} connection(s), {} job(s) done, {} failed, {} shed busy",
         stats.connections, stats.completed, stats.failed, stats.rejected_busy
     );
     topts.write_trace(&mut out)?;
@@ -1230,9 +1236,8 @@ fn parse_job_spec(args: &Args) -> Result<elfie_serve::JobSpec, CliError> {
 /// Prints one streamed `progress` frame immediately (followers watch
 /// these lines live, so they cannot wait for the final report string).
 fn print_progress(id: u64, shard: u64, phase: elfie_serve::JobPhase) {
-    println!("progress: job #{id} shard {shard} {}", phase.label());
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
+    let label = phase.label();
+    print_now(&format!("progress: job #{id} shard {shard} {label}"));
 }
 
 /// `elfie submit <kind> <workload>`
@@ -1306,9 +1311,7 @@ pub fn cmd_metrics(args: &Args) -> Result<String, CliError> {
         if watch == 0 {
             return Ok(text);
         }
-        println!("{text}");
-        use std::io::Write as _;
-        let _ = std::io::stdout().flush();
+        print_now(&text);
         std::thread::sleep(std::time::Duration::from_secs(watch.max(1)));
     }
 }
@@ -1317,7 +1320,7 @@ pub fn cmd_metrics(args: &Args) -> Result<String, CliError> {
 pub fn cmd_ping(args: &Args) -> Result<String, CliError> {
     let (version, protocol) = serve_client(args)?.ping().map_err(|e| err(e.to_string()))?;
     Ok(format!(
-        "pong: elfie-serve {version} (protocol {protocol}) at {}\n",
+        "pong: elfie-serve {version} (protocol {protocol}) at {}",
         connect_addr(args)
     ))
 }
@@ -1328,7 +1331,7 @@ pub fn cmd_shutdown(args: &Args) -> Result<String, CliError> {
         .shutdown()
         .map_err(|e| err(e.to_string()))?;
     Ok(format!(
-        "daemon at {} draining ({drained} job(s) completed)\n",
+        "daemon at {} draining ({drained} job(s) completed)",
         connect_addr(args)
     ))
 }
@@ -1338,7 +1341,7 @@ pub fn cmd_shutdown(args: &Args) -> Result<String, CliError> {
 /// renders the help text from these entries.
 #[rustfmt::skip]
 pub const COMMANDS: &[Command] = &[
-    Command { name: "workloads", synopsis: &[""], run: |_| Ok(cmd_workloads()),
+    Command { name: "workloads", synopsis: &[""], run: cmd_workloads,
               help: &["list available benchmarks"],
               opts: &[] },
     Command { name: "record", synopsis: &["<workload>"], run: cmd_record,
@@ -1461,19 +1464,27 @@ pub const COMMANDS: &[Command] = &[
               opts: &[] },
 ];
 
-/// Dispatches a command line. Returns the report to print.
+/// Dispatches a command line. Returns the report to print on stdout; a
+/// failure's [`CliError::report`] is printed there too. Either report,
+/// when not empty, ends in exactly one newline, whatever its handler
+/// left at its end, so a script's next line starts on a line of its own.
 pub fn dispatch(argv: &[String]) -> Result<String, CliError> {
-    let Some(name) = argv.first() else {
-        return Err(err(usage()));
+    let frame = |report: String| match report.trim_end_matches('\n') {
+        "" => String::new(),
+        body => format!("{body}\n"),
     };
-    match name.as_str() {
-        "help" | "--help" | "-h" => Ok(usage()),
-        "--version" | "-V" => cmd_version(&Args::default()),
-        other => match COMMANDS.iter().find(|cmd| cmd.name == other) {
-            Some(cmd) => (cmd.run)(&Args::parse(&argv[1..], cmd)?),
+    let outcome = match argv.first().map(String::as_str) {
+        None => Err(err(usage())),
+        Some("help" | "--help" | "-h") => Ok(usage()),
+        Some("--version" | "-V") => cmd_version(&Args::default()),
+        Some(other) => match COMMANDS.iter().find(|cmd| cmd.name == other) {
+            Some(cmd) => Args::parse(&argv[1..], cmd).and_then(|args| (cmd.run)(&args)),
             None => Err(err(format!("unknown command `{other}`\n\n{}", usage()))),
         },
-    }
+    };
+    outcome
+        .map(frame)
+        .map_err(|e| failed(e.message, frame(e.report)))
 }
 
 #[cfg(test)]
@@ -1493,7 +1504,7 @@ mod tests {
 
     #[test]
     fn workloads_lists_suites() {
-        let out = cmd_workloads();
+        let out = cmd_workloads(&Args::default()).unwrap();
         assert!(out.contains("gcc_like"));
         assert!(out.contains("lbm_like"));
         assert!(out.contains("xz_s_like"));
@@ -1565,41 +1576,190 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// True when `report` ends in exactly one newline.
+    fn ends_in_one_newline(report: &str) -> bool {
+        report.ends_with('\n') && !report.ends_with("\n\n")
+    }
+
+    /// A pinball copy of `pb_dir`'s `name` that cannot replay: the page
+    /// its first thread starts on is gone from the image.
+    fn drop_start_page(pb_dir: &Path, name: &str, out: &Path) {
+        let mut pb = Pinball::load_dir(pb_dir, name).expect("load pinball");
+        let base = pb.threads[0].regs.rip & !0xfff;
+        assert!(
+            pb.image.pages.remove(&base).is_some(),
+            "no page at {base:#x}"
+        );
+        pb.save_dir(out).expect("save pinball");
+    }
+
+    /// Flips the last byte of one of the store's blobs.
+    fn corrupt_one_blob(store: &Path) {
+        let mut dirs = vec![store.join("blobs")];
+        while let Some(d) = dirs.pop() {
+            for entry in std::fs::read_dir(&d).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    dirs.push(path);
+                } else {
+                    let mut bytes = std::fs::read(&path).unwrap();
+                    *bytes.last_mut().unwrap() ^= 0xff;
+                    std::fs::write(&path, bytes).unwrap();
+                    return;
+                }
+            }
+        }
+        panic!("no blob under {}", store.display());
+    }
+
+    /// The `store_dedup` scenario works in one temp dir per process, so
+    /// the tests that run it through `bench` take turns.
+    static STORE_DEDUP: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
-    fn record_and_pinball2elf_reports_end_in_one_newline() {
-        let dir = tmp("newline");
-        let (pb, ss, store) = (dir.join("pb"), dir.join("ss"), dir.join("store"));
-        let lines = [
+    fn every_command_report_ends_in_one_newline() {
+        let _turn = STORE_DEDUP.lock().unwrap_or_else(|e| e.into_inner());
+        let dir = tmp("contract");
+        let p = |name: &str| dir.join(name).display().to_string();
+        let (pb, ss, elfie, st, empty) = (p("pb"), p("ss"), p("a.elfie"), p("st"), p("empty"));
+        let mut ran = std::collections::BTreeSet::new();
+        let mut run = |line: &str| {
+            ran.insert(line.split_whitespace().next().unwrap().to_string());
+            dispatch(&argv(line))
+        };
+        let mut lines = vec![
+            "workloads".to_string(),
+            "version".to_string(),
+            "simpoint mcf_like --scale test --slice 5000 --maxk 2".to_string(),
+            "validate mcf_like --scale test --slice 5000 --warmup 2000 --maxk 2 \
+             --fuel 50000000"
+                .to_string(),
             format!(
-                "record mcf_like --scale test --start 20000 --length 3000 --out {}",
-                pb.display()
+                "record mcf_like --scale test --start 20000 --length 3000 --out {pb} \
+                 --store {}",
+                p("rs")
+            ),
+            format!("sysstate {pb} mcf_like --out {ss}"),
+            format!("pinball2elf {pb} mcf_like --out {elfie}"),
+            format!(
+                "pinball2elf {pb} mcf_like --out {} --object --sysstate {ss}",
+                p("a.o")
+            ),
+            format!("run {elfie} --sysstate {ss}"),
+            format!("replay {pb} mcf_like"),
+            format!("disasm {elfie}"),
+            format!(
+                "simulate {elfie} --sim gem5-haswell --sysstate {ss} --trace {} --stats-json {}",
+                p("t.json"),
+                p("s.json")
             ),
             format!(
-                "record mcf_like --scale test --start 20000 --length 3000 --out {} --store {}",
-                pb.display(),
-                store.display()
+                "simulate {pb} mcf_like --shards 2 --snapshot-interval 1000 \
+                 --snapshot-store {}",
+                p("snaps")
             ),
-            format!("sysstate {} mcf_like --out {}", pb.display(), ss.display()),
+            format!("simulate {} --sim gem5-haswell", p("pb.pbal")),
+            format!("snapshot ls --store {}", p("snaps")),
+            format!("snapshot rm snap.mcf_like.0.1 --store {}", p("snaps")),
+            format!("snapshot ls --store {empty}"),
+            format!("trace summarize {}", p("t.json")),
+            format!("trace summarize {}", p("s.json")),
+            format!("trace summarize --request 41 {}", p("req.json")),
+            format!("trace check {}", p("t.json")),
+            format!("trace check {}", p("s.json")),
+            format!("store put {pb} mcf_like --store {st}"),
+            format!("store put {elfie} --store {st}"),
+            format!("store get mcf_like --out {} --store {st}", p("restored")),
+            format!("store get a.elfie --out {} --store {st}", p("back.elfie")),
+            format!("store rm a.elfie --store {st}"),
+            "bench list".to_string(),
             format!(
-                "pinball2elf {} mcf_like --out {}",
-                pb.display(),
-                dir.join("a.elfie").display()
+                "bench run --scenario store_dedup --runs 1 --out {}",
+                p("b.json")
             ),
+            format!("bench check --baseline {} --runs 1", p("b.json")),
             format!(
-                "pinball2elf {} mcf_like --out {} --object --sysstate {}",
-                pb.display(),
-                dir.join("a.o").display(),
-                ss.display()
+                "bench check --baseline {} --runs 1 --update-baseline",
+                p("b.json")
             ),
         ];
-        for line in &lines {
-            let out = dispatch(&argv(line)).unwrap_or_else(|e| panic!("{line}: {e}"));
-            assert!(
-                out.ends_with('\n') && !out.ends_with("\n\n"),
-                "{line}: {out:?}"
-            );
+        for store in [&st, &empty] {
+            for sub in ["ls", "verify", "gc", "stats"] {
+                lines.push(format!("store {sub} --store {store}"));
+            }
         }
+
+        // The region every later line reads, also as a bundle file, and
+        // a trace with a tagged span for `trace summarize --request`.
+        assert_ok(
+            &mut run,
+            &format!("record mcf_like --scale test --start 20000 --length 3000 --out {pb}"),
+        );
+        let pinball = Pinball::load_dir(Path::new(&pb), "mcf_like").unwrap();
+        std::fs::write(p("pb.pbal"), pinball.to_bytes()).unwrap();
+        let tracer = Arc::new(Tracer::new(TraceMode::Full));
+        tracer.span("serve", "request").arg("request_id", 41);
+        let doc = elfie::trace::chrome_trace(&tracer.collect());
+        std::fs::write(p("req.json"), doc.render()).unwrap();
+        for line in &lines {
+            assert_ok(&mut run, line);
+        }
+
+        // The daemon and its client verbs, on a free loopback port.
+        let addr = std::net::TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let serve_line = format!("serve --store {} --listen {addr}", p("served"));
+        let serve = std::thread::spawn(move || dispatch(&argv(&serve_line)));
+        let ping = format!("ping --connect {addr}");
+        let mut tries = 0;
+        while dispatch(&argv(&ping)).is_err() {
+            tries += 1;
+            assert!(tries < 200, "the daemon at {addr} never answered");
+            std::thread::sleep(std::time::Duration::from_millis(50));
+        }
+        for line in [
+            format!(
+                "submit record mcf_like --scale test --start 20000 --length 3000 \
+                 --connect {addr}"
+            ),
+            format!("jobs --connect {addr}"),
+            format!("metrics --connect {addr}"),
+            ping,
+            format!("shutdown --connect {addr}"),
+        ] {
+            assert_ok(&mut run, &line);
+        }
+        let drained = serve.join().expect("serve thread").expect("serve");
+        assert!(ends_in_one_newline(&drained), "serve: {drained:?}");
+
+        // A failed outcome keeps its report, framed the same way, and
+        // says why in one line.
+        drop_start_page(Path::new(&pb), "mcf_like", &dir.join("broken"));
+        corrupt_one_blob(Path::new(&st));
+        for line in [
+            format!("run {elfie} --sysstate {ss} --fuel 1000"),
+            format!("store verify --store {st}"),
+            format!("replay {} mcf_like", p("broken")),
+        ] {
+            let e = run(&line).expect_err(&line);
+            assert!(!e.message.contains('\n'), "{line}: {e}");
+            assert!(ends_in_one_newline(&e.report), "{line}: {:?}", e.report);
+        }
+
+        // `serve` ran on its own thread, checked when it drained.
+        ran.insert("serve".to_string());
+        let names: std::collections::BTreeSet<String> =
+            COMMANDS.iter().map(|c| c.name.to_string()).collect();
+        assert_eq!(ran, names, "every command runs through the contract");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Runs `line` through `run`: it must succeed with a framed report.
+    fn assert_ok(run: &mut impl FnMut(&str) -> Result<String, CliError>, line: &str) {
+        let out = run(line).unwrap_or_else(|e| panic!("{line}: {e}\n{}", e.report));
+        assert!(ends_in_one_newline(&out), "{line}: {out:?}");
     }
 
     #[test]
@@ -1621,6 +1781,22 @@ mod tests {
         .unwrap_err();
         assert!(e.message.contains("unknown option `--injecton`"), "{e}");
         assert!(e.message.contains("[--injection 0|1]"), "{e}");
+        // A replay that diverges fails the command, report intact.
+        let broken = dir.join("broken");
+        drop_start_page(&dir, "exchange2_like", &broken);
+        let e = dispatch(&argv(&format!(
+            "replay {} exchange2_like",
+            broken.display()
+        )))
+        .unwrap_err();
+        assert!(e.message.starts_with("replay did not complete: "), "{e}");
+        assert!(
+            e.report
+                .starts_with("replay exchange2_like.0: completed=false "),
+            "{}",
+            e.report
+        );
+        assert!(e.report.contains("\ndivergence: "), "{}", e.report);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1895,7 +2071,7 @@ mod tests {
             .collect();
         assert_eq!(
             rendered,
-            expected.join("\n"),
+            expected.join("\n") + "\n",
             "stats-json must round-trip bit-identically to --stats text"
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -1941,7 +2117,7 @@ mod tests {
         let rendered = dispatch(&argv(&format!("trace summarize {}", statsfile.display())))
             .expect("summarize stats");
         let vm_block: Vec<&str> = out.lines().filter(|l| l.starts_with("vm ")).collect();
-        assert_eq!(rendered, vm_block.join("\n"));
+        assert_eq!(rendered, vm_block.join("\n") + "\n");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2144,6 +2320,7 @@ mod tests {
 
     #[test]
     fn bench_run_check_and_update_baseline_flow() {
+        let _turn = STORE_DEDUP.lock().unwrap_or_else(|e| e.into_inner());
         let dir = tmp("bench");
         let baseline = dir.join("BENCH_test.json");
         // Record a baseline from the one scenario cheap enough for a
@@ -2182,8 +2359,13 @@ mod tests {
             baseline.display()
         )))
         .expect_err("gate must fail");
-        assert!(e.message.contains("FAIL store_dedup/physical_bytes"), "{e}");
-        assert!(e.message.contains("--update-baseline"), "{e}");
+        assert!(!e.message.contains('\n'), "{e}");
+        assert!(
+            e.report.contains("FAIL store_dedup/physical_bytes"),
+            "{}",
+            e.report
+        );
+        assert!(e.report.contains("--update-baseline"), "{}", e.report);
 
         // The explicit refresh flow rewrites the file and the next
         // check passes again.
