@@ -173,8 +173,9 @@ pub fn graceful_exit() -> String {
 
 /// **Pipeline cache**: the identical validation run twice on one engine.
 /// The second run must serve every BBV profile and whole-program run from
-/// the cache (zero misses) and reuse every successfully captured pinball
-/// — all asserted from the run-windowed [`PipelineStats`] counters.
+/// the cache (zero misses), read back every completed region measurement
+/// and fetch a pinball only for a region it measures again — all asserted
+/// from the run-windowed [`PipelineStats`] counters.
 pub fn cache_effect() -> String {
     let f = InputScale::Train.factor();
     let workloads = vec![
@@ -198,6 +199,7 @@ pub fn cache_effect() -> String {
         "profile hits",
         "whole-run hits",
         "pinball hits",
+        "measurement hits",
     ]);
     let mut first: Option<(Vec<ValidationReport>, PipelineStats)> = None;
     for run in 1..=2 {
@@ -218,6 +220,11 @@ pub fn cache_effect() -> String {
                 stats.cache.pinball_hits,
                 stats.cache.pinball_hits + stats.cache.pinball_misses
             ),
+            format!(
+                "{}/{}",
+                stats.cache.measure_hits,
+                stats.cache.measure_lookups()
+            ),
         ]);
         match &first {
             None => first = Some((reports, stats)),
@@ -225,9 +232,12 @@ pub fn cache_effect() -> String {
                 assert_eq!(*ref_reports, reports, "cached run changed the reports");
                 assert_eq!(stats.cache.profile_misses, 0, "second run re-profiled");
                 assert_eq!(stats.cache.whole_misses, 0, "second run re-ran a program");
-                assert!(stats.cache.profile_hits > 0 && stats.cache.pinball_hits > 0);
-                // Only captures that *failed* the first time (and were
-                // therefore not cached) may capture again.
+                assert!(stats.cache.profile_hits > 0 && stats.cache.measure_hits > 0);
+                // Only regions whose measurement did not complete the
+                // first time (and was therefore not cached) touch their
+                // pinball again, and only captures that *failed* the first
+                // time may capture again.
+                assert_eq!(stats.cache.pinball_lookups(), stats.cache.measure_misses);
                 assert!(stats.cache.pinball_misses <= ref_stats.cache.pinball_misses);
             }
         }

@@ -1495,11 +1495,29 @@ mod tests {
         s.split_whitespace().map(|t| t.to_string()).collect()
     }
 
-    fn tmp(name: &str) -> PathBuf {
+    /// A fresh scratch directory, removed when the guard drops — also
+    /// when a failing assertion unwinds the test.
+    struct TempDir(PathBuf);
+
+    impl std::ops::Deref for TempDir {
+        type Target = Path;
+
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            std::fs::remove_dir_all(&self.0).ok();
+        }
+    }
+
+    fn tmp(name: &str) -> TempDir {
         let d = std::env::temp_dir().join(format!("elfie-cli-{}-{name}", std::process::id()));
         std::fs::remove_dir_all(&d).ok();
         std::fs::create_dir_all(&d).unwrap();
-        d
+        TempDir(d)
     }
 
     #[test]
@@ -1572,8 +1590,6 @@ mod tests {
         )))
         .expect("simulate");
         assert!(out.contains("IPC"), "{out}");
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// True when `report` ends in exactly one newline.
@@ -1753,7 +1769,6 @@ mod tests {
         let names: std::collections::BTreeSet<String> =
             COMMANDS.iter().map(|c| c.name.to_string()).collect();
         assert_eq!(ran, names, "every command runs through the contract");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Runs `line` through `run`: it must succeed with a framed report.
@@ -1797,7 +1812,6 @@ mod tests {
             e.report
         );
         assert!(e.report.contains("\ndivergence: "), "{}", e.report);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1880,7 +1894,6 @@ mod tests {
         .unwrap_err();
         assert!(e.message.starts_with("bind"), "{e}");
         assert!(!e.message.contains('\n'), "one-line diagnostic, got: {e}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1965,7 +1978,6 @@ mod tests {
         let out =
             dispatch(&argv(&format!("store gc --store {}", storedir.display()))).expect("store gc");
         assert!(out.contains("removed 1 manifest(s)"), "{out}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -2003,7 +2015,6 @@ mod tests {
             storedir.display()
         )))
         .is_err());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -2014,23 +2025,40 @@ mod tests {
              --fuel 50000000 --workers 2 --stats --store {}",
             dir.display()
         );
+        let report = |out: &str| out[..out.find("pipeline:").expect("stats")].to_string();
         let cold = dispatch(&argv(&line)).expect("cold validate");
         let warm = dispatch(&argv(&line)).expect("warm validate");
-        // Same report prefix (everything before the stats section).
-        assert_eq!(
-            cold.lines().next().unwrap(),
-            warm.lines().next().unwrap(),
-            "reports differ"
-        );
+        assert_eq!(report(&warm), report(&cold), "reports differ");
         assert!(
             cold.contains("store: 0 hit"),
             "cold run must only put: {cold}"
         );
-        assert!(
-            warm.contains("store:") && !warm.contains("store: 0 hit"),
-            "warm run must report store hits: {warm}"
-        );
-        std::fs::remove_dir_all(&dir).ok();
+        // The warm run reads every region's measurement back: it fetches
+        // no pinball, converts and runs nothing.
+        let regions = cold.lines().filter(|l| l.starts_with("cluster ")).count();
+        let all_hit = format!(", pinballs 0/0 hit, measurements {regions}/{regions} hit (store: ");
+        for warm_line in [
+            "convert 0.000s, measure 0.000s",
+            "vm: 0 guest insns",
+            all_hit.as_str(),
+            " 0 put)",
+        ] {
+            assert!(warm.contains(warm_line), "no `{warm_line}` in: {warm}");
+        }
+
+        // `store gc` keeps the measurement refs, `store verify` finds
+        // them clean, and a third run still reads them.
+        let store = |verb: &str| {
+            dispatch(&argv(&format!("store {verb} --store {}", dir.display()))).expect(verb)
+        };
+        let measure_refs = |ls: &str| ls.matches(" measure-").count();
+        assert_eq!(measure_refs(&store("ls")), regions);
+        assert!(store("gc").contains("removed 0 manifest(s), 0 blob(s)"));
+        assert_eq!(measure_refs(&store("ls")), regions);
+        assert!(store("verify").ends_with(": clean\n"));
+        let third = dispatch(&argv(&line)).expect("third validate");
+        assert_eq!(report(&third), report(&cold));
+        assert!(third.contains(&all_hit), "{third}");
     }
 
     #[test]
@@ -2074,7 +2102,6 @@ mod tests {
             expected.join("\n") + "\n",
             "stats-json must round-trip bit-identically to --stats text"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -2118,7 +2145,6 @@ mod tests {
             .expect("summarize stats");
         let vm_block: Vec<&str> = out.lines().filter(|l| l.starts_with("vm ")).collect();
         assert_eq!(rendered, vm_block.join("\n") + "\n");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -2140,7 +2166,6 @@ mod tests {
             "{out}"
         );
         assert!(out.contains("interval 1500\n"), "{out}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -2223,7 +2248,6 @@ mod tests {
             out.contains("removed 0 manifest(s)"),
             "chain keeps parents alive: {out}"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -2278,7 +2302,6 @@ mod tests {
             "{out}"
         );
         assert!(!line(" request [serve]").contains("queue_ns"), "{out}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -2307,7 +2330,6 @@ mod tests {
         )))
         .unwrap_err();
         assert!(e.message.contains("no spans tagged"), "{e}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -2381,7 +2403,6 @@ mod tests {
         )))
         .expect("bench check after refresh");
         assert!(out.contains("gate: PASS"), "{out}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -2538,7 +2559,6 @@ mod tests {
             e.message.contains("option `--store` expects a value"),
             "{e}"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -2564,6 +2584,5 @@ mod tests {
         assert!(e.message.contains("unknown option `--no-telemetry`"), "{e}");
         assert!(e.message.contains("  serve [--store DIR]"), "{e}");
         assert!(!store.exists(), "the store was opened");
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

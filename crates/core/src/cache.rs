@@ -1,18 +1,21 @@
 //! Content-addressed caching of expensive pipeline artifacts.
 //!
-//! The three dominant costs in validation are BBV profiling (a full guest
+//! The four dominant costs in validation are BBV profiling (a full guest
 //! run per workload), the whole-program reference run (another full guest
-//! run per workload, the "true value" side of the comparison) and
-//! fat-pinball capture (a logging run per workload, plus one per alternate
-//! tried). All three are deterministic functions of their inputs, so
-//! [`PipelineCache`] stores them under stable content hashes: a profile
-//! under [`elfie_simpoint::ProfileKey`] (workload content, machine
+//! run per workload, the "true value" side of the comparison), fat-pinball
+//! capture (a logging run per workload, plus one per alternate tried) and
+//! each region's measurement (a convert of its pinball into an ELFie, then
+//! a run of that ELFie). All four are deterministic functions of their
+//! inputs, so [`PipelineCache`] stores them under stable content hashes: a
+//! profile under [`elfie_simpoint::ProfileKey`] (workload content, machine
 //! fingerprint, slice size, fuel), a whole run under the workload content,
-//! the measuring machine's fingerprint and the fuel, and a pinball under
-//! the workload content plus the exact region coordinates. Repeating a
-//! validation — a second trial with a different clustering seed, an
-//! ablation over warm-up sizes, a re-run of the same experiment — then
-//! reuses the artifacts instead of re-executing the guest.
+//! the measuring machine's fingerprint and the fuel, a pinball under the
+//! workload content plus the exact region coordinates, and a region's
+//! measurement under its pinball's key, the measuring machine's
+//! fingerprint, the fuel and [`MEASURE_RECIPE`]. Repeating a validation —
+//! a second trial with a different clustering seed, an ablation over
+//! warm-up sizes, a re-run of the same experiment — then reuses the
+//! artifacts instead of re-executing the guest.
 //!
 //! The cache is `Sync`; the parallel batch engine shares one instance
 //! across all workers. Values are handed out as `Arc`s, so hits are
@@ -24,11 +27,15 @@
 //! warm-starts across runs. Every artifact kind takes one path, memory →
 //! store → compute → write-through; a kind supplies only how it loads
 //! from and saves to the store. A pinball is stored as a pinball (pages
-//! deduplicated by the store); a profile as a raw `ESPF` stream and a
-//! whole run as a raw `EWRN` stream, whose codecs live in this module.
-//! Store hits count as cache hits (plus a separate `store_hits` counter),
-//! and a missing, corrupt or unreadable store entry silently degrades to
-//! a recompute.
+//! deduplicated by the store); a profile as a raw `ESPF` stream, a whole
+//! run as a raw `EWRN` stream and a measurement as a raw `EMSR` stream,
+//! whose codecs live in this module. Store hits count as cache hits (plus
+//! a separate `store_hits` counter), and a missing, corrupt or unreadable
+//! store entry silently degrades to a recompute.
+//!
+//! Only a measurement whose run completed (every thread exited) is
+//! cached: an incomplete run, like a failed capture, recomputes every
+//! time.
 //!
 //! Admission: memory holds what was read back, the store what was
 //! computed. A computed artifact that the store accepted is handed out
@@ -38,6 +45,7 @@
 //! never asked for again — a long-lived daemon's fresh `record` jobs —
 //! cost disk, not resident memory.
 
+use crate::perf::NativeMeasurement;
 use elfie_pinball::Pinball;
 use elfie_pinplay::CaptureError;
 use elfie_simpoint::{BbvProfile, PinPoint, ProfileKey};
@@ -50,14 +58,24 @@ use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
-/// Shared store for BBV profiles, whole-program runs and captured
-/// pinballs.
+/// The version of the recipe a cached region measurement stands for:
+/// the pipeline's `make_elfie(.., MarkerKind::Ssc)`, then
+/// [`crate::perf::measure_elfie`] with the candidate's warm-up on the
+/// native machine. It is part of every [`PipelineCache::measure_key`], so
+/// bump it whenever that recipe or the native machine model changes:
+/// measurements stored under the old recipe then miss and recompute.
+pub const MEASURE_RECIPE: u64 = 1;
+
+/// Shared store for BBV profiles, whole-program runs, captured pinballs
+/// and region measurements.
 #[derive(Debug, Default)]
 pub struct PipelineCache {
     profiles: Tier<BbvProfile>,
     wholes: Tier<WholeRun>,
     pinballs: Tier<Pinball>,
+    measures: Tier<NativeMeasurement>,
     store: Option<Store>,
     /// Persistent-tier ref prefix (`{tenant}--`), empty for the default
     /// namespace. Memory-tier keys are *not* prefixed: one cache instance
@@ -187,6 +205,22 @@ impl Artifact for Pinball {
     }
 }
 
+impl Artifact for NativeMeasurement {
+    const PREFIX: &'static str = "measure-";
+    const EVENTS: [&'static str; 3] = ["measure_hit", "measure_store_hit", "measure_miss"];
+
+    fn load(store: &Store, name: &str) -> Option<NativeMeasurement> {
+        emsr::from_bytes(&store.get_raw(name).ok()?).ok()
+    }
+
+    fn save(&self, store: &Store, name: &str) -> Result<Option<u64>, StoreError> {
+        let bytes = emsr::to_bytes(self)
+            .ok_or_else(|| StoreError::Corrupt("an incomplete measurement is not stored".into()))?;
+        store.put_raw(name, &bytes)?;
+        Ok(Some(bytes.len() as u64))
+    }
+}
+
 /// A point-in-time snapshot of the cache counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -202,6 +236,11 @@ pub struct CacheStats {
     pub whole_hits: u64,
     /// Whole-program run lookups that had to run the program.
     pub whole_misses: u64,
+    /// Region measurement lookups served from the cache.
+    pub measure_hits: u64,
+    /// Region measurement lookups that had to convert and run an ELFie
+    /// (or failed before they could).
+    pub measure_misses: u64,
     /// Hits (of any kind) served from the persistent store rather than
     /// memory — i.e. warm starts inherited from an earlier process.
     pub store_hits: u64,
@@ -215,6 +254,7 @@ impl CacheStats {
         self.profile_hits
             .saturating_add(self.pinball_hits)
             .saturating_add(self.whole_hits)
+            .saturating_add(self.measure_hits)
     }
 
     /// Total misses across every artifact kind.
@@ -222,6 +262,7 @@ impl CacheStats {
         self.profile_misses
             .saturating_add(self.pinball_misses)
             .saturating_add(self.whole_misses)
+            .saturating_add(self.measure_misses)
     }
 
     /// Total profile lookups.
@@ -239,6 +280,11 @@ impl CacheStats {
         self.whole_hits.saturating_add(self.whole_misses)
     }
 
+    /// Total region measurement lookups.
+    pub fn measure_lookups(&self) -> u64 {
+        self.measure_hits.saturating_add(self.measure_misses)
+    }
+
     /// Overall hit fraction across every artifact kind, `[0, 1]`.
     pub fn hit_rate(&self) -> f64 {
         elfie_vm::hit_rate(self.hits(), self.misses())
@@ -254,6 +300,8 @@ impl CacheStats {
             pinball_misses: self.pinball_misses.saturating_sub(earlier.pinball_misses),
             whole_hits: self.whole_hits.saturating_sub(earlier.whole_hits),
             whole_misses: self.whole_misses.saturating_sub(earlier.whole_misses),
+            measure_hits: self.measure_hits.saturating_sub(earlier.measure_hits),
+            measure_misses: self.measure_misses.saturating_sub(earlier.measure_misses),
             store_hits: self.store_hits.saturating_sub(earlier.store_hits),
             store_puts: self.store_puts.saturating_sub(earlier.store_puts),
         }
@@ -269,6 +317,8 @@ impl CacheStats {
         self.pinball_misses = self.pinball_misses.saturating_add(other.pinball_misses);
         self.whole_hits = self.whole_hits.saturating_add(other.whole_hits);
         self.whole_misses = self.whole_misses.saturating_add(other.whole_misses);
+        self.measure_hits = self.measure_hits.saturating_add(other.measure_hits);
+        self.measure_misses = self.measure_misses.saturating_add(other.measure_misses);
         self.store_hits = self.store_hits.saturating_add(other.store_hits);
         self.store_puts = self.store_puts.saturating_add(other.store_puts);
     }
@@ -369,6 +419,14 @@ impl PipelineCache {
             .finish()
     }
 
+    /// The cache key of a region's measurement: [`MEASURE_RECIPE`] applied
+    /// to the pinball under [`PipelineCache::pinball_key`] (whose region
+    /// coordinates include the warm-up the measurement skips), measured
+    /// on `machine` with `fuel` per run.
+    pub fn measure_key(w: &Workload, point: &PinPoint, machine: &MachineConfig, fuel: u64) -> u64 {
+        recipe_key(MEASURE_RECIPE, w, point, machine, fuel)
+    }
+
     /// Returns the cached profile under `key`, or runs `compute`, stores
     /// and returns its result.
     ///
@@ -385,6 +443,29 @@ impl PipelineCache {
     /// [`PipelineCache::profile`] does for profiles.
     pub fn whole(&self, key: u64, compute: impl FnOnce() -> WholeRun) -> WholeRun {
         *self.fetch_one(&self.wholes, key, compute)
+    }
+
+    /// The region measurement cached under `key`, looked up in memory,
+    /// then in the store: one hit or one miss. On a miss the caller
+    /// measures and hands the result to [`PipelineCache::keep_measurement`];
+    /// the two halves are apart because the pipeline looks up a cluster's
+    /// representative before it captures, and measures it later.
+    pub fn measurement(&self, key: u64) -> Option<NativeMeasurement> {
+        self.lookup(&self.measures, key).map(|found| *found)
+    }
+
+    /// Keeps a computed region measurement under `key` — only when its
+    /// run completed, so an incomplete one misses and recomputes every
+    /// time. What is kept carries no host time (`vm_wall` is zero), like
+    /// one read back from the store.
+    pub fn keep_measurement(&self, key: u64, meas: NativeMeasurement) {
+        if meas.completed {
+            let meas = NativeMeasurement {
+                vm_wall: Duration::ZERO,
+                ..meas
+            };
+            self.insert(&self.measures, key, meas);
+        }
     }
 
     /// The one-key, infallible case of [`PipelineCache::fetch`].
@@ -516,10 +597,28 @@ impl PipelineCache {
             pinball_misses: self.pinballs.misses.load(Ordering::Relaxed),
             whole_hits: self.wholes.hits.load(Ordering::Relaxed),
             whole_misses: self.wholes.misses.load(Ordering::Relaxed),
+            measure_hits: self.measures.hits.load(Ordering::Relaxed),
+            measure_misses: self.measures.misses.load(Ordering::Relaxed),
             store_hits: self.store_hits.load(Ordering::Relaxed),
             store_puts: self.store_puts.load(Ordering::Relaxed),
         }
     }
+}
+
+/// [`PipelineCache::measure_key`] under any recipe version.
+fn recipe_key(
+    recipe: u64,
+    w: &Workload,
+    point: &PinPoint,
+    machine: &MachineConfig,
+    fuel: u64,
+) -> u64 {
+    elfie_isa::Fnv64::new()
+        .u64(PipelineCache::pinball_key(w, point))
+        .u64(machine.fingerprint())
+        .u64(fuel)
+        .u64(recipe)
+        .finish()
 }
 
 /// The persisted profile format: one `ESPF` version 1 stream per
@@ -716,6 +815,198 @@ mod ewrn {
                 let mut flipped = bytes.clone();
                 flipped[i] ^= 0x01;
                 assert!(from_bytes(&flipped).is_err(), "flipped byte {i}");
+            }
+        }
+    }
+}
+
+/// The persisted measurement format: one `EMSR` version 1 stream per
+/// completed region measurement, stored raw — the measured span's
+/// instructions and cycles, the exit code, the run's fast-path counters
+/// (materialization counters included) and an XXH64 trailer. Only a run
+/// that ended `AllExited` has an encoding; the cycles per instruction and
+/// the completed flag follow from the rest, and host time is not stored.
+mod emsr {
+    use crate::perf::{self, NativeMeasurement};
+    use elfie_pinball::wire::{Reader, WireError, Writer};
+    use elfie_vm::{ExitReason, FastPathStats, MaterializeStats};
+    use std::time::Duration;
+
+    const MEASURE_MAGIC: &[u8; 4] = b"EMSR";
+    const MEASURE_VERSION: u32 = 1;
+
+    /// Serialises a completed measurement; `None` unless its run ended
+    /// `AllExited`.
+    pub(super) fn to_bytes(meas: &NativeMeasurement) -> Option<Vec<u8>> {
+        let ExitReason::AllExited(code) = meas.exit else {
+            return None;
+        };
+        let fp = &meas.fastpath;
+        let mut w = Writer::with_header(MEASURE_MAGIC, MEASURE_VERSION);
+        w.u64(meas.insns);
+        w.u64(meas.cycles);
+        w.u32(code as u32);
+        for v in [
+            fp.block_hits,
+            fp.block_misses,
+            fp.block_evictions,
+            fp.block_flushes,
+            fp.tlb_hits,
+            fp.tlb_misses,
+            fp.insns,
+            fp.mat.pages_mapped,
+            fp.mat.shared_pages,
+            fp.mat.cow_breaks,
+            fp.mat.lazy_faults,
+            fp.mat.owned_bytes,
+            fp.mat.peak_owned_bytes,
+        ] {
+            w.u64(v);
+        }
+        Some(w.into_checksummed_bytes())
+    }
+
+    /// Inverse of [`to_bytes`]; `vm_wall` reads zero.
+    ///
+    /// # Errors
+    /// Returns [`WireError`] if the buffer is truncated, has trailing
+    /// bytes, fails its checksum, or carries an unknown magic/version.
+    pub(super) fn from_bytes(buf: &[u8]) -> Result<NativeMeasurement, WireError> {
+        let mut r = Reader::checksummed(
+            buf,
+            MEASURE_MAGIC,
+            MEASURE_VERSION..=MEASURE_VERSION,
+            "measurement checksum",
+        )?;
+        let insns = r.u64()?;
+        let cycles = r.u64()?;
+        let code = r.u32()? as i32;
+        let fastpath = FastPathStats {
+            block_hits: r.u64()?,
+            block_misses: r.u64()?,
+            block_evictions: r.u64()?,
+            block_flushes: r.u64()?,
+            tlb_hits: r.u64()?,
+            tlb_misses: r.u64()?,
+            insns: r.u64()?,
+            mat: MaterializeStats {
+                pages_mapped: r.u64()?,
+                shared_pages: r.u64()?,
+                cow_breaks: r.u64()?,
+                lazy_faults: r.u64()?,
+                owned_bytes: r.u64()?,
+                peak_owned_bytes: r.u64()?,
+            },
+        };
+        if !r.is_exhausted() {
+            return Err(WireError::Corrupt("trailing measurement bytes"));
+        }
+        Ok(NativeMeasurement {
+            insns,
+            cycles,
+            cpi: perf::cpi(insns, cycles),
+            exit: ExitReason::AllExited(code),
+            completed: true,
+            fastpath,
+            vm_wall: Duration::ZERO,
+        })
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        /// A completed measurement with every counter distinct.
+        fn sample() -> NativeMeasurement {
+            NativeMeasurement {
+                insns: 1_000_000,
+                cycles: 1_234_567,
+                cpi: perf::cpi(1_000_000, 1_234_567),
+                exit: ExitReason::AllExited(-2),
+                completed: true,
+                fastpath: FastPathStats {
+                    block_hits: 1,
+                    block_misses: 2,
+                    block_evictions: 3,
+                    block_flushes: 4,
+                    tlb_hits: 5,
+                    tlb_misses: 6,
+                    insns: 7,
+                    mat: MaterializeStats {
+                        pages_mapped: 8,
+                        shared_pages: 9,
+                        cow_breaks: 10,
+                        lazy_faults: 11,
+                        owned_bytes: 12,
+                        peak_owned_bytes: 13,
+                    },
+                },
+                vm_wall: Duration::from_millis(5),
+            }
+        }
+
+        /// The persisted `EMSR` v1 encoding of [`sample`], byte for byte:
+        /// a warm `--store` directory depends on it.
+        #[test]
+        fn encoding_matches_the_pinned_bytes() {
+            #[rustfmt::skip]
+            const PINNED: &[u8] = &[
+                b'E', b'M', b'S', b'R', 1, 0, 0, 0,
+                0x40, 0x42, 0x0f, 0, 0, 0, 0, 0, // insns 1000000
+                0x87, 0xd6, 0x12, 0, 0, 0, 0, 0, // cycles 1234567
+                0xfe, 0xff, 0xff, 0xff, // exit code -2
+                1, 0, 0, 0, 0, 0, 0, 0, // block_hits
+                2, 0, 0, 0, 0, 0, 0, 0, // block_misses
+                3, 0, 0, 0, 0, 0, 0, 0, // block_evictions
+                4, 0, 0, 0, 0, 0, 0, 0, // block_flushes
+                5, 0, 0, 0, 0, 0, 0, 0, // tlb_hits
+                6, 0, 0, 0, 0, 0, 0, 0, // tlb_misses
+                7, 0, 0, 0, 0, 0, 0, 0, // insns (whole machine run)
+                8, 0, 0, 0, 0, 0, 0, 0, // pages_mapped
+                9, 0, 0, 0, 0, 0, 0, 0, // shared_pages
+                10, 0, 0, 0, 0, 0, 0, 0, // cow_breaks
+                11, 0, 0, 0, 0, 0, 0, 0, // lazy_faults
+                12, 0, 0, 0, 0, 0, 0, 0, // owned_bytes
+                13, 0, 0, 0, 0, 0, 0, 0, // peak_owned_bytes
+                0x13, 0xd4, 0xc7, 0x15, 0xf8, 0x1a, 0xfc, 0xc7, // XXH64 of the above
+            ];
+            assert_eq!(to_bytes(&sample()).unwrap(), PINNED);
+            let back = from_bytes(PINNED).unwrap();
+            assert_eq!(back, sample(), "equal up to host time");
+            assert_eq!(back.vm_wall, Duration::ZERO);
+            assert_eq!(back.cpi.to_bits(), sample().cpi.to_bits());
+        }
+
+        #[test]
+        fn truncated_trailing_and_flipped_bytes_are_rejected() {
+            let bytes = to_bytes(&sample()).unwrap();
+            for len in 0..bytes.len() {
+                assert!(from_bytes(&bytes[..len]).is_err(), "truncated to {len}");
+            }
+            let mut long = bytes.clone();
+            long.push(0);
+            assert!(from_bytes(&long).is_err(), "trailing byte");
+            for i in 0..bytes.len() {
+                let mut flipped = bytes.clone();
+                flipped[i] ^= 0x01;
+                assert!(from_bytes(&flipped).is_err(), "flipped byte {i}");
+            }
+        }
+
+        #[test]
+        fn an_incomplete_run_has_no_encoding() {
+            for exit in [
+                ExitReason::FuelExhausted,
+                ExitReason::Deadlock,
+                ExitReason::ObserverStop,
+                ExitReason::StopCondition(0),
+            ] {
+                let meas = NativeMeasurement {
+                    exit,
+                    completed: false,
+                    ..sample()
+                };
+                assert_eq!(to_bytes(&meas), None, "{exit:?}");
             }
         }
     }
@@ -1079,6 +1370,129 @@ mod tests {
             // The recompute rewrote the entry: the next cache reads it.
             let warm = PipelineCache::persistent(&dir).unwrap();
             assert_eq!(warm.whole(1, || panic!("must come from the store")), RUN);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A completed region measurement, as a store reads it back.
+    fn measured(insns: u64) -> NativeMeasurement {
+        NativeMeasurement {
+            insns,
+            cycles: 3 * insns,
+            cpi: crate::perf::cpi(insns, 3 * insns),
+            exit: elfie_vm::ExitReason::AllExited(0),
+            completed: true,
+            fastpath: elfie_vm::FastPathStats::default(),
+            vm_wall: Duration::ZERO,
+        }
+    }
+
+    #[test]
+    fn measure_keys_separate_seed_fuel_warmup_workload_and_recipe() {
+        let w = elfie_workloads::gcc_like(1);
+        let point = PinPoint {
+            cluster: 0,
+            rank: 0,
+            slice_index: 4,
+            weight: 0.5,
+            start_icount: 20_000,
+            length: 5_000,
+            warmup: 2_000,
+        };
+        let key = |w: &Workload, point: &PinPoint, seed, fuel| {
+            PipelineCache::measure_key(w, point, &crate::perf::native_machine(seed), fuel)
+        };
+        let k = key(&w, &point, 1, 1_000_000);
+        assert_eq!(k, key(&w, &point, 1, 1_000_000));
+        assert_ne!(k, key(&w, &point, 2, 1_000_000), "seed");
+        assert_ne!(k, key(&w, &point, 1, 2_000_000), "fuel");
+        let longer_warmup = PinPoint {
+            warmup: 3_000,
+            ..point
+        };
+        assert_ne!(k, key(&w, &longer_warmup, 1, 1_000_000), "warm-up");
+        let other = elfie_workloads::mcf_like(1);
+        assert_ne!(k, key(&other, &point, 1, 1_000_000), "workload content");
+        let machine = crate::perf::native_machine(1);
+        assert_eq!(
+            k,
+            recipe_key(MEASURE_RECIPE, &w, &point, &machine, 1_000_000)
+        );
+        assert_ne!(
+            k,
+            recipe_key(MEASURE_RECIPE + 1, &w, &point, &machine, 1_000_000),
+            "recipe version"
+        );
+        assert_ne!(k, PipelineCache::pinball_key(&w, &point), "pinball key");
+    }
+
+    /// The cache instants `tracer` recorded, in order.
+    fn instants(tracer: &elfie_trace::Tracer) -> Vec<&'static str> {
+        tracer
+            .collect()
+            .tracks
+            .iter()
+            .flat_map(|t| &t.events)
+            .filter(|e| e.ph == elfie_trace::Phase::Instant)
+            .map(|e| e.name)
+            .collect()
+    }
+
+    #[test]
+    fn a_measurement_is_one_lookup_then_kept_only_when_completed() {
+        let cache = PipelineCache::new();
+        let tracer = Arc::new(elfie_trace::Tracer::new(elfie_trace::TraceMode::Full));
+        cache.attach_tracer(Arc::clone(&tracer));
+        assert_eq!(cache.measurement(1), None);
+        let incomplete = NativeMeasurement {
+            exit: elfie_vm::ExitReason::FuelExhausted,
+            completed: false,
+            ..measured(500)
+        };
+        cache.keep_measurement(1, incomplete);
+        assert_eq!(cache.measurement(1), None, "an incomplete run recomputes");
+        let timed = NativeMeasurement {
+            vm_wall: Duration::from_millis(3),
+            ..measured(500)
+        };
+        cache.keep_measurement(1, timed);
+        let hit = cache.measurement(1).expect("a completed run is kept");
+        assert_eq!(hit, timed);
+        assert_eq!(hit.vm_wall, Duration::ZERO, "a hit carries no host time");
+        let s = cache.stats();
+        assert_eq!((s.measure_hits, s.measure_misses), (1, 2));
+        assert_eq!((s.hits(), s.misses()), (1, 2));
+        assert_eq!(s.measure_lookups(), 3);
+        assert_eq!(
+            instants(&tracer),
+            ["measure_miss", "measure_miss", "measure_hit"]
+        );
+    }
+
+    #[test]
+    fn a_corrupt_measurement_entry_recomputes_and_repairs_itself() {
+        let dir = store_dir("bad-measure");
+        let good = emsr::to_bytes(&measured(700)).unwrap();
+        let truncated = good[..good.len() - 1].to_vec();
+        let mut trailing = good.clone();
+        trailing.push(0);
+        let mut flipped = good.clone();
+        flipped[12] ^= 0x01;
+        for bad in [truncated, trailing, flipped] {
+            let store = Store::open(&dir).unwrap();
+            store.put_raw("measure-0000000000000001", &bad).unwrap();
+            let cache = PipelineCache::new().with_store(store);
+            assert_eq!(cache.measurement(1), None, "a corrupt entry is a miss");
+            cache.keep_measurement(1, measured(700));
+            let s = cache.stats();
+            assert_eq!((s.measure_misses, s.store_hits, s.store_puts), (1, 0, 1));
+            // The recompute rewrote the entry: the next cache reads it.
+            let warm = PipelineCache::persistent(&dir).unwrap();
+            let tracer = Arc::new(elfie_trace::Tracer::new(elfie_trace::TraceMode::Full));
+            warm.attach_tracer(Arc::clone(&tracer));
+            assert_eq!(warm.measurement(1), Some(measured(700)));
+            assert_eq!(warm.stats().store_hits, 1);
+            assert_eq!(instants(&tracer), ["measure_store_hit"]);
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -184,7 +184,8 @@ impl BatchValidator {
             if t % 2 == 0 {
                 let _span = task_span(self.tracer.as_ref(), "select", &w.name);
                 let points = pipeline::select_regions_cached(w, cfg, fuel, &self.cache, &stats);
-                let heads = pipeline::capture_heads_cached(w, &points, &self.cache, &stats);
+                let heads =
+                    pipeline::capture_heads_cached(w, &points, seed, fuel, &self.cache, &stats);
                 Done::Selected(points, heads)
             } else {
                 let _span = task_span(self.tracer.as_ref(), "measure_whole", &w.name);

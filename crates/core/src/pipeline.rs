@@ -204,36 +204,62 @@ pub(crate) fn measure_whole_cached(
     })
 }
 
-/// A cluster's first candidate's pinball, or why it could not be had.
-pub(crate) type Head = Result<Arc<Pinball>, CaptureError>;
+/// What the select task found for a cluster's first candidate (its
+/// representative).
+#[derive(Debug, Clone)]
+pub(crate) enum Head {
+    /// Its measurement was cached: no pinball is needed.
+    Measured(NativeMeasurement),
+    /// Its measurement missed: its pinball, or why capture failed.
+    Captured(Result<Arc<Pinball>, CaptureError>),
+}
 
-/// Looks up the first candidate (the representative) of every cluster in
-/// `cache` and captures all the misses in one logging pass, charged to
-/// [`Stage::Capture`]. Entry `c` belongs to cluster `c`; it is `None`
-/// when the cluster has no candidates.
+/// Looks up the measurement of the first candidate (the representative)
+/// of every cluster in `cache`, then the pinball of each one that missed,
+/// and captures all the pinball misses in one logging pass, charged to
+/// [`Stage::Capture`]. A cluster whose measurement is cached touches no
+/// pinball. Entry `c` belongs to cluster `c`; it is `None` when the
+/// cluster has no candidates.
 pub(crate) fn capture_heads_cached(
     w: &Workload,
     points: &PinPoints,
+    seed: u64,
+    fuel: u64,
     cache: &PipelineCache,
     stats: &StatsCollector,
 ) -> Vec<Option<Head>> {
-    let firsts: Vec<Option<&PinPoint>> = (0..points.k)
-        .map(|c| points.candidates(c).first().copied())
+    let machine = perf::native_machine(seed);
+    let firsts: Vec<Option<(&PinPoint, Option<NativeMeasurement>)>> = (0..points.k)
+        .map(|c| {
+            let first = *points.candidates(c).first()?;
+            let key = PipelineCache::measure_key(w, first, &machine, fuel);
+            Some((first, cache.measurement(key)))
+        })
         .collect();
-    let present: Vec<&PinPoint> = firsts.iter().flatten().copied().collect();
-    let keys: Vec<u64> = present
+    let unmeasured: Vec<&PinPoint> = firsts
+        .iter()
+        .flatten()
+        .filter(|(_, meas)| meas.is_none())
+        .map(|&(point, _)| point)
+        .collect();
+    let keys: Vec<u64> = unmeasured
         .iter()
         .map(|p| PipelineCache::pinball_key(w, p))
         .collect();
-    let mut heads = cache
+    let mut captured = cache
         .pinballs(&keys, |missing| {
-            let points: Vec<&PinPoint> = missing.iter().map(|&i| present[i]).collect();
+            let points: Vec<&PinPoint> = missing.iter().map(|&i| unmeasured[i]).collect();
             stats.time(Stage::Capture, || capture_pinpoints(w, &points))
         })
         .into_iter();
     firsts
-        .iter()
-        .map(|first| first.map(|_| heads.next().expect("one result per head")))
+        .into_iter()
+        .map(|first| {
+            first.map(|(_, meas)| match meas {
+                Some(meas) => Head::Measured(meas),
+                None => Head::Captured(captured.next().expect("one pinball per unmeasured head")),
+            })
+        })
         .collect()
 }
 
@@ -245,14 +271,16 @@ pub(crate) struct ClusterOutcome {
     pub(crate) sample: Option<(f64, f64)>,
 }
 
-/// Runs one cluster's capture→convert→measure chain over its
-/// `candidates` (in rank order, as [`PinPoints::candidates`] lists them),
-/// falling back to alternates until a candidate completes. `head` is the
-/// first candidate's pinball when it was already looked up (by
-/// [`capture_heads_cached`]); later candidates are captured one by one
-/// through `cache`. This is the unit of work the parallel engine
-/// schedules; the serial path runs the exact same function cluster by
-/// cluster, which is what makes the two paths' reports identical.
+/// Runs one cluster's candidate chain over its `candidates` (in rank
+/// order, as [`PinPoints::candidates`] lists them), falling back to
+/// alternates until a candidate completes. Each candidate's measurement
+/// is looked up in `cache` first; only on a miss is its pinball fetched
+/// (or captured), converted to an ELFie and measured, and a completed
+/// measurement kept. `head` is what [`capture_heads_cached`] already
+/// found for the first candidate; later candidates are looked up one by
+/// one. This is the unit of work the parallel engine schedules; the
+/// serial path runs the exact same function cluster by cluster, which is
+/// what makes the two paths' reports identical.
 pub(crate) fn validate_cluster(
     w: &Workload,
     candidates: &[&PinPoint],
@@ -262,6 +290,7 @@ pub(crate) fn validate_cluster(
     cache: &PipelineCache,
     stats: &StatsCollector,
 ) -> ClusterOutcome {
+    let machine = perf::native_machine(seed);
     let mut regions = Vec::new();
     let mut sample = None;
     for &cand in candidates {
@@ -273,42 +302,23 @@ pub(crate) fn validate_cluster(
             weight: cand.weight,
             measurement: None,
         };
-        let result = head
-            .take()
-            .unwrap_or_else(|| {
-                cache.pinball(PipelineCache::pinball_key(w, cand), || {
-                    stats.time(Stage::Capture, || capture_pinpoint(w, cand))
-                })
-            })
-            .map_err(PipelineError::from)
-            .and_then(|pb| {
-                stats
-                    .time(Stage::Convert, || make_elfie(&pb, MarkerKind::Ssc))
-                    .map_err(PipelineError::from)
-            })
-            .and_then(|(elfie, sysstate)| {
-                stats
-                    .time(Stage::Measure, || {
-                        perf::measure_elfie(
-                            &elfie.bytes,
-                            MarkerKind::Ssc,
-                            cand.warmup,
-                            seed,
-                            fuel,
-                            |m| {
-                                sysstate.stage_files(m);
-                                // Large data arrays the workload maps at run
-                                // time are part of the pinball image already;
-                                // nothing else to stage.
-                            },
-                        )
-                    })
-                    .map_err(PipelineError::from)
-            })
-            .map(|meas| {
-                stats.record_vm(meas.fastpath, meas.vm_wall);
+        let key = PipelineCache::measure_key(w, cand, &machine, fuel);
+        let measure = |pinball| {
+            measure_pinball(pinball, cand, seed, fuel, stats).map(|meas| {
+                cache.keep_measurement(key, meas);
                 meas
-            });
+            })
+        };
+        let result = match head.take() {
+            Some(Head::Measured(meas)) => Ok(meas),
+            Some(Head::Captured(pinball)) => measure(pinball),
+            None => match cache.measurement(key) {
+                Some(meas) => Ok(meas),
+                None => measure(cache.pinball(PipelineCache::pinball_key(w, cand), || {
+                    stats.time(Stage::Capture, || capture_pinpoint(w, cand))
+                })),
+            },
+        };
         match result {
             Ok(meas) if meas.completed && meas.insns > 0 => {
                 record.measurement = Some(meas);
@@ -328,6 +338,38 @@ pub(crate) fn validate_cluster(
         }
     }
     ClusterOutcome { regions, sample }
+}
+
+/// The measurement recipe [`crate::cache::MEASURE_RECIPE`] versions:
+/// converts a candidate's pinball with [`make_elfie`] and measures the
+/// ELFie natively past the candidate's warm-up, charging
+/// [`Stage::Convert`], [`Stage::Measure`] and the guest run.
+fn measure_pinball(
+    pinball: Result<Arc<Pinball>, CaptureError>,
+    cand: &PinPoint,
+    seed: u64,
+    fuel: u64,
+    stats: &StatsCollector,
+) -> Result<NativeMeasurement, PipelineError> {
+    let pb = pinball?;
+    let (elfie, sysstate) = stats.time(Stage::Convert, || make_elfie(&pb, MarkerKind::Ssc))?;
+    let meas = stats.time(Stage::Measure, || {
+        perf::measure_elfie(
+            &elfie.bytes,
+            MarkerKind::Ssc,
+            cand.warmup,
+            seed,
+            fuel,
+            |m| {
+                sysstate.stage_files(m);
+                // Large data arrays the workload maps at run time are
+                // part of the pinball image already; nothing else to
+                // stage.
+            },
+        )
+    })?;
+    stats.record_vm(meas.fastpath, meas.vm_wall);
+    Ok(meas)
 }
 
 /// Merges per-cluster outcomes (in cluster order) with the whole-program
@@ -379,4 +421,64 @@ pub fn validate_with_elfies(
     crate::parallel::BatchValidator::serial()
         .validate(w, cfg, seed, fuel)
         .map(|(report, _stats)| report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One gcc_like region, measured on seed 7.
+    fn region() -> (Workload, PinPoint) {
+        let point = PinPoint {
+            cluster: 0,
+            rank: 0,
+            slice_index: 4,
+            weight: 1.0,
+            start_icount: 20_000,
+            length: 5_000,
+            warmup: 2_000,
+        };
+        (elfie_workloads::gcc_like(1), point)
+    }
+
+    fn validate(
+        w: &Workload,
+        point: &PinPoint,
+        fuel: u64,
+        cache: &PipelineCache,
+    ) -> ClusterOutcome {
+        validate_cluster(w, &[point], None, 7, fuel, cache, &StatsCollector::new())
+    }
+
+    #[test]
+    fn an_incomplete_measurement_is_measured_again_every_time() {
+        let (w, point) = region();
+        let cache = PipelineCache::new();
+        // Too little fuel to reach the region's marker: the run never
+        // completes, so neither run keeps a measurement.
+        for _ in 0..2 {
+            let out = validate(&w, &point, 1_000, &cache);
+            let meas = out.regions[0].measurement.expect("measured");
+            assert!(!meas.completed, "{:?}", meas.exit);
+            assert_eq!(out.sample, None);
+        }
+        let s = cache.stats();
+        assert_eq!((s.measure_hits, s.measure_misses), (0, 2));
+        assert_eq!((s.pinball_hits, s.pinball_misses), (1, 1));
+    }
+
+    #[test]
+    fn a_completed_measurement_is_read_back_without_its_pinball() {
+        let (w, point) = region();
+        let cache = PipelineCache::new();
+        let cold = validate(&w, &point, 50_000_000, &cache);
+        let stats = StatsCollector::new();
+        let warm = validate_cluster(&w, &[&point], None, 7, 50_000_000, &cache, &stats);
+        assert_eq!(warm, cold);
+        assert!(cold.sample.is_some(), "the region completed");
+        let s = cache.stats();
+        assert_eq!((s.measure_hits, s.measure_misses), (1, 1));
+        assert_eq!(s.pinball_lookups(), 1, "only the cold run fetched it");
+        assert_eq!(stats.finish(Default::default(), 1, s).vm.insns, 0);
+    }
 }

@@ -88,13 +88,15 @@ pub(crate) fn write_pipeline(f: &mut fmt::Formatter<'_>, s: &PipelineStats) -> f
 pub(crate) fn write_cache(f: &mut fmt::Formatter<'_>, c: &CacheStats) -> fmt::Result {
     write!(
         f,
-        "profiles {}/{} hit, whole runs {}/{} hit, pinballs {}/{} hit",
+        "profiles {}/{} hit, whole runs {}/{} hit, pinballs {}/{} hit, measurements {}/{} hit",
         c.profile_hits,
         c.profile_lookups(),
         c.whole_hits,
         c.whole_lookups(),
         c.pinball_hits,
         c.pinball_lookups(),
+        c.measure_hits,
+        c.measure_lookups(),
     )?;
     if c.store_hits.saturating_add(c.store_puts) > 0 {
         write!(f, " (store: {} hit, {} put)", c.store_hits, c.store_puts)?;
@@ -266,6 +268,8 @@ pub fn stats_to_json(s: &PipelineStats) -> Json {
                 ("pinball_misses", Json::U64(s.cache.pinball_misses)),
                 ("whole_hits", Json::U64(s.cache.whole_hits)),
                 ("whole_misses", Json::U64(s.cache.whole_misses)),
+                ("measure_hits", Json::U64(s.cache.measure_hits)),
+                ("measure_misses", Json::U64(s.cache.measure_misses)),
                 ("store_hits", Json::U64(s.cache.store_hits)),
                 ("store_puts", Json::U64(s.cache.store_puts)),
             ]),
@@ -394,9 +398,12 @@ pub fn stats_from_json(doc: &Json) -> Result<PipelineStats, String> {
             profile_misses: u64_field(cache, "profile_misses")?,
             pinball_hits: u64_field(cache, "pinball_hits")?,
             pinball_misses: u64_field(cache, "pinball_misses")?,
-            // Documents written before whole runs were cached lack them.
+            // Documents written before whole runs, or region
+            // measurements, were cached lack their counters.
             whole_hits: u64_field_or_zero(cache, "whole_hits")?,
             whole_misses: u64_field_or_zero(cache, "whole_misses")?,
+            measure_hits: u64_field_or_zero(cache, "measure_hits")?,
+            measure_misses: u64_field_or_zero(cache, "measure_misses")?,
             store_hits: u64_field(cache, "store_hits")?,
             store_puts: u64_field(cache, "store_puts")?,
         },
@@ -445,6 +452,8 @@ mod tests {
                 pinball_misses: 4,
                 whole_hits: 7,
                 whole_misses: 8,
+                measure_hits: 9,
+                measure_misses: 10,
                 store_hits: 5,
                 store_puts: 6,
             },
@@ -490,13 +499,35 @@ mod tests {
         let text = stats_to_json(&s).render_pretty();
         let old: String = text
             .lines()
-            .filter(|line| !line.contains("\"whole_"))
+            .filter(|line| {
+                !line.contains("\"whole_")
+                    && !line.contains("\"measure_hits\"")
+                    && !line.contains("\"measure_misses\"")
+            })
             .map(|line| format!("{line}\n"))
             .collect();
         assert_ne!(old, text);
         let back = stats_from_json(&Json::parse(&old).unwrap()).unwrap();
         assert_eq!((back.cache.whole_hits, back.cache.whole_misses), (0, 0));
+        assert_eq!((back.cache.measure_hits, back.cache.measure_misses), (0, 0));
         assert_eq!(back.cache.store_puts, s.cache.store_puts);
+    }
+
+    #[test]
+    fn a_document_written_before_measurements_were_cached_still_parses() {
+        let s = sample_stats();
+        let text = stats_to_json(&s).render_pretty();
+        let old: String = text
+            .lines()
+            .filter(|line| {
+                !line.contains("\"measure_hits\"") && !line.contains("\"measure_misses\"")
+            })
+            .map(|line| format!("{line}\n"))
+            .collect();
+        assert_eq!(text.lines().count() - old.lines().count(), 2);
+        let back = stats_from_json(&Json::parse(&old).unwrap()).unwrap();
+        assert_eq!((back.cache.measure_hits, back.cache.measure_misses), (0, 0));
+        assert_eq!((back.cache.whole_hits, back.cache.whole_misses), (7, 8));
     }
 
     #[test]

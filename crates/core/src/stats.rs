@@ -375,6 +375,8 @@ mod tests {
                 pinball_misses: 4,
                 whole_hits: 7,
                 whole_misses: 8,
+                measure_hits: 9,
+                measure_misses: 11,
                 store_hits: 5,
                 store_puts: 6,
             },
@@ -383,7 +385,7 @@ mod tests {
         assert!(text.contains("4 workers"));
         assert!(text.contains("profiles 1/3 hit"));
         assert!(text.contains("whole runs 7/15 hit"));
-        assert!(text.contains("pinballs 3/7 hit"));
+        assert!(text.contains("pinballs 3/7 hit, measurements 9/20 hit"));
         assert!(text.contains("store: 5 hit, 6 put"));
     }
 

@@ -106,25 +106,13 @@ fn arena_stats() -> impl Strategy<Value = ArenaStats> {
 
 fn cache_stats() -> impl Strategy<Value = CacheStats> {
     (
-        counter(),
-        counter(),
-        counter(),
-        counter(),
-        counter(),
-        counter(),
-        counter(),
-        counter(),
+        (counter(), counter(), counter(), counter(), counter()),
+        (counter(), counter(), counter(), counter(), counter()),
     )
         .prop_map(
             |(
-                profile_hits,
-                profile_misses,
-                pinball_hits,
-                pinball_misses,
-                whole_hits,
-                whole_misses,
-                store_hits,
-                store_puts,
+                (profile_hits, profile_misses, pinball_hits, pinball_misses, whole_hits),
+                (whole_misses, measure_hits, measure_misses, store_hits, store_puts),
             )| {
                 CacheStats {
                     profile_hits,
@@ -133,6 +121,8 @@ fn cache_stats() -> impl Strategy<Value = CacheStats> {
                     pinball_misses,
                     whole_hits,
                     whole_misses,
+                    measure_hits,
+                    measure_misses,
                     store_hits,
                     store_puts,
                 }

@@ -67,14 +67,28 @@ fn second_identical_run_is_served_from_the_cache() {
         "second run re-profiled the guest"
     );
     assert_eq!(s2.cache.profile_hits, 1);
+    // Every measurement the first run completed is a hit, and a hit
+    // touches no pinball: only what the first run could not complete
+    // (never cached) is fetched and measured again.
     assert!(
-        s2.cache.pinball_hits > 0,
-        "second run re-captured every region"
+        s2.cache.measure_hits > 0,
+        "second run re-measured every region"
     );
+    assert_eq!(s2.cache.measure_hits, completed(&first));
+    assert_eq!(s2.cache.pinball_lookups(), s2.cache.measure_misses);
     // Only captures that failed outright the first time (never cached) may
     // run again.
     assert!(s2.cache.pinball_misses <= s1.cache.pinball_misses);
     assert!(s2.cache.hits() > s1.cache.hits());
+}
+
+/// Regions whose measurement ran to completion — the ones a cache keeps.
+fn completed(report: &ValidationReport) -> u64 {
+    report
+        .regions
+        .iter()
+        .filter(|r| r.measurement.is_some_and(|m| m.completed))
+        .count() as u64
 }
 
 #[test]
@@ -93,7 +107,9 @@ fn cache_shared_between_engines_carries_artifacts_over() {
         "shared-cache run must still match the serial report"
     );
     assert_eq!(s2.cache.profile_misses, 0);
-    assert!(s2.cache.pinball_hits > 0);
+    assert!(s2.cache.measure_hits > 0);
+    assert_eq!(s2.cache.measure_hits, completed(&r1));
+    assert_eq!(s2.cache.pinball_lookups(), s2.cache.measure_misses);
 }
 
 /// The fleet contract behind `elfie bench`'s fleet scenario: many

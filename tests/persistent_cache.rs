@@ -4,6 +4,7 @@
 
 use elfie::prelude::*;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn small_cfg() -> PinPointsConfig {
     PinPointsConfig {
@@ -42,6 +43,11 @@ fn second_run_with_fresh_cache_warm_starts_from_the_store() {
     let engine2 = BatchValidator::new().with_workers(2).with_cache(cache2);
     let (second, s2) = engine2.validate(&w, &cfg, SEED, FUEL).expect("pipeline");
     assert_eq!(second, first, "warm-started report must be identical");
+    assert_eq!(
+        elfie::render::validation_report(&w.name, &second),
+        elfie::render::validation_report(&w.name, &first),
+        "and so must its text"
+    );
     assert_eq!(s2.cache.profile_misses, 0, "profile must come from store");
     assert_eq!(s2.cache.profile_hits, 1);
     assert_eq!(
@@ -49,19 +55,29 @@ fn second_run_with_fresh_cache_warm_starts_from_the_store() {
         (1, 0),
         "the reference run must come from store"
     );
-    // The warm run executes region ELFies only: fewer guest instructions
-    // than one whole-program run.
-    let whole = elfie::perf::measure_program(&w, SEED, FUEL);
-    assert!(
-        s2.vm.insns < whole.insns,
-        "warm run executed {} guest insns, a whole run is {}",
-        s2.vm.insns,
-        whole.insns
+    // Every region the cold run measured to completion is measured once:
+    // the warm run reads each measurement from the store, so it fetches
+    // no pinball, converts nothing and executes no guest instruction.
+    assert_eq!(
+        (s2.cache.measure_hits, s2.cache.measure_misses),
+        (s2.regions_attempted, 0),
+        "every measurement must come from store"
     );
-    assert!(s2.cache.pinball_hits > 0, "pinballs must come from store");
-    assert!(
-        s2.cache.store_hits > 0,
-        "stats must attribute the warm start"
+    assert_eq!(
+        s2.cache.pinball_lookups(),
+        0,
+        "a warm run fetches no pinball"
+    );
+    assert_eq!(
+        s2.cache.store_hits,
+        s2.cache.hits(),
+        "every hit must be a store hit"
+    );
+    assert_eq!(s2.cache.store_puts, 0, "a warm run computes nothing");
+    assert_eq!(s2.vm.insns, 0, "a warm run executes no guest code");
+    assert_eq!(
+        (s2.capture_time, s2.convert_time, s2.measure_time),
+        (Duration::ZERO, Duration::ZERO, Duration::ZERO)
     );
 
     // The store holds a verifiable, deduplicated artifact corpus.

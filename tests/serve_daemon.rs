@@ -24,6 +24,9 @@
 //! * a recorded region is written to the store, not kept in memory: its
 //!   first replay is a store hit, and distinct records leave nothing in
 //!   the memory tier;
+//! * a second served `validate` of the same tenant and workload reads
+//!   every region measurement back: same bytes, no store write, no
+//!   guest page materialized;
 //! * tenants stay isolated while every shard shares their caches;
 //! * a job submitted while another runs goes to the idle shard, even for
 //!   the same tenant and workload, when a core is free to run it;
@@ -865,6 +868,55 @@ fn request_ids_correlate_daemon_spans_in_exported_trace() {
         chain.iter().all(|s| !s.name.contains("shutdown")),
         "{chain:?}"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_second_served_validate_reads_its_measurements_back() {
+    let dir = tmp("measure-reuse");
+    let daemon = Daemon::bind("127.0.0.1:0", &dir, ServeConfig::default(), None).expect("binds");
+    let addr = daemon.local_addr().to_string();
+    let server = std::thread::spawn(move || daemon.run());
+
+    let mut client = Client::connect(&addr).expect("connects");
+    let mut validate = || {
+        let before = client.stats().expect("stats");
+        let report = match client.submit("acme", spec("gcc_like")).expect("submits") {
+            Response::Done { report, .. } => report,
+            other => panic!("{other:?}"),
+        };
+        let after = client.stats().expect("stats");
+        (report, before, after)
+    };
+    let (cold, _, _) = validate();
+    assert_eq!(cold, offline_reference("gcc_like"));
+    let (warm, before, after) = validate();
+    assert_eq!(warm, cold, "the second job must answer the same bytes");
+    assert_eq!(after.store_puts, before.store_puts, "and write nothing");
+    assert_eq!(
+        after.cache_misses, before.cache_misses,
+        "and compute nothing"
+    );
+    assert!(after.store_hits > before.store_hits);
+    assert_eq!(
+        after.peak_rss_bytes, before.peak_rss_bytes,
+        "and materialize no guest page"
+    );
+
+    let refs: Vec<String> = elfie::store::Store::open(&dir)
+        .expect("opens store")
+        .list()
+        .expect("lists")
+        .into_iter()
+        .map(|e| e.name)
+        .collect();
+    assert!(
+        refs.iter().any(|name| name.starts_with("acme--measure-")),
+        "no acme--measure-… ref in {refs:?}"
+    );
+
+    client.shutdown().expect("shutdown");
+    server.join().expect("daemon thread");
     std::fs::remove_dir_all(&dir).ok();
 }
 
